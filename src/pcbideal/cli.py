@@ -10,8 +10,8 @@ Four subcommands over a tiny JSON input format:
 Input files look like {"n": 4, "L": [[3,-1,-1,-1], ...]}. Output is a JSON
 envelope on stdout; --pretty switches to human-readable tables. Exit codes:
 0 success, 2 parse error, 3 validation error, 4 bad prime, 5 verification
-failure. The PCB_SEED environment variable is reserved for future use; all
-current commands are deterministic and ignore it.
+failure. This module parses, dispatches and renders; the checks behind
+`verify` live in core.identity_checks and decomp.verify_full_decomposition.
 """
 
 from __future__ import annotations
@@ -29,34 +29,23 @@ from .core import (
     PcbValidationError,
     analyze,
     associated_vector,
-    generators,
-    grading_degree,
-    mixedness_witness,
+    identity_checks,
     normalized_snf,
     small_dim_decomposition,
-    syzygy_identity_residual,
     syzygy_vectors,
     torsion_profile,
     validate,
-    witness_identity_residual,
 )
 from .decomp import (
     BadPrime,
-    HypothesisFailed,
     VerificationFailed,
-    binomial_to_polynomial,
     component_count,
     embedded_component,
     enumerate_components,
-    hull,
-    pcb_ideal,
     realize_over_prime_field,
-    socle_monomial,
-    unmixedness_test,
     verify_full_decomposition,
 )
-from .intmat import determinant, lattice_contains, minors_gcd
-from .oracle import DEGREVLEX, GF, QQ, Polynomial, colon, intersect, render, saturate
+from .oracle import DEGREVLEX, GF, render
 
 
 class SchemaError(ValueError):
@@ -158,146 +147,36 @@ def _cmd_decompose(P: PcbMatrix, field_kind: str, p: Optional[int]) -> Dict:
             "at_most": counts.at_most,
         },
     }
+    realization = None
+    if field_kind != "symbolic":
+        realization = realize_over_prime_field(P, p)
+        payload["p"] = realization.p
+        payload["zeta"] = realization.zeta
     components: List[Dict] = []
-    if field_kind == "symbolic":
-        for s in specs:
-            components.append(
-                {
-                    "lambda_index": list(s.lambda_index),
-                    "coeff_exponents": list(s.coeff_exponents),
-                    "weights": list(s.weights),
-                    "map": list(s.map_strings()),
-                }
-            )
-        payload["components"] = components
-        payload["embedded"] = (
-            {"monomial": list(syzygy_vectors(P)[P.n - 1])} if P.n >= 4 else None
-        )
-        return payload
-    realization = realize_over_prime_field(P, p)
-    payload["p"] = realization.p
-    payload["zeta"] = realization.zeta
-    for s, kernel in zip(realization.specs, realization.kernels):
-        components.append(
-            {
-                "lambda_index": list(s.lambda_index),
-                "coeff_exponents": list(s.coeff_exponents),
-                "weights": list(s.weights),
-                "map": list(s.map_strings()),
-                "kernel": [render(g, DEGREVLEX) for g in kernel.groebner()],
-            }
-        )
-    payload["components"] = components
-    if P.n >= 4:
-        comp = embedded_component(P, GF(p), check=False)
-        payload["embedded"] = {
-            "monomial": list(syzygy_vectors(P)[P.n - 1]),
-            "generators": [render(g, DEGREVLEX) for g in comp.groebner()],
+    for i, s in enumerate(specs):
+        comp = {
+            "lambda_index": list(s.lambda_index),
+            "coeff_exponents": list(s.coeff_exponents),
+            "weights": list(s.weights),
+            "map": list(s.map_strings()),
         }
-    else:
-        payload["embedded"] = None
+        if realization is not None:
+            comp["kernel"] = [render(g, DEGREVLEX) for g in realization.kernels[i].groebner()]
+        components.append(comp)
+    payload["components"] = components
+    payload["embedded"] = None
+    if P.n >= 4:
+        payload["embedded"] = {"monomial": list(syzygy_vectors(P)[P.n - 1])}
+        if realization is not None:
+            gens = embedded_component(P, GF(p)).groebner()
+            payload["embedded"]["generators"] = [render(g, DEGREVLEX) for g in gens]
     return payload
 
 
-def _identity_checks(P: PcbMatrix) -> List[Tuple[str, bool]]:
-    checks: List[Tuple[str, bool]] = []
-    n = P.n
-    L = P.signed
-    from .intmat import adjugate
-
-    adj = adjugate(L)
-    rows_equal = all(adj.row(i) == adj.row(0) for i in range(n))
-    positive = all(v > 0 for v in adj.row(0))
-    checks.append(("adjugate rows equal and positive", rows_equal and positive))
-    m, d, nu = associated_vector(P)
-    checks.append(("syzygy identity expands to zero", not syzygy_identity_residual(P)))
-    if n >= 4:
-        checks.append(("witness identity expands to zero", not witness_identity_residual(P)))
-    homogeneous = all(
-        grading_degree(nu, f.plus) == grading_degree(nu, f.minus) for f in generators(P)
-    )
-    checks.append(("generators homogeneous under the weight vector", homogeneous))
-    snf = normalized_snf(P)
-    checks.append(("transforms reproduce the diagonal", snf.P @ L @ snf.Q == snf.D))
-    unimodular = abs(determinant(snf.P)) == 1 and abs(determinant(snf.Q)) == 1
-    checks.append(("transforms unimodular", unimodular))
-    factors = snf.invariant_factors
-    chain = all(factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1))
-    checks.append(("divisibility chain", chain))
-    ladder = True
-    prev = 1
-    for t, ft in enumerate(factors, start=1):
-        delta = minors_gcd(L, t)
-        if delta != prev * ft:
-            ladder = False
-            break
-        prev = delta
-    checks.append(("minor gcds match the invariant factors", ladder))
-    checks.append(("last transform row equals the weight vector", snf.P.row(n - 1) == nu))
-    product = 1
-    for f in factors:
-        product *= f
-    checks.append(("torsion order equals the weight gcd", product == d))
-    closed = small_dim_decomposition(P)
-    if closed is not None:
-        checks.append(("closed-form diagonal agrees", closed.D == snf.D))
-    return checks
-
-
-def _full_checks(P: PcbMatrix, field) -> List[Tuple[str, bool]]:
-    checks: List[Tuple[str, bool]] = []
-    n = P.n
-    I = pcb_ideal(P, field)
-    J = pcb_ideal(P, field, omit_last=True)
-    xb = socle_monomial(P, field)
-    x1 = Polynomial.variable(field, n, 0)
-    s_i = colon(I, xb)
-    s_j = colon(J, xb)
-    sat, steps = saturate(I, x1)
-    checks.append(("colon by x^{b(n)} agrees from I and from J", s_i == s_j))
-    checks.append(("saturation by x_1 agrees with the colon", sat == s_i))
-    unmixed = unmixedness_test(P, field)
-    checks.append(("unmixed exactly when n <= 3", unmixed == (n <= 3)))
-    if n >= 4:
-        g = binomial_to_polynomial(mixedness_witness(P), field, n)
-        checks.append(("witness sits in the colon but not the ideal", s_i.contains(g) and not I.contains(g)))
-    m, _, _ = associated_vector(P)
-    lattice_ok = True
-    for g in s_i.groebner():
-        terms = sorted(g.terms.items(), key=lambda t: DEGREVLEX.key(t[0]), reverse=True)
-        if len(terms) != 2 or terms[0][1] != field.one or terms[1][1] != field.neg(field.one):
-            lattice_ok = False
-            break
-        u, v = terms[0][0], terms[1][0]
-        member, _ = lattice_contains(P.signed, [a - b for a, b in zip(u, v)])
-        if not member or g.substitute_powers(m).terms:
-            lattice_ok = False
-            break
-    checks.append(("hull basis is lattice binomials killed by the weights", lattice_ok))
-    if n >= 4:
-        try:
-            comp = embedded_component(P, field, check=True)
-            checks.append(("embedded component verified", True))
-            checks.append(("hull meets embedded component in the ideal", intersect(s_i, comp) == I))
-        except HypothesisFailed:
-            checks.append(("embedded component verified", False))
-    return checks
-
-
 def _cmd_verify(P: PcbMatrix, field_kind: str, p: Optional[int], level: str) -> Dict:
-    checks = _identity_checks(P)
+    checks = identity_checks(P)
     if level == "full":
-        if field_kind == "fp":
-            r = normalized_snf(P).invariant_factors[-1]
-            good_char = (p - 1) % r == 0
-            if good_char:
-                checks.extend(_full_checks(P, GF(p)))
-            report = verify_full_decomposition(P, p)  # may raise BadPrime
-            for name, ok in report.checks:
-                checks.append((name, ok))
-            checks.append((f"component count is {report.component_count}", True))
-        else:
-            checks.extend(_full_checks(P, QQ))
+        checks.extend(verify_full_decomposition(P, p).checks)
     return {
         "field": "q" if field_kind == "q" else ("fp:%d" % p if field_kind == "fp" else field_kind),
         "level": level,
@@ -346,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcb",
         description="Exact invariants and primary decomposition for PCB matrices.",
-        epilog="PCB_SEED is reserved; current commands are deterministic and ignore it.",
     )
     parser.add_argument("--version", action="version", version=f"pcb {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -391,7 +269,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except BadPrime as err:
         print(f"bad prime: {err}", file=sys.stderr)
         return 4
-    except (VerificationFailed, HypothesisFailed) as err:
+    except VerificationFailed as err:
         print(f"verification failure: {err}", file=sys.stderr)
         return 5
     ms = int((time.monotonic() - t0) * 1000)

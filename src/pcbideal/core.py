@@ -16,14 +16,15 @@ identity checks expand monomials termwise over the integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .intmat import (
     IntMatrix,
     SnfResult,
     adjugate,
     bezout,
+    determinant,
     minors_gcd,
     smith_normal_form,
 )
@@ -76,6 +77,8 @@ class PcbMatrix:
     """Entry magnitudes of a validated PCB matrix; a[i][i] is the diagonal."""
 
     a: Tuple[Tuple[int, ...], ...]
+    # normalized_snf caches its answer here; every invariant is read off it
+    _snf: Optional[SnfResult] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -135,16 +138,20 @@ def generators(P: PcbMatrix) -> Tuple[Binomial, ...]:
 def associated_vector(P: PcbMatrix) -> Tuple[Tuple[int, ...], int, Tuple[int, ...]]:
     """Returns (m, d, nu): the common adjugate row, its gcd and the primitive part.
 
-    Every row of adj(L) coincides for a PCB matrix and is strictly positive;
-    a non-positive entry here means a bug, not bad input, so it aborts.
+    All three are read off the normalized SNF P L Q = D: nu is the last row
+    of P, d the product of the invariant factors and m = d * nu. Why: L has
+    rank n - 1, so the last row of P spans the left kernel of L, and as a
+    row of a unimodular matrix it is primitive; normalized_snf makes it
+    positive. adj(L) L = L adj(L) = 0, and the zero row sums make every
+    column of adj(L) constant, so every adjugate row is the same positive
+    kernel row m, a multiple of nu. Its entries are the (n - 1)-minors up
+    to sign, so d = gcd(m) = gcd of the (n - 1)-minors = the product of
+    the invariant factors. identity_checks holds these against adj(L).
     """
-    adj = adjugate(P.signed)
-    m = adj.row(P.n - 1)
-    if any(v <= 0 for v in m):
-        raise AssertionError(f"adjugate row of a PCB matrix must be positive, got {m}")
-    d = math.gcd(*m)
-    nu = tuple(v // d for v in m)
-    return m, d, nu
+    snf = normalized_snf(P)
+    nu = snf.P.row(P.n - 1)
+    d = math.prod(snf.invariant_factors)
+    return tuple(d * v for v in nu), d, nu
 
 
 def grading_degree(nu: Sequence[int], exponents: Sequence[int]) -> int:
@@ -251,28 +258,69 @@ def witness_identity_residual(P: PcbMatrix) -> Dict[Tuple[int, ...], int]:
     return acc
 
 
+def identity_checks(P: PcbMatrix) -> List[Tuple[str, bool]]:
+    """The checks of `pcb verify --level identities`, as (name, ok) pairs.
+
+    Every invariant is read off the normalized SNF, so the adjugate is
+    computed here, and only here, as an independent witness: the last
+    transform row must be the primitive part of the adjugate row, and
+    d * nu must be that row itself, which pins the torsion order d to the
+    weight gcd and catches a wrong orientation of the row as well.
+    """
+    n = P.n
+    L = P.signed
+    adj = adjugate(L)
+    m_adj = adj.row(0)
+    rows_equal = all(adj.row(i) == m_adj for i in range(n))
+    checks = [("adjugate rows equal and positive", rows_equal and all(v > 0 for v in m_adj))]
+    m, d, nu = associated_vector(P)
+    checks.append(("syzygy identity expands to zero", not syzygy_identity_residual(P)))
+    if n >= 4:
+        checks.append(("witness identity expands to zero", not witness_identity_residual(P)))
+    homogeneous = all(
+        grading_degree(nu, f.plus) == grading_degree(nu, f.minus) for f in generators(P)
+    )
+    checks.append(("generators homogeneous under the weight vector", homogeneous))
+    snf = normalized_snf(P)
+    checks.append(("transforms reproduce the diagonal", snf.P @ L @ snf.Q == snf.D))
+    unimodular = abs(determinant(snf.P)) == 1 and abs(determinant(snf.Q)) == 1
+    checks.append(("transforms unimodular", unimodular))
+    factors = snf.invariant_factors
+    chain = all(factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1))
+    checks.append(("divisibility chain", chain))
+    ladder = all(
+        minors_gcd(L, t) == math.prod(factors[:t]) for t in range(1, len(factors) + 1)
+    )
+    checks.append(("minor gcds match the invariant factors", ladder))
+    weight_gcd = math.gcd(*m_adj)
+    primitive = tuple(v // weight_gcd for v in m_adj)
+    checks.append(("last transform row equals the weight vector", snf.P.row(n - 1) == primitive))
+    checks.append(("torsion order equals the weight gcd", d == weight_gcd and m == m_adj))
+    closed = small_dim_decomposition(P)
+    if closed is not None:
+        checks.append(("closed-form diagonal agrees", closed.D == snf.D))
+    return checks
+
+
 def normalized_snf(P: PcbMatrix) -> SnfResult:
     """Smith normal form of the signed matrix with the last row of P pinned to +nu.
 
     The bottom row of P spans the left kernel, so it must be an integer
     multiple of nu; unimodularity forces the multiple to be +1 or -1 and a
     sign flip of that single row fixes the orientation without touching D.
+    Computed once per matrix and cached on it.
     """
-    snf = smith_normal_form(P.signed)
-    _, _, nu = associated_vector(P)
-    n = P.n
-    if len(snf.invariant_factors) != n - 1:
-        raise AssertionError("a PCB matrix must have rank n - 1")
-    last = snf.P.row(n - 1)
-    if last == nu:
-        return snf
-    if last == tuple(-v for v in nu):
+    if P._snf is None:
+        snf = smith_normal_form(P.signed)
+        if snf.rank != P.n - 1:
+            raise AssertionError("a PCB matrix must have rank n - 1")
         p = snf.P.to_rows()
-        p[n - 1] = [-v for v in p[n - 1]]
-        return SnfResult(
-            P=IntMatrix(p), D=snf.D, Q=snf.Q, invariant_factors=snf.invariant_factors
-        )
-    raise AssertionError(f"kernel row {last} is not proportional to nu = {nu}")
+        if p[-1][0] < 0:
+            p[-1] = [-v for v in p[-1]]
+        if any(v <= 0 for v in p[-1]):
+            raise AssertionError(f"kernel row {p[-1]} of a PCB matrix must have one strict sign")
+        object.__setattr__(P, "_snf", SnfResult(IntMatrix(p), snf.D, snf.Q, snf.invariant_factors))
+    return P._snf
 
 
 def small_dim_decomposition(P: PcbMatrix) -> Optional[SnfResult]:
@@ -333,24 +381,17 @@ class TorsionProfile:
 
 
 def torsion_profile(P: PcbMatrix) -> TorsionProfile:
-    L = P.signed
-    n = P.n
-    fit0 = minors_gcd(L, n)
-    fit1 = minors_gcd(L, n - 1)
+    """Read off the normalized SNF: the gcd of the t-minors is the product of
+    the first t invariant factors, and 0 past the rank n - 1."""
     snf = normalized_snf(P)
-    product = 1
-    for f in snf.invariant_factors:
-        product *= f
-    if fit0 != 0 or product != fit1:
-        raise AssertionError("minor gcds disagree with the invariant factors")
-    factors = tuple(f for f in snf.invariant_factors if f > 1)
+    order = math.prod(snf.invariant_factors)
     return TorsionProfile(
-        fitting_zero=fit0,
-        fitting_one=fit1,
-        order=fit1,
-        free_rank=n - snf.rank,
-        cyclic_factors=factors,
-        is_direct_summand=(fit1 == 1),
+        fitting_zero=0,
+        fitting_one=order,
+        order=order,
+        free_rank=P.n - snf.rank,
+        cyclic_factors=tuple(f for f in snf.invariant_factors if f > 1),
+        is_direct_summand=(order == 1),
     )
 
 

@@ -6,13 +6,14 @@ curve map whose kernel is one isolated component. From dimension four on,
 one extra component primary to the irrelevant maximal ideal appears, and it
 is the ideal plus the single syzygy monomial x^{b(n)}. Everything here is
 verified computation: candidates are produced by formula and then checked
-against the Groebner oracle.
+against the Groebner oracle. verify_full_decomposition is the one place
+that does so: it builds the ideal, its hull and the embedded component once
+and decides every verification question on them.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -22,17 +23,22 @@ from .core import (
     PcbMatrix,
     associated_vector,
     generators,
+    mixedness_witness,
     normalized_snf,
     syzygy_vectors,
 )
+from .intmat import lattice_contains
 from .oracle import (
     DEGREVLEX,
     GF,
+    QQ,
     Ideal,
     Polynomial,
+    PrimeField,
     colon,
     intersect,
     ring_map_kernel,
+    saturate,
 )
 
 
@@ -43,10 +49,6 @@ class BadPrime(ValueError):
         if not reason:
             reason = f"need a prime p with p = 1 (mod {r})"
         super().__init__(f"BadPrime(p={p}, r={r}): {reason}")
-
-
-class HypothesisFailed(RuntimeError):
-    """A structural check that the theory guarantees came back false."""
 
 
 class VerificationFailed(RuntimeError):
@@ -180,8 +182,8 @@ def _standard_monomial_count(basis: Sequence[Polynomial], bounds: Sequence[int])
     return count
 
 
-def _verify_max_primary(comp: Ideal) -> None:
-    """Check that every variable has a power inside the ideal.
+def _primary_to_maximal(comp: Ideal) -> bool:
+    """Whether every variable has a power inside the ideal.
 
     Pure powers in the leading ideal bound the quotient dimension, and the
     quotient dimension bounds the nilpotency index of each variable, so the
@@ -191,10 +193,8 @@ def _verify_max_primary(comp: Ideal) -> None:
     n = comp.nvars
     bounds = _pure_power_bounds(basis, n)
     if any(b is None for b in bounds):
-        raise HypothesisFailed(
-            "leading ideal misses a pure variable power; not primary to the maximal ideal"
-        )
-    vdim = _standard_monomial_count(basis, [b for b in bounds])
+        return False  # the quotient is infinite-dimensional
+    vdim = _standard_monomial_count(basis, bounds)
     for i in range(n):
         x = Polynomial.variable(comp.field, n, i)
         power = x
@@ -203,33 +203,35 @@ def _verify_max_primary(comp: Ideal) -> None:
                 break
             power = power * x
         else:
-            raise HypothesisFailed(f"no power of variable {i + 1} lies in the component")
+            return False
+    return True
 
 
-def embedded_component(P: PcbMatrix, field, check: bool = True) -> Ideal:
+def embedded_component(P: PcbMatrix, field) -> Ideal:
     """The component primary to (x_1, ..., x_n): the ideal plus x^{b(n)}.
 
-    With check on, three facts are re-proved on the spot: the colon by
-    x^{b(n)} stabilizes after one step, the candidate contains a power of
-    every variable, and cutting it against the hull restores the ideal
-    while the hull alone does not.
+    embedded_checks proves the claim; verify_full_decomposition runs it.
     """
     n = P.n
     if n < 4:
         raise DimensionTooSmall(f"embedded component needs n >= 4, got n = {n}")
     I = pcb_ideal(P, field)
-    xb = socle_monomial(P, field)
-    comp = Ideal(field, n, I.gens + (xb,))
-    if check:
-        s1 = colon(I, xb)
-        if colon(s1, xb) != s1:
-            raise HypothesisFailed("colon by x^{b(n)} does not stabilize after one step")
-        _verify_max_primary(comp)
-        if s1 == I:
-            raise HypothesisFailed("hull equals the ideal, no embedded part expected")
-        if intersect(s1, comp) != I:
-            raise HypothesisFailed("hull and embedded candidate do not cut back to the ideal")
-    return comp
+    return Ideal(field, n, I.gens + (socle_monomial(P, field),))
+
+
+def embedded_checks(I: Ideal, S: Ideal, E: Ideal, xb: Polynomial) -> List[Tuple[str, bool]]:
+    """Prove E the embedded component of I, with hull S = I : x^{b(n)}.
+
+    "embedded component verified": the colon by x^{b(n)} stabilizes after
+    one step (S : x^{b(n)} = S), S differs from I, and E contains a power
+    of every variable, so E is primary to (x_1, ..., x_n). "hull meets
+    embedded component in the ideal": S meets E in I.
+    """
+    verified = colon(S, xb) == S and S != I and _primary_to_maximal(E)
+    return [
+        ("embedded component verified", verified),
+        ("hull meets embedded component in the ideal", intersect(S, E) == I),
+    ]
 
 
 def unmixedness_test(P: PcbMatrix, field) -> bool:
@@ -263,6 +265,34 @@ def least_primitive_root(p: int) -> int:
         g += 1
 
 
+def _is_all_ones_n4(P: PcbMatrix) -> bool:
+    return P.n == 4 and all(
+        P.a[i][j] == 1 for i in range(4) for j in range(4) if i != j
+    )
+
+
+def prime_field_for(P: PcbMatrix, p: int) -> Tuple[PrimeField, bool]:
+    """GF(p) for a `--field fp:<p>` request, and whether p is a good characteristic.
+
+    The rule is decided here and nowhere else. With p = 1 (mod r), r the
+    last invariant factor, F_p holds the r-th roots of unity and the d
+    isolated components are realized apart: the answer is (GF(p), True).
+    Otherwise only the worked char-2 case is covered, the all-ones 4x4
+    matrix over F_2, whose components collapse into one hull: (GF(2),
+    False). Anything else, a p that is not prime included, is BadPrime.
+    """
+    try:
+        field = GF(p)
+    except ValueError as err:
+        raise BadPrime(p, 0, str(err)) from None
+    r = normalized_snf(P).invariant_factors[-1]
+    if (p - 1) % r == 0:
+        return field, True
+    if p == 2 and _is_all_ones_n4(P):
+        return field, False
+    raise BadPrime(p, r)
+
+
 @dataclass(frozen=True)
 class PrimeFieldRealization:
     p: int
@@ -279,14 +309,11 @@ def realize_over_prime_field(P: PcbMatrix, p: int) -> PrimeFieldRealization:
     is reproducible; each kernel is computed by eliminating the parameter
     of the monomial curve map.
     """
-    try:
-        field = GF(p)
-    except ValueError as err:
-        raise BadPrime(p, 0, str(err)) from None
+    field, good = prime_field_for(P, p)
     specs = enumerate_components(P)
     r = specs[0].root_order
-    if (p - 1) % r:
-        raise BadPrime(p, r)
+    if not good:
+        raise BadPrime(p, r)  # the components collapse; none is realized apart
     zeta = pow(least_primitive_root(p), (p - 1) // r, p) if r > 1 else 1
     kernels = []
     for s in specs:
@@ -300,16 +327,8 @@ def realize_over_prime_field(P: PcbMatrix, p: int) -> PrimeFieldRealization:
 
 @dataclass(frozen=True)
 class DecompositionReport:
-    field_tag: str
-    component_count: int
+    component_count: Optional[int]  # None over Q, where no component is realized
     checks: Tuple[Tuple[str, bool], ...]
-    elapsed_ms: int
-
-
-def _is_all_ones_n4(P: PcbMatrix) -> bool:
-    return P.n == 4 and all(
-        P.a[i][j] == 1 for i in range(4) for j in range(4) if i != j
-    )
 
 
 def diagonal_prime_gens(P: PcbMatrix, field) -> List[Polynomial]:
@@ -324,12 +343,7 @@ def diagonal_prime_gens(P: PcbMatrix, field) -> List[Polynomial]:
     ]
 
 
-def prime_power_in_hull(P: PcbMatrix, field, power: int) -> bool:
-    """Whether every product of `power` generators of the diagonal prime
-    lands in the hull. Checking generator products suffices because they
-    generate the ordinary power."""
-    S = hull(P, field)
-    gens = diagonal_prime_gens(P, field)
+def _power_inside(S: Ideal, gens: Sequence[Polynomial], power: int) -> bool:
     for combo in itertools.combinations_with_replacement(gens, power):
         product = combo[0]
         for f in combo[1:]:
@@ -339,8 +353,49 @@ def prime_power_in_hull(P: PcbMatrix, field, power: int) -> bool:
     return True
 
 
-def _char2_special_report(P: PcbMatrix, t0: float) -> DecompositionReport:
-    """Hard-coded verification for the one worked char-2 case, p | d.
+def prime_power_in_hull(P: PcbMatrix, field, power: int) -> bool:
+    """Whether every product of `power` generators of the diagonal prime
+    lands in the hull. Checking generator products suffices because they
+    generate the ordinary power."""
+    return _power_inside(hull(P, field), diagonal_prime_gens(P, field), power)
+
+
+def _hull_checks(P: PcbMatrix, I: Ideal, S: Ideal, xb: Polynomial) -> List[Tuple[str, bool]]:
+    """Hull S = I : x^{b(n)} recomputed two more ways, the unmixedness
+    dichotomy, the mixedness witness and the lattice shape of S's basis."""
+    field = I.field
+    n = P.n
+    sat, steps = saturate(I, Polynomial.variable(field, n, 0))
+    J = pcb_ideal(P, field, omit_last=True)
+    checks = [
+        ("colon by x^{b(n)} agrees from I and from J", colon(J, xb) == S),
+        ("saturation by x_1 agrees with the colon", sat == S),
+        # the saturation stops after no step exactly when I : x_1 = I
+        ("unmixed exactly when n <= 3", (steps == 0) == (n <= 3)),
+    ]
+    if n >= 4:
+        g = binomial_to_polynomial(mixedness_witness(P), field, n)
+        checks.append(("witness sits in the colon but not the ideal", S.contains(g) and not I.contains(g)))
+    m, _, _ = associated_vector(P)
+    lattice_ok = True
+    for g in S.groebner():
+        terms = sorted(g.terms.items(), key=lambda t: DEGREVLEX.key(t[0]), reverse=True)
+        if len(terms) != 2 or terms[0][1] != field.one or terms[1][1] != field.neg(field.one):
+            lattice_ok = False
+            break
+        u, v = terms[0][0], terms[1][0]
+        member, _ = lattice_contains(P.signed, [a - b for a, b in zip(u, v)])
+        if not member or g.substitute_powers(m).terms:
+            lattice_ok = False
+            break
+    checks.append(("hull basis is lattice binomials killed by the weights", lattice_ok))
+    return checks
+
+
+def _char2_checks(
+    P: PcbMatrix, I: Ideal, S: Ideal, embedded: List[Tuple[str, bool]]
+) -> List[Tuple[str, bool]]:
+    """Verification for the one worked char-2 case, p | d.
 
     Roots of unity collapse over F_2, so instead of separate isolated
     components the hull S = I : x^{b(n)} is proved primary to the diagonal
@@ -359,58 +414,44 @@ def _char2_special_report(P: PcbMatrix, t0: float) -> DecompositionReport:
     the height-three prime a is the irrelevant ideal, which contains x1.
     S : x1 = S makes x1 a nonzerodivisor modulo S, so the irrelevant ideal
     is not associated and S is a-primary. E is primary to the irrelevant
-    ideal (embedded_component re-proves this with check on), so S meets E
-    in I is a primary decomposition with distinct radicals. Neither part
-    is redundant: dropping E leaves S, which differs from I, and dropping
-    S leaves E, which contains a power of x1 and so is not inside a,
-    while I is.
+    ideal (embedded_checks proves this; a failure raises here too), so S
+    meets E in I is a primary decomposition with distinct radicals.
+    Neither part is redundant: dropping E leaves S, which differs from I,
+    and dropping S leaves E, which contains a power of x1 and so is not
+    inside a, while I is.
     """
-    field = GF(2)
+    field = I.field
     n = P.n
-    I = pcb_ideal(P, field)
-    S = hull(P, field)
-    E = embedded_component(P, field, check=True)
     a_gens = diagonal_prime_gens(P, field)
-    A = Ideal(field, n, a_gens)
     x1 = Polynomial.variable(field, n, 0)
-    gen_powers_in = all(S.contains(g * g * g * g) for g in a_gens)
-    checks = (
-        ("fourth power of each prime generator inside the hull", gen_powers_in),
-        ("seventh power of the diagonal prime inside the hull", prime_power_in_hull(P, field, 7)),
-        ("hull inside the diagonal prime", A.includes(S)),
+    verified, meets = embedded
+    checks = [
+        ("fourth power of each prime generator inside the hull", all(S.contains(g * g * g * g) for g in a_gens)),
+        ("seventh power of the diagonal prime inside the hull", _power_inside(S, a_gens, 7)),
+        ("hull inside the diagonal prime", Ideal(field, n, a_gens).includes(S)),
         ("hull differs from the ideal", S != I),
         ("hull saturated by x_1", colon(S, x1) == S),
-        ("hull meets embedded component in the ideal", intersect(S, E) == I),
-    )
-    for name, ok in checks:
+        meets,
+    ]
+    for name, ok in [verified] + checks:
         if not ok:
             raise VerificationFailed(f"char-2 check failed: {name}")
-    return DecompositionReport(
-        field_tag=field.tag,
-        component_count=2,
-        checks=checks,
-        elapsed_ms=int((time.monotonic() - t0) * 1000),
-    )
+    return checks
 
 
-def verify_full_decomposition(P: PcbMatrix, p: int) -> DecompositionReport:
-    """Intersect every component over F_p and confirm the result is the ideal.
+def _chain_checks(
+    P: PcbMatrix, p: int, I: Ideal, E: Optional[Ideal]
+) -> Tuple[List[Tuple[str, bool]], int]:
+    """Intersect every component over F_p and confirm the result is the ideal;
+    returns the checks and the number of components.
 
     Also confirms irredundancy by dropping each component in turn; prefix
     and suffix intersection chains keep that quadratic-sounding step at
     about three intersections per component.
     """
-    t0 = time.monotonic()
-    snf = normalized_snf(P)
-    r = snf.invariant_factors[-1]
-    if p == 2 and (p - 1) % r and _is_all_ones_n4(P):
-        return _char2_special_report(P, t0)
-    realization = realize_over_prime_field(P, p)
-    field = GF(p)
-    I = pcb_ideal(P, field)
-    parts: List[Ideal] = list(realization.kernels)
-    if P.n >= 4:
-        parts.append(embedded_component(P, field, check=True))
+    parts: List[Ideal] = list(realize_over_prime_field(P, p).kernels)
+    if E is not None:
+        parts.append(E)
     k = len(parts)
     prefix: List[Ideal] = [parts[0]]
     for j in range(1, k):
@@ -434,9 +475,35 @@ def verify_full_decomposition(P: PcbMatrix, p: int) -> DecompositionReport:
         if dropped == I:
             raise VerificationFailed(f"component {j + 1} is redundant", index=j)
     checks.append(("every component is irredundant", True))
-    return DecompositionReport(
-        field_tag=field.tag,
-        component_count=k,
-        checks=tuple(checks),
-        elapsed_ms=int((time.monotonic() - t0) * 1000),
-    )
+    return checks, k
+
+
+def verify_full_decomposition(P: PcbMatrix, p: Optional[int] = None) -> DecompositionReport:
+    """Every check of `pcb verify --level full`, over F_p, or over Q when p is None.
+
+    The ideal I, its hull S = I : x^{b(n)} and, for n >= 4, the embedded
+    component E = I + (x^{b(n)}) are built once here, and S meets E once;
+    every check below shares them. Over Q and over a good F_p (see
+    prime_field_for) the hull checks and the embedded-component checks
+    run; over F_p the isolated components are then realized and
+    intersected back to I in a chain. In the char-2 case the collapse
+    checks run instead. A failed chain or char-2 check raises
+    VerificationFailed; the others report False.
+    """
+    field, good = (QQ, True) if p is None else prime_field_for(P, p)
+    I = pcb_ideal(P, field)
+    xb = socle_monomial(P, field)
+    S = colon(I, xb)
+    E = embedded_component(P, field) if P.n >= 4 else None
+    embedded = embedded_checks(I, S, E, xb) if E is not None else []
+    count = None
+    if not good:
+        checks, count = _char2_checks(P, I, S, embedded), 2
+    else:
+        checks = _hull_checks(P, I, S, xb) + embedded
+        if p is not None:
+            chain, count = _chain_checks(P, p, I, E)
+            checks += chain
+    if count is not None:
+        checks.append((f"component count is {count}", True))
+    return DecompositionReport(component_count=count, checks=tuple(checks))

@@ -29,6 +29,7 @@ from pcbideal.core import (
 )
 from pcbideal.decomp import (
     diagonal_prime_gens,
+    embedded_checks,
     embedded_component,
     hull,
     hull_is_prime,
@@ -198,7 +199,7 @@ def test_criterion_07_char2_collapse():
     field = GF(2)
     I = pcb_ideal(P, field)
     S = hull(P, field)
-    E = embedded_component(P, field, check=True)
+    E = embedded_component(P, field)
     a_gens = diagonal_prime_gens(P, field)
     A = Ideal(field, 4, a_gens)
     x1 = Polynomial.variable(field, 4, 0)
@@ -211,6 +212,9 @@ def test_criterion_07_char2_collapse():
         "a^6 not in hull": not prime_power_in_hull(P, field, 6),
         "hull : x1 = hull": colon(S, x1) == S,
         "hull meets E in I": intersect(S, E) == I,
+        "E primary to the irrelevant ideal": all(
+            flag for _, flag in embedded_checks(I, S, E, socle_monomial(P, field))
+        ),
         "report: two components, all checks ok": report.component_count == 2
         and all(flag for _, flag in report.checks),
     }

@@ -173,6 +173,23 @@ class TestErrors:
         assert code == 4
         assert "BadPrime" in err
 
+    @pytest.mark.parametrize(
+        "name, field",
+        [
+            ("onecomp_n4.json", "fp:4"),
+            ("onecomp_n4.json", "fp:1"),
+            ("diag_n3.json", "fp:1"),
+            ("n2_64.json", "fp:9"),
+        ],
+    )
+    def test_verify_full_rejects_non_prime_field(self, capsys, name, field):
+        # r divides k - 1 here, so only the primality test can refuse k
+        code, _, err = run(
+            capsys, "verify", golden_path(name), "--level", "full", "--field", field
+        )
+        assert code == 4
+        assert "BadPrime" in err
+
     def test_bad_field_spec(self, capsys):
         code, _, _ = run(
             capsys, "decompose", golden_path("simplest_n4.json"), "--field", "fp:abc"

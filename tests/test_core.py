@@ -20,8 +20,8 @@ from pcbideal import (
     torsion_profile,
     validate,
 )
-from pcbideal.core import syzygy_identity_residual, witness_identity_residual
-from pcbideal.intmat import determinant
+from pcbideal.core import identity_checks, syzygy_identity_residual, witness_identity_residual
+from pcbideal.intmat import IntMatrix, SnfResult, determinant
 
 from conftest import load_golden, random_pcb
 
@@ -185,6 +185,24 @@ class TestNormalizedSnf:
             assert abs(determinant(res.P)) == 1
             assert abs(determinant(res.Q)) == 1
             assert res.P @ P.signed @ res.Q == res.D
+
+
+class TestIdentityChecks:
+    @pytest.mark.parametrize("scale", [-1, 2])
+    def test_corrupt_cached_snf_fails_the_adjugate_checks(self, scale):
+        # m, d and nu come from the cached SNF, so the two checks that hold
+        # them against the adjugate must catch a wrong last transform row
+        P = load_golden("onecomp_n4.json")
+        snf = normalized_snf(P)
+        rows = snf.P.to_rows()
+        rows[-1] = [scale * v for v in rows[-1]]
+        bad = SnfResult(IntMatrix(rows), snf.D, snf.Q, snf.invariant_factors)
+        object.__setattr__(P, "_snf", bad)
+        assert normalized_snf(P) is bad
+        checks = dict(identity_checks(P))
+        assert checks["last transform row equals the weight vector"] is False
+        assert checks["torsion order equals the weight gcd"] is False
+        assert checks["adjugate rows equal and positive"] is True
 
 
 class TestSmallDim:

@@ -8,6 +8,7 @@ from pcbideal.core import DimensionTooSmall, associated_vector, normalized_snf, 
 from pcbideal.decomp import (
     BadPrime,
     component_count,
+    embedded_checks,
     embedded_component,
     enumerate_components,
     hull,
@@ -151,8 +152,20 @@ class TestUnmixedness:
 
 class TestEmbedded:
     def test_simplest_verified(self, simplest):
-        comp = embedded_component(simplest, QQ, check=True)
+        checks = dict(verify_full_decomposition(simplest).checks)
+        assert checks["embedded component verified"]
+        assert checks["hull meets embedded component in the ideal"]
+        comp = embedded_component(simplest, QQ)
         assert comp.contains(socle_monomial(simplest, QQ))
+
+    def test_candidate_not_primary_to_the_maximal_ideal_fails(self, simplest):
+        # I itself contains no power of x1, so it is no embedded component
+        I = pcb_ideal(simplest, QQ)
+        S = hull(simplest, QQ)
+        checks = dict(embedded_checks(I, S, I, socle_monomial(simplest, QQ)))
+        assert checks["embedded component verified"] is False
+        comp = embedded_component(simplest, QQ)
+        assert all(ok for _, ok in embedded_checks(I, S, comp, socle_monomial(simplest, QQ)))
 
     def test_simplest_alternative_presentation(self, simplest):
         # adding x1 instead of the socle monomial also lands m-primary:
@@ -174,9 +187,12 @@ class TestEmbedded:
         assert left == right
 
     def test_intersection_recovers_ideal(self, onecomp):
+        checks = dict(verify_full_decomposition(onecomp).checks)
+        assert checks["embedded component verified"]
+        assert checks["hull meets embedded component in the ideal"]
         I = pcb_ideal(onecomp, QQ)
         S = hull(onecomp, QQ)
-        comp = embedded_component(onecomp, QQ, check=True)
+        comp = embedded_component(onecomp, QQ)
         assert intersect(S, comp) == I
 
     def test_needs_dimension_four(self):
@@ -287,6 +303,13 @@ class TestFullVerification:
     def test_bad_prime_propagates(self, simplest):
         with pytest.raises(BadPrime):
             verify_full_decomposition(simplest, 3)
+
+    def test_over_q_has_no_chain(self, simplest):
+        report = verify_full_decomposition(simplest)
+        assert report.component_count is None
+        names = [name for name, _ in report.checks]
+        assert "unmixed exactly when n <= 3" in names
+        assert not any(name.startswith("component count") for name in names)
 
 
 class TestConjugatePairing:

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcbideal import validate
-from pcbideal.core import associated_vector, generators, grading_degree
-from pcbideal.intmat import IntMatrix, bezout, determinant
+from pcbideal.core import associated_vector, generators, grading_degree, torsion_profile
+from pcbideal.intmat import IntMatrix, adjugate, bezout, determinant, minors_gcd
 from pcbideal.oracle import DEGREVLEX, GF, Polynomial, groebner_basis, normal_form
 
 import property_suites
@@ -78,6 +78,20 @@ def test_associated_vector_scales(P):
     m, d, nu = associated_vector(P)
     assert math.gcd(*m) == d
     assert math.gcd(*nu) == 1
+
+
+@given(pcb_matrices())
+@settings(max_examples=60)
+def test_snf_invariants_match_the_adjugate(P):
+    # associated_vector and torsion_profile read everything off the
+    # normalized SNF; the adjugate row and the minor gcds do not use it
+    n = P.n
+    m = adjugate(P.signed).row(0)
+    d = math.gcd(*m)
+    assert associated_vector(P) == (m, d, tuple(v // d for v in m))
+    t = torsion_profile(P)
+    assert t.fitting_one == minors_gcd(P.signed, n - 1)
+    assert t.fitting_zero == minors_gcd(P.signed, n)
 
 
 @given(small_polys(), small_polys(), small_polys())
