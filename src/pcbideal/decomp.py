@@ -13,7 +13,9 @@ and decides every verification question on them.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -161,50 +163,31 @@ def hull(P: PcbMatrix, field) -> Ideal:
     return colon(pcb_ideal(P, field), socle_monomial(P, field))
 
 
-def _pure_power_bounds(basis: Sequence[Polynomial], nvars: int) -> List[Optional[int]]:
-    bounds: List[Optional[int]] = [None] * nvars
-    for g in basis:
+def _primary_to_maximal(comp: Ideal) -> bool:
+    """Whether the ideal is primary to (x_1, ..., x_n): whether the
+    leading ideal holds a pure power of every variable.
+
+    The test is exact for ideals homogeneous for the positive grading
+    deg x_i = nu_i, such as I, whose generators f_j are homogeneous
+    because nu L = 0, S = I : x^{b(n)}, and E = I + (x^{b(n)}), the f_j
+    plus a monomial. Let J be such an ideal. If J is the whole ring its
+    basis is (1), which is no pure power of a variable, and the answer
+    False is right. Otherwise J lies in (x), so its zero set over the
+    algebraic closure holds 0. The zero set is stable under
+    x_i -> s^{nu_i} x_i, so any other point in it lies on a whole curve in
+    it. Hence J is (x)-primary, that is rad J = (x), exactly when its zero
+    set is finite, that is when the quotient by J is finite-dimensional.
+    By Macaulay's basis theorem the standard monomials span the quotient,
+    so that holds exactly when the leading ideal holds a pure power of
+    every variable.
+    """
+    powered = set()
+    for g in comp.groebner():
         lm, _ = g.leading_term(DEGREVLEX)
         support = [i for i, e in enumerate(lm) if e]
         if len(support) == 1:
-            i = support[0]
-            if bounds[i] is None or lm[i] < bounds[i]:
-                bounds[i] = lm[i]
-    return bounds
-
-
-def _standard_monomial_count(basis: Sequence[Polynomial], bounds: Sequence[int]) -> int:
-    lms = [g.leading_term(DEGREVLEX)[0] for g in basis]
-    count = 0
-    for mono in itertools.product(*(range(b) for b in bounds)):
-        if not any(all(a <= b for a, b in zip(lm, mono)) for lm in lms):
-            count += 1
-    return count
-
-
-def _primary_to_maximal(comp: Ideal) -> bool:
-    """Whether every variable has a power inside the ideal.
-
-    Pure powers in the leading ideal bound the quotient dimension, and the
-    quotient dimension bounds the nilpotency index of each variable, so the
-    membership search below is exact, not heuristic.
-    """
-    basis = comp.groebner()
-    n = comp.nvars
-    bounds = _pure_power_bounds(basis, n)
-    if any(b is None for b in bounds):
-        return False  # the quotient is infinite-dimensional
-    vdim = _standard_monomial_count(basis, bounds)
-    for i in range(n):
-        x = Polynomial.variable(comp.field, n, i)
-        power = x
-        for _ in range(vdim + 1):
-            if comp.contains(power):
-                break
-            power = power * x
-        else:
-            return False
-    return True
+            powered.add(support[0])
+    return len(powered) == comp.nvars
 
 
 def embedded_component(P: PcbMatrix, field) -> Ideal:
@@ -223,8 +206,9 @@ def embedded_checks(I: Ideal, S: Ideal, E: Ideal, xb: Polynomial) -> List[Tuple[
     """Prove E the embedded component of I, with hull S = I : x^{b(n)}.
 
     "embedded component verified": the colon by x^{b(n)} stabilizes after
-    one step (S : x^{b(n)} = S), S differs from I, and E contains a power
-    of every variable, so E is primary to (x_1, ..., x_n). "hull meets
+    one step (S : x^{b(n)} = S), S differs from I, and the leading ideal
+    of E holds a pure power of every variable, so E is primary to
+    (x_1, ..., x_n) (see _primary_to_maximal). "hull meets
     embedded component in the ideal": S meets E in I.
     """
     verified = colon(S, xb) == S and S != I and _primary_to_maximal(E)
@@ -377,6 +361,7 @@ def _hull_checks(P: PcbMatrix, I: Ideal, S: Ideal, xb: Polynomial) -> List[Tuple
         g = binomial_to_polynomial(mixedness_witness(P), field, n)
         checks.append(("witness sits in the colon but not the ideal", S.contains(g) and not I.contains(g)))
     m, _, _ = associated_vector(P)
+    snf = normalized_snf(P)
     lattice_ok = True
     for g in S.groebner():
         terms = sorted(g.terms.items(), key=lambda t: DEGREVLEX.key(t[0]), reverse=True)
@@ -384,7 +369,7 @@ def _hull_checks(P: PcbMatrix, I: Ideal, S: Ideal, xb: Polynomial) -> List[Tuple
             lattice_ok = False
             break
         u, v = terms[0][0], terms[1][0]
-        member, _ = lattice_contains(P.signed, [a - b for a, b in zip(u, v)])
+        member, _ = lattice_contains(P.signed, [a - b for a, b in zip(u, v)], snf)
         if not member or g.substitute_powers(m).terms:
             lattice_ok = False
             break
@@ -440,40 +425,45 @@ def _char2_checks(
 
 
 def _chain_checks(
-    P: PcbMatrix, p: int, I: Ideal, E: Optional[Ideal]
+    kernels: Sequence[Ideal], I: Ideal, S: Ideal, meets: Optional[bool]
 ) -> Tuple[List[Tuple[str, bool]], int]:
-    """Intersect every component over F_p and confirm the result is the ideal;
+    """Prove I = P_1 ∩ ... ∩ P_d (∩ E) and that no component is redundant;
     returns the checks and the number of components.
 
-    Also confirms irredundancy by dropping each component in turn; prefix
-    and suffix intersection chains keep that quadratic-sounding step at
-    about three intersections per component.
+    kernels are the realized isolated components P_i, S is the hull
+    I : x^{b(n)}, and meets says whether S ∩ E = I (embedded_checks
+    computed it); it is None for n <= 3, where there is no E.
+
+    Intersection. The kernels are intersected in one chain, d - 1
+    intersections, and the result is compared with S. Then for n >= 4,
+    S ∩ E = I gives the whole intersection; for n <= 3, S = I does.
+
+    Irredundancy. Each P_i is the kernel of a monomial curve map
+    x_i -> zeta^{e_i} t^{nu_i} into the domain F_p[t], so it is prime, of
+    dimension one, and holds no monomial (a monomial maps to a nonzero
+    term). Suppose P_j is redundant: the meet of the other components
+    lies in P_j. A prime that holds a finite intersection of ideals holds
+    one of them, so some P_i lies in P_j with i != j, or E does. P_i in
+    P_j makes them equal, because both primes have dimension one, and
+    the kernels' reduced bases are checked pairwise distinct. E in P_j is
+    impossible: E holds the monomial x^{b(n)}. E itself is redundant
+    exactly when the P_i meet in I, that is when S = I, so S != I is
+    checked. A failure raises VerificationFailed naming the first
+    redundant component.
     """
-    parts: List[Ideal] = list(realize_over_prime_field(P, p).kernels)
-    if E is not None:
-        parts.append(E)
-    k = len(parts)
-    prefix: List[Ideal] = [parts[0]]
-    for j in range(1, k):
-        prefix.append(intersect(prefix[-1], parts[j]))
-    suffix: List[Ideal] = [parts[-1]]
-    for j in range(k - 2, -1, -1):
-        suffix.append(intersect(suffix[-1], parts[j]))
-    suffix.reverse()
-    if prefix[-1] != I:
+    whole = S == I if meets is None else meets
+    if not whole or functools.reduce(intersect, kernels) != S:
         raise VerificationFailed("intersection of all components is not the ideal")
     checks = [("intersection of all components equals the ideal", True)]
-    for j in range(k):
-        if k == 1:
-            break  # a single component over a proper ideal cannot be redundant
-        if j == 0:
-            dropped = suffix[1]
-        elif j == k - 1:
-            dropped = prefix[k - 2]
-        else:
-            dropped = intersect(prefix[j - 1], suffix[j + 1])
-        if dropped == I:
+    bases = Counter(K.groebner() for K in kernels)
+    for j, K in enumerate(kernels):
+        if bases[K.groebner()] > 1:
             raise VerificationFailed(f"component {j + 1} is redundant", index=j)
+    k = len(kernels)
+    if meets is not None:
+        k += 1
+        if S == I:
+            raise VerificationFailed(f"component {k} is redundant", index=k - 1)
     checks.append(("every component is irredundant", True))
     return checks, k
 
@@ -485,8 +475,9 @@ def verify_full_decomposition(P: PcbMatrix, p: Optional[int] = None) -> Decompos
     component E = I + (x^{b(n)}) are built once here, and S meets E once;
     every check below shares them. Over Q and over a good F_p (see
     prime_field_for) the hull checks and the embedded-component checks
-    run; over F_p the isolated components are then realized and
-    intersected back to I in a chain. In the char-2 case the collapse
+    run; over F_p the isolated components are then realized, intersected
+    back to S in one chain and proved irredundant from their primality
+    (see _chain_checks). In the char-2 case the collapse
     checks run instead. A failed chain or char-2 check raises
     VerificationFailed; the others report False.
     """
@@ -502,7 +493,8 @@ def verify_full_decomposition(P: PcbMatrix, p: Optional[int] = None) -> Decompos
     else:
         checks = _hull_checks(P, I, S, xb) + embedded
         if p is not None:
-            chain, count = _chain_checks(P, p, I, E)
+            meets = embedded[1][1] if embedded else None
+            chain, count = _chain_checks(realize_over_prime_field(P, p).kernels, I, S, meets)
             checks += chain
     if count is not None:
         checks.append((f"component count is {count}", True))

@@ -287,17 +287,24 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     )
 
 
-def lattice_contains(m: IntMatrix, v: Sequence[int]) -> Tuple[bool, Optional[Tuple[int, ...]]]:
+def lattice_contains(
+    m: IntMatrix, v: Sequence[int], snf: Optional[SnfResult] = None
+) -> Tuple[bool, Optional[Tuple[int, ...]]]:
     """Decide membership of v in the lattice spanned by the columns of m.
 
     Returns (True, c) with m @ c == v, or (False, None). Solving D y = P v
     reduces membership to divisibility by the invariant factors plus
-    vanishing of the coordinates past the rank.
+    vanishing of the coordinates past the rank. snf is a Smith normal form
+    of m already at hand; it is computed when None. Negating rows of its P
+    past the rank, as core.normalized_snf does, changes no answer: those
+    coordinates only have to vanish. The certificate is checked against m
+    either way.
     """
     vec = tuple(int(x) for x in v)
     if len(vec) != m.rows:
         raise ValueError("vector length must match the number of rows")
-    snf = smith_normal_form(m)
+    if snf is None:
+        snf = smith_normal_form(m)
     w = snf.P @ vec
     r = snf.rank
     y = [0] * m.cols

@@ -1,0 +1,236 @@
+"""The cheap proofs in decomp held against the brute-force routines they replaced.
+
+_chain_checks proves irredundancy from primality: the isolated components
+are distinct primes of dimension one holding no monomial. _reference_chain
+is the proof it replaced, which drops each component in turn and
+intersects the rest (prefix, suffix and middle intersections).
+_primary_to_maximal reads finite colength off the leading ideal;
+_reference_primary_to_maximal searches a power of every variable inside
+the ideal, bounded by the dimension of the quotient. The two sides must
+agree, on real inputs and on altered component lists.
+"""
+
+import itertools
+import random
+from typing import List, Optional, Sequence, Tuple
+
+import pytest
+
+from pcbideal.core import normalized_snf
+from pcbideal.decomp import (
+    VerificationFailed,
+    _chain_checks,
+    _primary_to_maximal,
+    embedded_component,
+    pcb_ideal,
+    realize_over_prime_field,
+    socle_monomial,
+)
+from pcbideal.oracle import DEGREVLEX, GF, QQ, Ideal, Polynomial, colon, intersect, ring_map_kernel
+
+from conftest import load_golden, random_pcb
+
+
+def _reference_chain(parts: Sequence[Ideal], I: Ideal) -> int:
+    """Intersect every component back to I, then drop each one in turn and
+    check the rest no longer meet in I; returns the number of components."""
+    k = len(parts)
+    prefix: List[Ideal] = [parts[0]]
+    for j in range(1, k):
+        prefix.append(intersect(prefix[-1], parts[j]))
+    suffix: List[Ideal] = [parts[-1]]
+    for j in range(k - 2, -1, -1):
+        suffix.append(intersect(suffix[-1], parts[j]))
+    suffix.reverse()
+    if prefix[-1] != I:
+        raise VerificationFailed("intersection of all components is not the ideal")
+    for j in range(k):
+        if k == 1:
+            break
+        if j == 0:
+            dropped = suffix[1]
+        elif j == k - 1:
+            dropped = prefix[k - 2]
+        else:
+            dropped = intersect(prefix[j - 1], suffix[j + 1])
+        if dropped == I:
+            raise VerificationFailed(f"component {j + 1} is redundant", index=j)
+    return k
+
+
+def _pure_power_bounds(basis: Sequence[Polynomial], nvars: int) -> List[Optional[int]]:
+    bounds: List[Optional[int]] = [None] * nvars
+    for g in basis:
+        lm, _ = g.leading_term(DEGREVLEX)
+        support = [i for i, e in enumerate(lm) if e]
+        if len(support) == 1:
+            i = support[0]
+            if bounds[i] is None or lm[i] < bounds[i]:
+                bounds[i] = lm[i]
+    return bounds
+
+
+def _reference_primary_to_maximal(comp: Ideal) -> bool:
+    """Whether every variable has a power inside the ideal, searched up to
+    the dimension of the quotient."""
+    basis = comp.groebner()
+    n = comp.nvars
+    bounds = _pure_power_bounds(basis, n)
+    if any(b is None for b in bounds):
+        return False
+    lms = [g.leading_term(DEGREVLEX)[0] for g in basis]
+    vdim = sum(
+        1
+        for mono in itertools.product(*(range(b) for b in bounds))
+        if not any(all(a <= b for a, b in zip(lm, mono)) for lm in lms)
+    )
+    for i in range(n):
+        x = Polynomial.variable(comp.field, n, i)
+        power = x
+        for _ in range(vdim + 1):
+            if comp.contains(power):
+                break
+            power = power * x
+        else:
+            return False
+    return True
+
+
+def _outcome(run) -> Tuple[Optional[str], Optional[int], Optional[int]]:
+    """(message, index, None) when the proof fails, else (None, None, k)."""
+    try:
+        k = run()
+    except VerificationFailed as err:
+        return str(err), err.index, None
+    return None, None, k
+
+
+def _new(kernels, I, S, meets):
+    checks, k = _chain_checks(kernels, I, S, meets)
+    assert checks == [
+        ("intersection of all components equals the ideal", True),
+        ("every component is irredundant", True),
+    ]
+    return k
+
+
+def _least_good_prime(P) -> int:
+    r = normalized_snf(P).invariant_factors[-1]
+    p = r + 1
+    while any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        p += r
+    return p
+
+
+def _setup(P, p: int):
+    """Kernels, I, the hull S, E (None for n <= 3) and whether S ∩ E = I."""
+    field = GF(p)
+    I = pcb_ideal(P, field)
+    S = colon(I, socle_monomial(P, field))
+    E = embedded_component(P, field) if P.n >= 4 else None
+    meets = None if E is None else intersect(S, E) == I
+    return list(realize_over_prime_field(P, p).kernels), I, S, E, meets
+
+
+def _agree(kernels, I, S, E, meets):
+    parts = kernels + ([E] if E is not None else [])
+    new = _outcome(lambda: _new(kernels, I, S, meets))
+    assert new == _outcome(lambda: _reference_chain(parts, I))
+    return new
+
+
+GOLDEN_CASES = [
+    ("diag_n3.json", 7),
+    ("n3_doubled.json", 7),
+    ("n2_64.json", 3),
+    ("onecomp_n4.json", 2),
+    ("simplest_n4.json", 5),
+]
+
+
+@pytest.mark.parametrize("name,p", GOLDEN_CASES)
+def test_chain_agrees_with_the_reference_on_goldens(name, p):
+    P = load_golden(name)
+    kernels, I, S, E, meets = _setup(P, p)
+    expected = len(kernels) + (E is not None)
+    assert _agree(kernels, I, S, E, meets) == (None, None, expected)
+
+
+def test_chain_agrees_with_the_reference_on_random_n3():
+    rng = random.Random(83)
+    for _ in range(12):
+        P = random_pcb(rng, 3, max_entry=2)
+        kernels, I, S, E, meets = _setup(P, _least_good_prime(P))
+        assert _agree(kernels, I, S, E, meets) == (None, None, len(kernels))
+
+
+@pytest.fixture(scope="module")
+def diag_n3_f7():
+    return _setup(load_golden("diag_n3.json"), 7)
+
+
+def test_duplicated_kernel_is_redundant(diag_n3_f7):
+    kernels, I, S, E, meets = diag_n3_f7
+    doubled = kernels + [kernels[0]]
+    with pytest.raises(VerificationFailed, match="component 1 is redundant") as err:
+        _chain_checks(doubled, I, S, meets)
+    assert err.value.index == 0
+    assert _agree(doubled, I, S, E, meets)[:2] == ("component 1 is redundant", 0)
+
+
+def test_embedded_component_over_its_hull_is_redundant(diag_n3_f7):
+    # over n = 3, S = I: any (x)-primary E containing I meets S in I and
+    # adds nothing, so it must be named as the last component
+    kernels, I, S, _, _ = diag_n3_f7
+    assert S == I
+    field = I.field
+    E = Ideal(field, 3, list(I.gens) + [Polynomial.variable(field, 3, i) for i in range(3)])
+    k = len(kernels) + 1
+    with pytest.raises(VerificationFailed, match=f"component {k} is redundant") as err:
+        _chain_checks(kernels, I, S, True)
+    assert err.value.index == k - 1
+    assert _agree(kernels, I, S, E, True)[:2] == (f"component {k} is redundant", k - 1)
+
+
+def test_wrong_kernel_breaks_the_intersection(diag_n3_f7):
+    kernels, I, S, E, meets = diag_n3_f7
+    field = I.field
+    # x1 -> 2t, x2 -> t, x3 -> t is no character of the torsion group: its
+    # kernel is a prime that does not hold I
+    wrong = ring_map_kernel([Polynomial.monomial(field, 1, (1,), c) for c in (2, 1, 1)])
+    assert not wrong.includes(I)
+    swapped = [wrong] + kernels[1:]
+    with pytest.raises(VerificationFailed, match="intersection of all components is not the ideal"):
+        _chain_checks(swapped, I, S, meets)
+    assert _agree(swapped, I, S, E, meets)[0] == "intersection of all components is not the ideal"
+    assert _agree(kernels[1:], I, S, E, meets)[0] == "intersection of all components is not the ideal"
+
+
+def test_chain_takes_the_embedded_meet_as_given(diag_n3_f7):
+    # n >= 4 reads S ∩ E = I from embedded_checks; a False there fails the chain
+    kernels, I, S, _, _ = diag_n3_f7
+    with pytest.raises(VerificationFailed, match="intersection of all components is not the ideal"):
+        _chain_checks(kernels, I, S, False)
+
+
+def _ideals(P, field):
+    I = pcb_ideal(P, field)
+    S = colon(I, socle_monomial(P, field))
+    return embedded_component(P, field), I, S
+
+
+@pytest.mark.parametrize("name", ["simplest_n4.json", "onecomp_n4.json"])
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(2)], ids=lambda f: f.tag)
+def test_primary_to_maximal_agrees_with_the_power_search(name, field):
+    E, I, S = _ideals(load_golden(name), field)
+    assert [_primary_to_maximal(J) for J in (E, I, S)] == [True, False, False]
+    for J in (E, I, S):
+        assert _primary_to_maximal(J) == _reference_primary_to_maximal(J)
+
+
+def test_primary_to_maximal_agrees_on_random_n4():
+    rng = random.Random(89)
+    for _ in range(15):
+        P = random_pcb(rng, 4, max_entry=2)
+        for J in _ideals(P, QQ):
+            assert _primary_to_maximal(J) == _reference_primary_to_maximal(J)
