@@ -50,6 +50,5 @@ from .intmat import (
     bezout,
     determinant,
     lattice_contains,
-    minors_gcd,
     smith_normal_form,
 )

@@ -49,14 +49,19 @@ from .oracle import DEGREVLEX, GF, render
 
 
 class SchemaError(ValueError):
-    """The JSON parsed but does not describe an integer matrix."""
+    """The input is not UTF-8 JSON describing an integer matrix."""
 
 
 def _load_matrix(path: str) -> Tuple[PcbMatrix, str]:
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
-    doc = json.loads(raw.decode("utf-8"))
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        raise SchemaError(f"input is not UTF-8: {err.reason} at byte {err.start}") from None
+    except RecursionError:
+        raise SchemaError("JSON nested too deeply") from None
     if not isinstance(doc, dict) or "L" not in doc:
         raise SchemaError('input must be an object with an "L" matrix')
     rows = doc["L"]

@@ -25,7 +25,6 @@ from .intmat import (
     adjugate,
     bezout,
     determinant,
-    minors_gcd,
     smith_normal_form,
 )
 
@@ -266,6 +265,15 @@ def identity_checks(P: PcbMatrix) -> List[Tuple[str, bool]]:
     transform row must be the primitive part of the adjugate row, and
     d * nu must be that row itself, which pins the torsion order d to the
     weight gcd and catches a wrong orientation of the row as well.
+
+    The minor gcds are proved by the Smith certificate, not by listing
+    minors. By Cauchy-Binet each t-minor of P L Q is an integer combination
+    of t-minors of L, and back again when P and Q are unimodular, so L and
+    D = P L Q share the gcd of t-minors. For D = diag(d_1, ..., d_r, 0)
+    with 0 < d_1 | d_2 | ... every nonzero t-minor is a product of t
+    distinct d_i, a multiple of d_1 ... d_t, which is itself one: the gcd
+    is d_1 ... d_t. The check therefore holds exactly when the certificate
+    does; if any part of it fails the claim is unproven and reads False.
     """
     n = P.n
     L = P.signed
@@ -282,16 +290,17 @@ def identity_checks(P: PcbMatrix) -> List[Tuple[str, bool]]:
     )
     checks.append(("generators homogeneous under the weight vector", homogeneous))
     snf = normalized_snf(P)
-    checks.append(("transforms reproduce the diagonal", snf.P @ L @ snf.Q == snf.D))
+    reproduced = snf.P @ L @ snf.Q == snf.D
+    checks.append(("transforms reproduce the diagonal", reproduced))
     unimodular = abs(determinant(snf.P)) == 1 and abs(determinant(snf.Q)) == 1
     checks.append(("transforms unimodular", unimodular))
     factors = snf.invariant_factors
     chain = all(factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1))
     checks.append(("divisibility chain", chain))
-    ladder = all(
-        minors_gcd(L, t) == math.prod(factors[:t]) for t in range(1, len(factors) + 1)
-    )
-    checks.append(("minor gcds match the invariant factors", ladder))
+    padded = factors + (0,) * (n - len(factors))
+    diagonal = IntMatrix([[v if i == j else 0 for j in range(n)] for i, v in enumerate(padded)])
+    certified = reproduced and unimodular and chain and all(f > 0 for f in factors)
+    checks.append(("minor gcds match the invariant factors", certified and snf.D == diagonal))
     weight_gcd = math.gcd(*m_adj)
     primitive = tuple(v // weight_gcd for v in m_adj)
     checks.append(("last transform row equals the weight vector", snf.P.row(n - 1) == primitive))
@@ -341,7 +350,7 @@ def small_dim_decomposition(P: PcbMatrix) -> Optional[SnfResult]:
         dm = IntMatrix([[d, 0], [0, 0]])
         result = SnfResult(pm, dm, qm, (d,))
     elif n == 3:
-        d1 = minors_gcd(P.signed, 1)
+        d1 = math.gcd(*(v for row in a for v in row))
         b, c1, c2 = bezout(a[2][0], a[2][1])
         if b != d1:
             return None

@@ -132,7 +132,12 @@ def adjugate(m: IntMatrix) -> IntMatrix:
 
 
 def minors_gcd(m: IntMatrix, t: int) -> int:
-    """Gcd of all t-by-t minors; 1 for t <= 0, 0 when t exceeds both dimensions."""
+    """Gcd of all t-by-t minors; 1 for t <= 0, 0 when t exceeds both dimensions.
+
+    Costs C(rows, t) * C(cols, t) determinants. No package code calls it:
+    it is the brute-force reference that the tests hold the Smith form
+    against (core.identity_checks proves the same gcds from the certificate).
+    """
     if t <= 0:
         return 1
     if t > min(m.rows, m.cols):

@@ -12,7 +12,7 @@ from .ideal import (
     ring_map_kernel,
     saturate,
 )
-from .order import DEGREVLEX, LEX, BlockElimination, DegRevLex, Lex, MonomialOrder, WeightedDegree
+from .order import DEGREVLEX, LEX, BlockElimination, DegRevLex, Lex, MonomialOrder
 from .poly import Polynomial, render
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "DegRevLex",
     "Lex",
     "MonomialOrder",
-    "WeightedDegree",
     "Polynomial",
     "render",
 ]

@@ -7,7 +7,7 @@ number of variables, which is all the Buchberger engine needs.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 
 class MonomialOrder:
@@ -60,18 +60,6 @@ class BlockElimination(MonomialOrder):
         head = tuple(exps[: self.block])
         tail = exps[self.block :]
         return (head, (sum(tail), tuple(-e for e in reversed(tail))))
-
-
-class WeightedDegree(MonomialOrder):
-    """Weighted total degree with degrevlex tie-breaking."""
-
-    def __init__(self, weights: Sequence[int]):
-        self.weights = tuple(int(w) for w in weights)
-        self.label = f"weighted{self.weights}"
-
-    def key(self, exps):
-        w = sum(a * b for a, b in zip(self.weights, exps))
-        return (w, sum(exps), tuple(-e for e in reversed(exps)))
 
 
 LEX = Lex()

@@ -143,15 +143,6 @@ class Polynomial:
             return Polynomial.zero(field, self.nvars)
         return Polynomial(field, self.nvars, {e: field.mul(v, c) for e, v in self.terms.items()})
 
-    def shift(self, exps: Sequence[int]) -> "Polynomial":
-        """Multiply by the monomial x^exps."""
-        exps = tuple(exps)
-        return Polynomial(
-            self.field,
-            self.nvars,
-            {tuple(a + b for a, b in zip(e, exps)): c for e, c in self.terms.items()},
-        )
-
     def monic(self, order: MonomialOrder) -> "Polynomial":
         _, lc = self.leading_term(order)
         if lc == self.field.one:

@@ -156,6 +156,20 @@ class TestErrors:
         assert code == 2
         assert "not an integer" in err
 
+    def test_non_utf8_input(self, capsys, tmp_path):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b'\xff\xfe{"L": 1}')
+        code, _, err = run(capsys, "analyze", str(bad))
+        assert code == 2
+        assert err.startswith("parse error: ") and "UTF-8" in err
+
+    def test_deeply_nested_input(self, capsys, tmp_path):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100000 + "]" * 100000)
+        code, _, err = run(capsys, "analyze", str(bad))
+        assert code == 2
+        assert err.startswith("parse error: ") and "nested too deeply" in err
+
     def test_n_mismatch(self, capsys, tmp_path):
         bad = tmp_path / "mismatch.json"
         bad.write_text('{"n": 3, "L": [[1, -1], [-1, 1]]}')

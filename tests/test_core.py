@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -20,10 +21,78 @@ from pcbideal import (
     torsion_profile,
     validate,
 )
+from pcbideal import core, intmat
 from pcbideal.core import identity_checks, syzygy_identity_residual, witness_identity_residual
-from pcbideal.intmat import IntMatrix, SnfResult, determinant
+from pcbideal.intmat import IntMatrix, SnfResult, determinant, minors_gcd
 
-from conftest import load_golden, random_pcb
+from conftest import GOLDEN, load_golden, random_pcb
+
+MINOR_GCDS = "minor gcds match the invariant factors"
+CERTIFICATE = ("transforms reproduce the diagonal", "transforms unimodular", "divisibility chain")
+
+
+def minor_gcd_ladder(P):
+    """The brute-force claim: the gcd of the t-minors of L is the product
+    of the first t cached invariant factors, for every t up to the rank."""
+    factors = normalized_snf(P).invariant_factors
+    return all(
+        minors_gcd(P.signed, t) == math.prod(factors[:t]) for t in range(1, len(factors) + 1)
+    )
+
+
+def complete_graph(n):
+    return validate([[n - 1 if i == j else -1 for j in range(n)] for i in range(n)])
+
+
+def certificate(p_rows, q_rows, factors):
+    n = len(p_rows)
+    padded = factors + (0,) * (n - len(factors))
+    D = IntMatrix([[v if i == j else 0 for j in range(n)] for i, v in enumerate(padded)])
+    return SnfResult(IntMatrix(p_rows), D, IntMatrix(q_rows), factors)
+
+
+def altered_factors(snf):
+    factors = snf.invariant_factors[:-1] + (2 * snf.invariant_factors[-1],)
+    return SnfResult(snf.P, snf.D, snf.Q, factors)
+
+
+def broken_chain(snf):
+    # the first two rows of P and columns of Q swapped: a true certificate
+    # of the permuted D, whose factors match but break the chain
+    p, q = snf.P.to_rows(), snf.Q.to_rows()
+    p[0], p[1] = p[1], p[0]
+    for row in q:
+        row[0], row[1] = row[1], row[0]
+    f = snf.invariant_factors
+    return certificate(p, q, (f[1], f[0]) + f[2:])
+
+
+def scaled_row(snf):
+    p = snf.P.to_rows()
+    p[0] = [2 * v for v in p[0]]
+    return SnfResult(IntMatrix(p), snf.D, snf.Q, snf.invariant_factors)
+
+
+def scaled_certificate(snf):
+    # P L Q = D still holds, with D and the first factor doubled
+    p = snf.P.to_rows()
+    p[0] = [2 * v for v in p[0]]
+    f = snf.invariant_factors
+    return certificate(p, snf.Q.to_rows(), (2 * f[0],) + f[1:])
+
+
+def negated_certificate(snf):
+    # P L Q = D still holds, with D and the first factor negated
+    p = snf.P.to_rows()
+    p[0] = [-v for v in p[0]]
+    f = snf.invariant_factors
+    return certificate(p, snf.Q.to_rows(), (-f[0],) + f[1:])
+
+
+def swapped_rows(snf):
+    p = snf.P.to_rows()
+    p[0], p[1] = p[1], p[0]
+    return SnfResult(IntMatrix(p), snf.D, snf.Q, snf.invariant_factors)
 
 
 class TestValidate:
@@ -203,6 +272,57 @@ class TestIdentityChecks:
         assert checks["last transform row equals the weight vector"] is False
         assert checks["torsion order equals the weight gcd"] is False
         assert checks["adjugate rows equal and positive"] is True
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.json")))
+    def test_certificate_agrees_with_the_ladder_on_goldens(self, name):
+        P = load_golden(name)
+        assert dict(identity_checks(P))[MINOR_GCDS] is minor_gcd_ladder(P) is True
+
+    def test_certificate_agrees_with_the_ladder_on_random(self):
+        rng = random.Random(71)
+        for n in range(2, 8):
+            for _ in range(6):
+                P = random_pcb(rng, n)
+                assert dict(identity_checks(P))[MINOR_GCDS] is minor_gcd_ladder(P) is True
+
+    @pytest.mark.parametrize(
+        "corrupt, ladder, failing",
+        [
+            (altered_factors, False, set()),
+            (broken_chain, False, {"divisibility chain"}),
+            (scaled_row, True, {"transforms reproduce the diagonal", "transforms unimodular"}),
+            (scaled_certificate, False, {"transforms unimodular"}),
+            (negated_certificate, False, set()),
+            (swapped_rows, True, {"transforms reproduce the diagonal"}),
+        ],
+    )
+    def test_corrupt_certificate_fails_the_minor_gcd_check(self, corrupt, ladder, failing):
+        # the ladder may still hold (L and the factors are untouched), but a
+        # claim the certificate does not prove must never read ok
+        P = load_golden("simplest_n4.json")
+        bad = corrupt(normalized_snf(P))
+        object.__setattr__(P, "_snf", bad)
+        assert normalized_snf(P) is bad
+        assert minor_gcd_ladder(P) is ladder
+        checks = dict(identity_checks(P))
+        assert checks[MINOR_GCDS] is False
+        for name in CERTIFICATE:
+            assert checks[name] is (name not in failing)
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_determinant_count_is_quadratic(self, monkeypatch, n):
+        # the adjugate's n^2 minors and the two unimodularity checks, no more
+        calls = []
+
+        def counting(m):
+            calls.append(m.rows)
+            return determinant(m)
+
+        monkeypatch.setattr(intmat, "determinant", counting)
+        monkeypatch.setattr(core, "determinant", counting)
+        checks = identity_checks(complete_graph(n))
+        assert all(ok for _, ok in checks)
+        assert len(calls) <= n * n + 2
 
 
 class TestSmallDim:

@@ -12,7 +12,6 @@ from pcbideal.oracle import (
     Ideal,
     NonTermImage,
     Polynomial,
-    WeightedDegree,
     colon,
     eliminate,
     exact_divide,
@@ -78,10 +77,6 @@ class TestOrders:
         assert order.key((1, 0, 0)) > order.key((0, 9, 9))
         # ties in the head block fall through to degrevlex on the tail
         assert order.key((1, 1, 0)) > order.key((1, 0, 1))
-
-    def test_weighted(self):
-        order = WeightedDegree((1, 3))
-        assert order.key((2, 0)) < order.key((0, 1))
 
 
 class TestPolynomial:
