@@ -8,12 +8,14 @@ is the ideal plus the single syzygy monomial x^{b(n)}. Everything here is
 verified computation: candidates are produced by formula and then checked
 against the Groebner oracle. verify_full_decomposition is the one place
 that does so: it builds the ideal, its hull and the embedded component once
-and decides every verification question on them.
+and decides every verification question on them. Over F_p one elimination
+realizes the trivial-character component and torus twists give the others;
+that they meet in the hull is certified by a Hilbert-series degree count,
+not by intersecting them.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -38,6 +40,7 @@ from .oracle import (
     Polynomial,
     PrimeField,
     colon,
+    dimension_one_degree,
     intersect,
     ring_map_kernel,
     saturate,
@@ -290,8 +293,15 @@ def realize_over_prime_field(P: PcbMatrix, p: int) -> PrimeFieldRealization:
     """Instantiate every isolated component over F_p, p = 1 (mod r).
 
     zeta is g^((p-1)/r) for the least primitive root g, so the realization
-    is reproducible; each kernel is computed by eliminating the parameter
-    of the monomial curve map.
+    is reproducible. One elimination computes P_0, the kernel of the
+    trivial-character map psi_0: x_i -> t^{nu_i}; every other kernel is a
+    twist of it (Eisenbud-Sturmfels, "Binomial ideals"). Write psi_e for
+    x_i -> zeta^{e_i} t^{nu_i} and D_e for the substitution
+    x_i -> zeta^{e_i} x_i. Then psi_e = psi_0 o D_e, so
+    ker psi_e = D_e^{-1}(ker psi_0) = D_{-e}(P_0). D_{-e} multiplies each
+    term c x^a by the unit zeta^{-e.a}, so it keeps every leading and every
+    standard monomial: applied to the reduced basis of P_0 and made monic
+    again, it gives the reduced basis of ker psi_e exactly.
     """
     field, good = prime_field_for(P, p)
     specs = enumerate_components(P)
@@ -299,13 +309,21 @@ def realize_over_prime_field(P: PcbMatrix, p: int) -> PrimeFieldRealization:
     if not good:
         raise BadPrime(p, r)  # the components collapse; none is realized apart
     zeta = pow(least_primitive_root(p), (p - 1) // r, p) if r > 1 else 1
+    powers = [pow(zeta, k, p) for k in range(r)]
+    trivial = ring_map_kernel([Polynomial.monomial(field, 1, (w,)) for w in specs[0].weights])
+    basis = trivial.groebner()
     kernels = []
     for s in specs:
-        images = [
-            Polynomial.monomial(field, 1, (s.weights[i],), pow(zeta, s.coeff_exponents[i], p))
-            for i in range(P.n)
-        ]
-        kernels.append(ring_map_kernel(images))
+        e = s.coeff_exponents
+        twisted = []
+        for g, lm in zip(basis, _leading_monomials(basis)):
+            lead = sum(a * b for a, b in zip(e, lm))
+            # c x^a -> c zeta^{-e.a} x^a, divided by the new leading coefficient
+            twisted.append(Polynomial(field, P.n, {
+                a: field.mul(c, powers[(lead - sum(x * y for x, y in zip(e, a))) % r])
+                for a, c in g.terms.items()
+            }))
+        kernels.append(Ideal._with_basis(field, P.n, twisted, DEGREVLEX))
     return PrimeFieldRealization(p, r, zeta, specs, tuple(kernels))
 
 
@@ -424,36 +442,107 @@ def _char2_checks(
     return checks
 
 
+def _leading_monomials(basis: Sequence[Polynomial]) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(g.leading_term(DEGREVLEX)[0] for g in basis)
+
+
+def _intersection_witness(
+    kernels: Sequence[Ideal], S: Ideal, nu: Sequence[int], saturated: bool
+) -> Optional[str]:
+    """None when the degree certificate proves S = P_1 ∩ ... ∩ P_d (see
+    _chain_checks), else the first fact that fails."""
+    if not saturated:
+        return "hull not saturated by x_1"
+    hull_basis = S.groebner()
+    for i, K in enumerate(kernels):
+        if not all(K.contains(g) for g in hull_basis):
+            return f"a hull generator has a nonzero normal form modulo component {i + 1}"
+    degrees = {}
+    seen = set()
+    total = 0
+    for i, K in enumerate(kernels):
+        basis = K.groebner()
+        if basis in seen:
+            continue  # a repeated component adds no prime; irredundancy reports it
+        seen.add(basis)
+        lead = _leading_monomials(basis)
+        if lead not in degrees:
+            degrees[lead] = dimension_one_degree(lead, nu)
+        if degrees[lead] is None:
+            return f"component {i + 1} is not of dimension one"
+        total += degrees[lead]
+    hull_degree = dimension_one_degree(_leading_monomials(hull_basis), nu)
+    if hull_degree is None:
+        return "hull is not of dimension one"
+    if hull_degree != total:
+        return f"deg S = {hull_degree}, sum of component degrees = {total}"
+    return None
+
+
 def _chain_checks(
-    kernels: Sequence[Ideal], I: Ideal, S: Ideal, meets: Optional[bool]
+    kernels: Sequence[Ideal],
+    I: Ideal,
+    S: Ideal,
+    meets: Optional[bool],
+    nu: Sequence[int],
+    saturated: bool,
 ) -> Tuple[List[Tuple[str, bool]], int]:
     """Prove I = P_1 ∩ ... ∩ P_d (∩ E) and that no component is redundant;
     returns the checks and the number of components.
 
     kernels are the realized isolated components P_i, S is the hull
     I : x^{b(n)}, and meets says whether S ∩ E = I (embedded_checks
-    computed it); it is None for n <= 3, where there is no E.
+    computed it); it is None for n <= 3, where there is no E. nu is the
+    weight vector, and saturated says whether I : x_1^∞ = S (the hull check
+    "saturation by x_1 agrees with the colon").
 
-    Intersection. The kernels are intersected in one chain, d - 1
-    intersections, and the result is compared with S. Then for n >= 4,
-    S ∩ E = I gives the whole intersection; for n <= 3, S = I does.
+    Intersection. No ideal is intersected. Grade by deg x_i = nu_i: I is
+    homogeneous because nu L = 0, hence so is S, and so is every P_i, the
+    kernel of x_i -> zeta^{e_i} t^{nu_i}. Each P_i is prime, as the kernel
+    of a map into the domain F_p[t]. S = P_1 ∩ ... ∩ P_d follows from:
+    1. S : x_1 = S, because S is a saturation by x_1, which one more colon
+       by x_1 does not move. So x_1 is a nonzerodivisor modulo S, and the
+       irrelevant ideal (x_1, ..., x_n) is not associated to S.
+    2. S ⊆ P_i for every i: each element of S's reduced basis has normal
+       form zero modulo the reduced basis of P_i.
+    3. The P_i are pairwise distinct: their reduced bases are.
+    4. dim S = 1, each P_i has dimension one, and deg S = Σ deg P_i over
+       the distinct P_i. Dimension and degree come from the nu-graded
+       Hilbert series of the leading ideal (oracle.dimension_one_degree,
+       after Bayer-Stillman), which for a homogeneous ideal equals the
+       ideal's own; each degree is computed once per leading ideal.
+    By 2 and 4 each P_i is a minimal prime of S of dimension one. The
+    associativity formula gives deg S = Σ_P length(S_P) deg P over all
+    minimal primes P of S of dimension one, every deg P > 0, so by 3 and 4
+    every length at a P_i is one and S has no other minimal prime of
+    dimension one. A homogeneous ideal of dimension one has no further
+    associated prime but the irrelevant ideal, which 1 excludes. Hence S
+    is unmixed and its P_i-primary component is S_{P_i} ∩ R = P_i, so
+    S = P_1 ∩ ... ∩ P_d. Then for n >= 4, S ∩ E = I gives the whole
+    intersection; for n <= 3, S = I does. A failure raises
+    VerificationFailed with one witness after the message: S ∩ E != I (or
+    S != I), an unsaturated hull, the first component modulo which a hull
+    generator has a nonzero normal form, a dimension other than one, or
+    the two degrees that differ.
 
-    Irredundancy. Each P_i is the kernel of a monomial curve map
-    x_i -> zeta^{e_i} t^{nu_i} into the domain F_p[t], so it is prime, of
-    dimension one, and holds no monomial (a monomial maps to a nonzero
-    term). Suppose P_j is redundant: the meet of the other components
-    lies in P_j. A prime that holds a finite intersection of ideals holds
-    one of them, so some P_i lies in P_j with i != j, or E does. P_i in
-    P_j makes them equal, because both primes have dimension one, and
-    the kernels' reduced bases are checked pairwise distinct. E in P_j is
-    impossible: E holds the monomial x^{b(n)}. E itself is redundant
-    exactly when the P_i meet in I, that is when S = I, so S != I is
-    checked. A failure raises VerificationFailed naming the first
-    redundant component.
+    Irredundancy. Each P_i has dimension one and holds no monomial (a
+    monomial maps to a nonzero term). Suppose P_j is redundant: the meet
+    of the other components lies in P_j. A prime that holds a finite
+    intersection of ideals holds one of them, so some P_i lies in P_j with
+    i != j, or E does. P_i in P_j makes them equal, because both primes
+    have dimension one, and the kernels' reduced bases are checked
+    pairwise distinct. E in P_j is impossible: E holds the monomial
+    x^{b(n)}. E itself is redundant exactly when the P_i meet in I, that
+    is when S = I, so S != I is checked. A failure raises
+    VerificationFailed naming the first redundant component.
     """
-    whole = S == I if meets is None else meets
-    if not whole or functools.reduce(intersect, kernels) != S:
-        raise VerificationFailed("intersection of all components is not the ideal")
+    if meets is None:
+        witness = None if S == I else "hull differs from the ideal"
+    else:
+        witness = None if meets else "hull meets the embedded component outside the ideal"
+    witness = witness or _intersection_witness(kernels, S, nu, saturated)
+    if witness:
+        raise VerificationFailed(f"intersection of all components is not the ideal: {witness}")
     checks = [("intersection of all components equals the ideal", True)]
     bases = Counter(K.groebner() for K in kernels)
     for j, K in enumerate(kernels):
@@ -475,9 +564,9 @@ def verify_full_decomposition(P: PcbMatrix, p: Optional[int] = None) -> Decompos
     component E = I + (x^{b(n)}) are built once here, and S meets E once;
     every check below shares them. Over Q and over a good F_p (see
     prime_field_for) the hull checks and the embedded-component checks
-    run; over F_p the isolated components are then realized, intersected
-    back to S in one chain and proved irredundant from their primality
-    (see _chain_checks). In the char-2 case the collapse
+    run; over F_p the isolated components are then realized, certified to
+    meet in S by a degree count and proved irredundant from their
+    primality (see _chain_checks). In the char-2 case the collapse
     checks run instead. A failed chain or char-2 check raises
     VerificationFailed; the others report False.
     """
@@ -494,7 +583,9 @@ def verify_full_decomposition(P: PcbMatrix, p: Optional[int] = None) -> Decompos
         checks = _hull_checks(P, I, S, xb) + embedded
         if p is not None:
             meets = embedded[1][1] if embedded else None
-            chain, count = _chain_checks(realize_over_prime_field(P, p).kernels, I, S, meets)
+            saturated = dict(checks)["saturation by x_1 agrees with the colon"]
+            kernels = realize_over_prime_field(P, p).kernels
+            chain, count = _chain_checks(kernels, I, S, meets, associated_vector(P)[2], saturated)
             checks += chain
     if count is not None:
         checks.append((f"component count is {count}", True))

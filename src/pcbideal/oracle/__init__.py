@@ -1,7 +1,9 @@
-"""Exact polynomial oracle: fields, orders, Buchberger, ideal operations."""
+"""Exact polynomial oracle: fields, orders, Buchberger, ideal operations,
+Hilbert series."""
 
 from .field import GF, QQ, PrimeField, RationalField, is_prime
 from .groebner import groebner_basis, normal_form, spolynomial
+from .hilbert import dimension_one_degree, hilbert_numerator
 from .ideal import (
     Ideal,
     NonTermImage,
@@ -24,6 +26,8 @@ __all__ = [
     "groebner_basis",
     "normal_form",
     "spolynomial",
+    "dimension_one_degree",
+    "hilbert_numerator",
     "Ideal",
     "NonTermImage",
     "colon",

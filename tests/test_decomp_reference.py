@@ -1,34 +1,89 @@
 """The cheap proofs in decomp held against the brute-force routines they replaced.
 
-_chain_checks proves irredundancy from primality: the isolated components
-are distinct primes of dimension one holding no monomial. _reference_chain
-is the proof it replaced, which drops each component in turn and
+_chain_checks proves that the isolated components meet in the hull by a
+degree count and irredundancy from primality: the isolated components are
+distinct primes of dimension one holding no monomial. Two proofs it
+replaced stay here as references: _reference_kernel_chain intersects the
+kernels in one chain of d - 1 intersections and compares the result with
+the hull, and _reference_chain drops each component in turn and
 intersects the rest (prefix, suffix and middle intersections).
+realize_over_prime_field twists one kernel into all d;
+_reference_kernels eliminates once per character.
 _primary_to_maximal reads finite colength off the leading ideal;
 _reference_primary_to_maximal searches a power of every variable inside
 the ideal, bounded by the dimension of the quotient. The two sides must
 agree, on real inputs and on altered component lists.
 """
 
+import functools
 import itertools
 import random
+from collections import Counter
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
 
-from pcbideal.core import normalized_snf
+from pcbideal.core import associated_vector, normalized_snf
 from pcbideal.decomp import (
     VerificationFailed,
     _chain_checks,
     _primary_to_maximal,
     embedded_component,
+    enumerate_components,
+    least_primitive_root,
     pcb_ideal,
     realize_over_prime_field,
     socle_monomial,
 )
-from pcbideal.oracle import DEGREVLEX, GF, QQ, Ideal, Polynomial, colon, intersect, ring_map_kernel
+from pcbideal.oracle import (
+    DEGREVLEX,
+    GF,
+    QQ,
+    Ideal,
+    Polynomial,
+    colon,
+    intersect,
+    ring_map_kernel,
+    saturate,
+)
 
 from conftest import load_golden, random_pcb
+
+
+def _reference_kernels(P, p: int) -> List[Ideal]:
+    """One elimination per character: the kernel of x_i -> zeta^{e_i} t^{nu_i}."""
+    field = GF(p)
+    specs = enumerate_components(P)
+    r = specs[0].root_order
+    zeta = pow(least_primitive_root(p), (p - 1) // r, p) if r > 1 else 1
+    kernels = []
+    for s in specs:
+        images = [
+            Polynomial.monomial(field, 1, (s.weights[i],), pow(zeta, s.coeff_exponents[i], p))
+            for i in range(P.n)
+        ]
+        kernels.append(ring_map_kernel(images))
+    return kernels
+
+
+def _reference_kernel_chain(kernels: Sequence[Ideal], I: Ideal, S: Ideal, meets: Optional[bool]):
+    """Intersect the kernels in one chain and compare with S; then the same
+    irredundancy argument as _chain_checks. Returns the checks and the count."""
+    whole = S == I if meets is None else meets
+    if not whole or functools.reduce(intersect, kernels) != S:
+        raise VerificationFailed("intersection of all components is not the ideal")
+    checks = [("intersection of all components equals the ideal", True)]
+    bases = Counter(K.groebner() for K in kernels)
+    for j, K in enumerate(kernels):
+        if bases[K.groebner()] > 1:
+            raise VerificationFailed(f"component {j + 1} is redundant", index=j)
+    k = len(kernels)
+    if meets is not None:
+        k += 1
+        if S == I:
+            raise VerificationFailed(f"component {k} is redundant", index=k - 1)
+    checks.append(("every component is irredundant", True))
+    return checks, k
 
 
 def _reference_chain(parts: Sequence[Ideal], I: Ideal) -> int:
@@ -96,21 +151,31 @@ def _reference_primary_to_maximal(comp: Ideal) -> bool:
     return True
 
 
+CHECKS = [
+    ("intersection of all components equals the ideal", True),
+    ("every component is irredundant", True),
+]
+
+
 def _outcome(run) -> Tuple[Optional[str], Optional[int], Optional[int]]:
-    """(message, index, None) when the proof fails, else (None, None, k)."""
+    """(message, index, None) when the proof fails, else (None, None, k).
+    The message is cut before the witness, which only _chain_checks gives."""
     try:
         k = run()
     except VerificationFailed as err:
-        return str(err), err.index, None
+        return str(err).split(": ")[0], err.index, None
     return None, None, k
 
 
-def _new(kernels, I, S, meets):
-    checks, k = _chain_checks(kernels, I, S, meets)
-    assert checks == [
-        ("intersection of all components equals the ideal", True),
-        ("every component is irredundant", True),
-    ]
+def _new(kernels, I, S, meets, nu, saturated):
+    checks, k = _chain_checks(kernels, I, S, meets, nu, saturated)
+    assert checks == CHECKS
+    return k
+
+
+def _kernel_chain(kernels, I, S, meets):
+    checks, k = _reference_kernel_chain(kernels, I, S, meets)
+    assert checks == CHECKS
     return k
 
 
@@ -123,18 +188,22 @@ def _least_good_prime(P) -> int:
 
 
 def _setup(P, p: int):
-    """Kernels, I, the hull S, E (None for n <= 3) and whether S ∩ E = I."""
+    """Kernels, I, the hull S, E (None for n <= 3), whether S ∩ E = I, nu,
+    and whether the saturation of I by x_1 is S."""
     field = GF(p)
     I = pcb_ideal(P, field)
     S = colon(I, socle_monomial(P, field))
     E = embedded_component(P, field) if P.n >= 4 else None
     meets = None if E is None else intersect(S, E) == I
-    return list(realize_over_prime_field(P, p).kernels), I, S, E, meets
+    saturated = saturate(I, Polynomial.variable(field, P.n, 0))[0] == S
+    nu = associated_vector(P)[2]
+    return list(realize_over_prime_field(P, p).kernels), I, S, E, meets, nu, saturated
 
 
-def _agree(kernels, I, S, E, meets):
+def _agree(kernels, I, S, E, meets, nu, saturated):
     parts = kernels + ([E] if E is not None else [])
-    new = _outcome(lambda: _new(kernels, I, S, meets))
+    new = _outcome(lambda: _new(kernels, I, S, meets, nu, saturated))
+    assert new == _outcome(lambda: _kernel_chain(kernels, I, S, meets))
     assert new == _outcome(lambda: _reference_chain(parts, I))
     return new
 
@@ -145,23 +214,24 @@ GOLDEN_CASES = [
     ("n2_64.json", 3),
     ("onecomp_n4.json", 2),
     ("simplest_n4.json", 5),
+    ("n3_mixed.json", 2),
 ]
 
 
 @pytest.mark.parametrize("name,p", GOLDEN_CASES)
 def test_chain_agrees_with_the_reference_on_goldens(name, p):
     P = load_golden(name)
-    kernels, I, S, E, meets = _setup(P, p)
+    kernels, I, S, E, meets, nu, saturated = _setup(P, p)
     expected = len(kernels) + (E is not None)
-    assert _agree(kernels, I, S, E, meets) == (None, None, expected)
+    assert _agree(kernels, I, S, E, meets, nu, saturated) == (None, None, expected)
 
 
 def test_chain_agrees_with_the_reference_on_random_n3():
     rng = random.Random(83)
     for _ in range(12):
         P = random_pcb(rng, 3, max_entry=2)
-        kernels, I, S, E, meets = _setup(P, _least_good_prime(P))
-        assert _agree(kernels, I, S, E, meets) == (None, None, len(kernels))
+        kernels, I, S, E, meets, nu, saturated = _setup(P, _least_good_prime(P))
+        assert _agree(kernels, I, S, E, meets, nu, saturated) == (None, None, len(kernels))
 
 
 @pytest.fixture(scope="module")
@@ -170,30 +240,30 @@ def diag_n3_f7():
 
 
 def test_duplicated_kernel_is_redundant(diag_n3_f7):
-    kernels, I, S, E, meets = diag_n3_f7
+    kernels, I, S, E, meets, nu, saturated = diag_n3_f7
     doubled = kernels + [kernels[0]]
     with pytest.raises(VerificationFailed, match="component 1 is redundant") as err:
-        _chain_checks(doubled, I, S, meets)
+        _chain_checks(doubled, I, S, meets, nu, saturated)
     assert err.value.index == 0
-    assert _agree(doubled, I, S, E, meets)[:2] == ("component 1 is redundant", 0)
+    assert _agree(doubled, I, S, E, meets, nu, saturated)[:2] == ("component 1 is redundant", 0)
 
 
 def test_embedded_component_over_its_hull_is_redundant(diag_n3_f7):
     # over n = 3, S = I: any (x)-primary E containing I meets S in I and
     # adds nothing, so it must be named as the last component
-    kernels, I, S, _, _ = diag_n3_f7
+    kernels, I, S, _, _, nu, saturated = diag_n3_f7
     assert S == I
     field = I.field
     E = Ideal(field, 3, list(I.gens) + [Polynomial.variable(field, 3, i) for i in range(3)])
     k = len(kernels) + 1
     with pytest.raises(VerificationFailed, match=f"component {k} is redundant") as err:
-        _chain_checks(kernels, I, S, True)
+        _chain_checks(kernels, I, S, True, nu, saturated)
     assert err.value.index == k - 1
-    assert _agree(kernels, I, S, E, True)[:2] == (f"component {k} is redundant", k - 1)
+    assert _agree(kernels, I, S, E, True, nu, saturated)[:2] == (f"component {k} is redundant", k - 1)
 
 
 def test_wrong_kernel_breaks_the_intersection(diag_n3_f7):
-    kernels, I, S, E, meets = diag_n3_f7
+    kernels, I, S, E, meets, nu, saturated = diag_n3_f7
     field = I.field
     # x1 -> 2t, x2 -> t, x3 -> t is no character of the torsion group: its
     # kernel is a prime that does not hold I
@@ -201,16 +271,117 @@ def test_wrong_kernel_breaks_the_intersection(diag_n3_f7):
     assert not wrong.includes(I)
     swapped = [wrong] + kernels[1:]
     with pytest.raises(VerificationFailed, match="intersection of all components is not the ideal"):
-        _chain_checks(swapped, I, S, meets)
-    assert _agree(swapped, I, S, E, meets)[0] == "intersection of all components is not the ideal"
-    assert _agree(kernels[1:], I, S, E, meets)[0] == "intersection of all components is not the ideal"
+        _chain_checks(swapped, I, S, meets, nu, saturated)
+    assert _agree(swapped, I, S, E, meets, nu, saturated)[0] == "intersection of all components is not the ideal"
+    assert _agree(kernels[1:], I, S, E, meets, nu, saturated)[0] == "intersection of all components is not the ideal"
 
 
 def test_chain_takes_the_embedded_meet_as_given(diag_n3_f7):
     # n >= 4 reads S ∩ E = I from embedded_checks; a False there fails the chain
-    kernels, I, S, _, _ = diag_n3_f7
+    kernels, I, S, _, _, nu, saturated = diag_n3_f7
     with pytest.raises(VerificationFailed, match="intersection of all components is not the ideal"):
-        _chain_checks(kernels, I, S, False)
+        _chain_checks(kernels, I, S, False, nu, saturated)
+
+
+@pytest.fixture(scope="module")
+def simplest_n4_f5():
+    return _setup(load_golden("simplest_n4.json"), 5)
+
+
+def _fails_with(message, kernels, I, S, meets, nu, saturated):
+    with pytest.raises(VerificationFailed) as err:
+        _chain_checks(kernels, I, S, meets, nu, saturated)
+    assert str(err.value) == message
+    return err.value.index
+
+
+@pytest.mark.parametrize("case", ["diag_n3_f7", "simplest_n4_f5"])
+def test_dropped_kernel_fails_the_degree_count(case, request):
+    kernels, I, S, E, meets, nu, saturated = request.getfixturevalue(case)
+    d = len(kernels)
+    message = (
+        "intersection of all components is not the ideal: "
+        f"deg S = {d}, sum of component degrees = {d - 1}"
+    )
+    for dropped in (0, d - 1):
+        rest = kernels[:dropped] + kernels[dropped + 1 :]
+        assert _fails_with(message, rest, I, S, meets, nu, saturated) is None
+        assert _agree(rest, I, S, E, meets, nu, saturated)[0] == message.split(": ")[0]
+
+
+@pytest.mark.parametrize("case", ["diag_n3_f7", "simplest_n4_f5"])
+def test_duplicated_kernel_passes_the_degree_count_and_is_redundant(case, request):
+    # the degrees are summed over distinct components, so a repeat is named
+    # as redundant, not as a failed intersection
+    kernels, I, S, E, meets, nu, saturated = request.getfixturevalue(case)
+    doubled = kernels + [kernels[0]]
+    assert _fails_with("component 1 is redundant", doubled, I, S, meets, nu, saturated) == 0
+    assert _agree(doubled, I, S, E, meets, nu, saturated)[:2] == ("component 1 is redundant", 0)
+
+
+def test_non_character_kernel_leaves_the_hull_outside(diag_n3_f7):
+    kernels, I, S, E, meets, nu, saturated = diag_n3_f7
+    field = I.field
+    wrong = ring_map_kernel([Polynomial.monomial(field, 1, (1,), c) for c in (2, 1, 1)])
+    for j in (0, len(kernels) - 1):
+        swapped = kernels[:j] + [wrong] + kernels[j + 1 :]
+        message = (
+            "intersection of all components is not the ideal: "
+            f"a hull generator has a nonzero normal form modulo component {j + 1}"
+        )
+        assert _fails_with(message, swapped, I, S, meets, nu, saturated) is None
+        assert _agree(swapped, I, S, E, meets, nu, saturated)[0] == message.split(": ")[0]
+
+
+@pytest.mark.parametrize("case", ["diag_n3_f7", "simplest_n4_f5"])
+def test_unsaturated_hull_fails_the_certificate(case, request):
+    kernels, I, S, _, meets, nu, saturated = request.getfixturevalue(case)
+    assert saturated
+    message = "intersection of all components is not the ideal: hull not saturated by x_1"
+    assert _fails_with(message, kernels, I, S, meets, nu, False) is None
+
+
+def test_failed_meet_is_the_witness(diag_n3_f7, simplest_n4_f5):
+    kernels, I, S, _, _, nu, saturated = simplest_n4_f5
+    message = (
+        "intersection of all components is not the ideal: "
+        "hull meets the embedded component outside the ideal"
+    )
+    assert _fails_with(message, kernels, I, S, False, nu, saturated) is None
+    kernels, I, _, _, _, nu, saturated = diag_n3_f7
+    S = Ideal(I.field, 3, I.gens[:-1])
+    message = "intersection of all components is not the ideal: hull differs from the ideal"
+    assert _fails_with(message, kernels, I, S, None, nu, saturated) is None
+
+
+def _assert_twists_match(P, p):
+    twisted = realize_over_prime_field(P, p).kernels
+    reference = _reference_kernels(P, p)
+    assert len(twisted) == len(reference)
+    for K, R in zip(twisted, reference):
+        assert [g.terms for g in K.groebner()] == [g.terms for g in R.groebner()]
+    return len(twisted)
+
+
+@pytest.mark.parametrize("name,p", GOLDEN_CASES + [("diag_n5.json", 11)])
+def test_twisted_kernels_equal_the_per_character_eliminations(name, p):
+    P = load_golden(name)
+    assert _assert_twists_match(P, p) == associated_vector(P)[1]
+
+
+@pytest.mark.parametrize("n,count", [(3, 12), (4, 6)])
+def test_twisted_kernels_equal_the_eliminations_on_random_inputs(n, count):
+    # inputs with d >= 2, where there is a twist to test, and sum(nu) <= 40:
+    # a curve of larger weights can cost the general Buchberger over a minute
+    rng = random.Random(97 + n)
+    seen = 0
+    while seen < count:
+        P = random_pcb(rng, n, max_entry=2)
+        _, d, nu = associated_vector(P)
+        if d < 2 or sum(nu) > 40:
+            continue
+        assert _assert_twists_match(P, _least_good_prime(P)) == d
+        seen += 1
 
 
 def _ideals(P, field):

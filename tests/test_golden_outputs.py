@@ -46,6 +46,8 @@ def _jobs():
         jobs.append(("verify", path, "--level", "full", "--field", f"fp:{p}"))
         jobs.append(("verify", path, "--level", "full"))
     jobs.append(("verify", "golden/simplest_n4.json", "--field", "fp:2", "--level", "full"))
+    jobs.append(("decompose", "golden/diag_n5.json", "--field", "fp:11"))
+    jobs.append(("verify", "golden/diag_n5.json", "--level", "full", "--field", "fp:11"))
     return jobs
 
 
