@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from .groebner import groebner_basis, normal_form
+from .groebner import _entries, _nf_dict, groebner_basis
 from .order import DEGREVLEX, BlockElimination, MonomialOrder
 from .poly import Polynomial
 
@@ -28,7 +28,7 @@ class NonTermImage(ValueError):
 class Ideal:
     """Finitely generated ideal with per-order caching of reduced bases."""
 
-    __slots__ = ("field", "nvars", "gens", "_bases")
+    __slots__ = ("field", "nvars", "gens", "_bases", "_reducers")
 
     def __init__(self, field, nvars: int, gens: Sequence[Polynomial]):
         kept = []
@@ -41,6 +41,7 @@ class Ideal:
         self.nvars = nvars
         self.gens = tuple(kept)
         self._bases: Dict[str, Tuple[Polynomial, ...]] = {}
+        self._reducers = None  # the degrevlex basis as division entries, built on first use
 
     @classmethod
     def _with_basis(cls, field, nvars, basis: Sequence[Polynomial], order: MonomialOrder) -> "Ideal":
@@ -64,7 +65,9 @@ class Ideal:
             raise ValueError("polynomial lives in a different ring")
         if not f.terms:
             return True
-        return not normal_form(f, self.groebner(), DEGREVLEX).terms
+        if self._reducers is None:
+            self._reducers = _entries(self.groebner(), DEGREVLEX)
+        return not _nf_dict(dict(f.terms), self._reducers, self.field, DEGREVLEX.key)
 
     def includes(self, other: "Ideal") -> bool:
         self._check_ring(other)

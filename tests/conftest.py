@@ -8,6 +8,10 @@ from pcbideal import PcbMatrix, validate
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
+# d = 1 and nu = (75, 61, 52, 63): a curve of large weights whose kernel
+# once ran for minutes under the general Buchberger
+LARGE_WEIGHTS = [[4, -1, -1, -2], [-2, 5, -2, -1], [-1, -2, 5, -2], [-2, -2, -1, 5]]
+
 
 def load_golden(name: str) -> PcbMatrix:
     doc = json.loads((GOLDEN / name).read_text())

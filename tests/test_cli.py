@@ -4,7 +4,7 @@ import pytest
 
 from pcbideal.cli import main
 
-from conftest import golden_path
+from conftest import LARGE_WEIGHTS, golden_path
 
 
 def run(capsys, *argv):
@@ -132,6 +132,12 @@ class TestVerify:
         assert "hull saturated by x_1" in names
         assert "hull meets embedded component in the ideal" in names
         assert "component count is 2" in names
+
+    def test_full_large_weights(self, capsys, tmp_path):
+        path = tmp_path / "large_weights.json"
+        path.write_text(json.dumps({"L": LARGE_WEIGHTS}))
+        doc = run_json(capsys, "verify", str(path), "--level", "full", "--field", "fp:2")
+        assert doc["result"]["ok"] is True
 
 
 class TestErrors:

@@ -31,7 +31,7 @@ from pcbideal.oracle import (
     ring_map_kernel,
 )
 
-from conftest import load_golden, random_pcb
+from conftest import LARGE_WEIGHTS, load_golden, random_pcb
 
 # the sixteen coefficient tuples for the all-ones n=4 matrix, written as
 # powers of a primitive fourth root: t -> 0, i*t -> 1, -t -> 2, -i*t -> 3
@@ -230,6 +230,14 @@ class TestRealization:
         I = pcb_ideal(simplest, GF(5))
         for k in real.kernels:
             assert k.includes(I)
+
+    def test_large_weight_kernel_is_the_hull(self):
+        # d = 1, so the hull is the one prime: the elimination and the colon
+        # compute the same ideal independently
+        P = validate(LARGE_WEIGHTS)
+        assert associated_vector(P)[1:] == (1, (75, 61, 52, 63))
+        (kernel,) = realize_over_prime_field(P, 2).kernels
+        assert kernel.groebner() == hull(P, GF(2)).groebner()
 
 
 class TestFullVerification:
