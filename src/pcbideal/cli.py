@@ -42,6 +42,7 @@ from .decomp import (
     component_count,
     embedded_component,
     enumerate_components,
+    prime_field,
     realize_over_prime_field,
     verify_full_decomposition,
 )
@@ -86,6 +87,7 @@ def _parse_field(text: str, allow_symbolic: bool) -> Tuple[str, Optional[int]]:
             p = int(text[3:])
         except ValueError:
             raise SchemaError(f"bad field spec {text!r}") from None
+        prime_field(p)  # a non-prime p is BadPrime at every level, not only where F_p is used
         return "fp", p
     raise SchemaError(f"bad field spec {text!r}")
 

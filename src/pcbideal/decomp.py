@@ -258,6 +258,15 @@ def _is_all_ones_n4(P: PcbMatrix) -> bool:
     )
 
 
+def prime_field(p: int) -> PrimeField:
+    """GF(p) for any `--field fp:<p>` request; BadPrime unless p is a prime
+    below 2**31. Every command asks this first, whatever it does with F_p."""
+    try:
+        return GF(p)
+    except ValueError as err:
+        raise BadPrime(p, 0, str(err)) from None
+
+
 def prime_field_for(P: PcbMatrix, p: int) -> Tuple[PrimeField, bool]:
     """GF(p) for a `--field fp:<p>` request, and whether p is a good characteristic.
 
@@ -268,10 +277,7 @@ def prime_field_for(P: PcbMatrix, p: int) -> Tuple[PrimeField, bool]:
     matrix over F_2, whose components collapse into one hull: (GF(2),
     False). Anything else, a p that is not prime included, is BadPrime.
     """
-    try:
-        field = GF(p)
-    except ValueError as err:
-        raise BadPrime(p, 0, str(err)) from None
+    field = prime_field(p)
     r = normalized_snf(P).invariant_factors[-1]
     if (p - 1) % r == 0:
         return field, True

@@ -4,11 +4,19 @@ Pairs are taken by sugar degree and pruned by the Gebauer-Moeller update
 as each basis element arrives (see _buchberger). The final basis is
 minimalized, tail-reduced and sorted, so equal ideals always produce
 identical output under the same order.
+
+Exponent arithmetic stays in C: divisibility is all(map(le, a, b)), shifts,
+products and lcms are tuple(map(sub | add | max, a, b)), and coprimality is
+not any(map(min, a, b)). Order keys come from a _KeyCache, so each monomial's
+key is computed once per run and max(work, key=keyf) is a dict lookup.
 """
 
 from __future__ import annotations
 
 import heapq
+from operator import add as _add
+from operator import le as _le
+from operator import sub as _sub
 from typing import Dict, List, Sequence, Tuple
 
 from .order import MonomialOrder
@@ -16,6 +24,27 @@ from .poly import Polynomial
 
 Terms = Dict[Tuple[int, ...], object]
 Entry = Tuple[Tuple[int, ...], Terms]  # (leading monomial, monic term dict)
+
+
+class _KeyCache(dict):
+    """Order keys by monomial, each computed on first lookup.
+
+    Pass `_KeyCache(order.key).__getitem__` wherever a key function is taken:
+    a hit is a C-level dict lookup. A cache lives for one Groebner run or one
+    division, never longer: kept on each Ideal for its containments, the
+    caches of the 1296 components of K_6 over F_7 took peak memory from 23 MB
+    to 97 MB for no gain in time.
+    """
+
+    __slots__ = ("keyf",)
+
+    def __init__(self, keyf):
+        super().__init__()
+        self.keyf = keyf
+
+    def __missing__(self, m):
+        k = self[m] = self.keyf(m)
+        return k
 
 
 def _nf_dict(work: Terms, basis: Sequence[Entry], field, keyf) -> Terms:
@@ -28,12 +57,12 @@ def _nf_dict(work: Terms, basis: Sequence[Entry], field, keyf) -> Terms:
         m = max(work, key=keyf)
         c = work.pop(m)
         for lm, terms in basis:
-            if all(a <= b for a, b in zip(lm, m)):
-                shift = tuple(b - a for a, b in zip(lm, m))
+            if all(map(_le, lm, m)):
+                shift = tuple(map(_sub, m, lm))
                 for e, ce in terms.items():
                     if e == lm:
                         continue  # the lead cancels against the popped term
-                    k = tuple(a + b for a, b in zip(e, shift))
+                    k = tuple(map(_add, e, shift))
                     s = sub(work.get(k, zero), mul(c, ce))
                     if s == zero:
                         work.pop(k, None)
@@ -48,22 +77,22 @@ def _nf_dict(work: Terms, basis: Sequence[Entry], field, keyf) -> Terms:
 def _spoly_dict(f: Entry, g: Entry, field) -> Terms:
     """S-polynomial of two monic entries; the lcm terms cancel by construction."""
     (flm, fterms), (glm, gterms) = f, g
-    lcm = tuple(max(a, b) for a, b in zip(flm, glm))
-    fs = tuple(l - a for l, a in zip(lcm, flm))
-    gs = tuple(l - a for l, a in zip(lcm, glm))
+    lcm = tuple(map(max, flm, glm))
+    fs = tuple(map(_sub, lcm, flm))
+    gs = tuple(map(_sub, lcm, glm))
     out: Terms = {}
     zero = field.zero
     add = field.add
     sub = field.sub
     for e, c in fterms.items():
-        k = tuple(a + b for a, b in zip(e, fs))
+        k = tuple(map(_add, e, fs))
         s = add(out.get(k, zero), c)
         if s == zero:
             out.pop(k, None)
         else:
             out[k] = s
     for e, c in gterms.items():
-        k = tuple(a + b for a, b in zip(e, gs))
+        k = tuple(map(_add, e, gs))
         s = sub(out.get(k, zero), c)
         if s == zero:
             out.pop(k, None)
@@ -110,22 +139,21 @@ def _buchberger(seeds: List[Terms], field, keyf) -> List[Entry]:
         G.append((lmh, terms))
         sugar.append(s)
         dh = sum(lmh)
-        for pair, lcm in list(pending.items()):
-            i, j = pair
-            if (
-                all(a <= b for a, b in zip(lmh, lcm))
-                and lcm != tuple(max(a, b) for a, b in zip(G[i][0], lmh))
-                and lcm != tuple(max(a, b) for a, b in zip(G[j][0], lmh))
-            ):
-                del pending[pair]
+        for pair in [
+            (i, j)
+            for (i, j), lcm in pending.items()
+            if all(map(_le, lmh, lcm))
+            and lcm != tuple(map(max, G[i][0], lmh))
+            and lcm != tuple(map(max, G[j][0], lmh))
+        ]:
+            del pending[pair]
         by_lcm: Dict[Tuple[int, ...], list] = {}  # lcm -> [(g, coprime)] over live g
         for g in live:
             lmg = G[g][0]
-            lcm = tuple(max(a, b) for a, b in zip(lmg, lmh))
-            by_lcm.setdefault(lcm, []).append((g, all(a == 0 or b == 0 for a, b in zip(lmg, lmh))))
+            by_lcm.setdefault(tuple(map(max, lmg, lmh)), []).append((g, not any(map(min, lmg, lmh))))
         minimal: List[Tuple[int, ...]] = []
         for lcm in sorted(by_lcm, key=sum):
-            if any(all(a <= b for a, b in zip(m, lcm)) for m in minimal):
+            if any(all(map(_le, m, lcm)) for m in minimal):
                 continue  # M: a smaller lcm divides it
             minimal.append(lcm)
             group = by_lcm[lcm]
@@ -136,11 +164,11 @@ def _buchberger(seeds: List[Terms], field, keyf) -> List[Entry]:
             pair_sugar = max(sugar[g] + dl - sum(G[g][0]), s + dl - dh)
             pending[(g, h)] = lcm
             heapq.heappush(heap, (pair_sugar, keyf(lcm), g, h))
-        live[:] = [g for g in live if not all(a <= b for a, b in zip(lmh, G[g][0]))]
+        live[:] = [g for g in live if not all(map(_le, lmh, G[g][0]))]
         live.append(h)
 
     for terms in seeds:
-        add(terms, max(sum(e) for e in terms))
+        add(terms, max(map(sum, terms)))
 
     while heap:
         s, _, i, j = heapq.heappop(heap)
@@ -156,7 +184,7 @@ def _reduce_basis(G: List[Entry], field, keyf) -> List[Entry]:
     kept: List[Entry] = []
     for idx in sorted(range(len(G)), key=lambda i: keyf(G[i][0])):
         lm = G[idx][0]
-        if any(all(a <= b for a, b in zip(klm, lm)) for klm, _ in kept):
+        if any(all(map(_le, klm, lm)) for klm, _ in kept):
             continue
         kept.append(G[idx])
     out: List[Entry] = []
@@ -178,7 +206,7 @@ def groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder) -> Tuple[Po
     for g in polys:
         if g.field != field or g.nvars != nvars:
             raise ValueError("generators live in different rings")
-    keyf = order.key
+    keyf = _KeyCache(order.key).__getitem__
     G = _buchberger([dict(g.terms) for g in polys], field, keyf)
     reduced = _reduce_basis(G, field, keyf)
     return tuple(Polynomial(field, nvars, terms) for _, terms in reduced)
@@ -204,7 +232,7 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
     for g in basis:
         if g.terms and (g.field != f.field or g.nvars != f.nvars):
             raise ValueError("basis element lives in a different ring")
-    red = _nf_dict(dict(f.terms), _entries(basis, order), f.field, order.key)
+    red = _nf_dict(dict(f.terms), _entries(basis, order), f.field, _KeyCache(order.key).__getitem__)
     return Polynomial(f.field, f.nvars, red)
 
 

@@ -14,9 +14,12 @@ ready-made degrevlex basis instead of forcing a recompute.
 
 from __future__ import annotations
 
+from operator import add as _add
+from operator import le as _le
+from operator import sub as _sub
 from typing import Dict, Optional, Sequence, Tuple
 
-from .groebner import _entries, _nf_dict, groebner_basis
+from .groebner import _entries, _KeyCache, _nf_dict, groebner_basis
 from .order import DEGREVLEX, BlockElimination, MonomialOrder
 from .poly import Polynomial
 
@@ -67,7 +70,7 @@ class Ideal:
             return True
         if self._reducers is None:
             self._reducers = _entries(self.groebner(), DEGREVLEX)
-        return not _nf_dict(dict(f.terms), self._reducers, self.field, DEGREVLEX.key)
+        return not _nf_dict(dict(f.terms), self._reducers, self.field, _KeyCache(DEGREVLEX.key).__getitem__)
 
     def includes(self, other: "Ideal") -> bool:
         self._check_ring(other)
@@ -135,7 +138,7 @@ def exact_divide(g: Polynomial, f: Polynomial, order: MonomialOrder = DEGREVLEX)
     if not f.terms:
         raise ZeroDivisionError("division by the zero polynomial")
     field = g.field
-    keyf = order.key
+    keyf = _KeyCache(order.key).__getitem__
     flm, flc = f.leading_term(order)
     inv_flc = field.inv(flc)
     work = dict(g.terms)
@@ -144,13 +147,13 @@ def exact_divide(g: Polynomial, f: Polynomial, order: MonomialOrder = DEGREVLEX)
     while work:
         m = max(work, key=keyf)
         c = work[m]
-        if not all(a <= b for a, b in zip(flm, m)):
+        if not all(map(_le, flm, m)):
             raise ValueError("polynomial is not divisible")
-        qe = tuple(b - a for a, b in zip(flm, m))
+        qe = tuple(map(_sub, m, flm))
         qc = field.mul(c, inv_flc)
         quotient[qe] = qc
         for e, ce in f.terms.items():
-            k = tuple(a + b for a, b in zip(e, qe))
+            k = tuple(map(_add, e, qe))
             s = field.sub(work.get(k, zero), field.mul(qc, ce))
             if s == zero:
                 work.pop(k, None)
@@ -175,10 +178,9 @@ def colon(ideal: Ideal, f: Polynomial) -> Ideal:
         for g in basis:
             shifted = {}
             for e, c in g.terms.items():
-                reduced = tuple(a - b for a, b in zip(e, exps))
-                if any(v < 0 for v in reduced):
+                if not all(map(_le, exps, e)):
                     raise AssertionError("intersection element not divisible by the monomial")
-                shifted[reduced] = c
+                shifted[tuple(map(_sub, e, exps))] = c
             divided.append(Polynomial(ideal.field, ideal.nvars, shifted))
         # dividing every exponent by the same monomial preserves reducedness
         return Ideal._with_basis(ideal.field, ideal.nvars, divided, DEGREVLEX)

@@ -7,6 +7,7 @@ number of variables, which is all the Buchberger engine needs.
 
 from __future__ import annotations
 
+from operator import neg
 from typing import Sequence
 
 
@@ -39,7 +40,7 @@ class DegRevLex(MonomialOrder):
     label = "degrevlex"
 
     def key(self, exps):
-        return (sum(exps), tuple(-e for e in reversed(exps)))
+        return (sum(exps), tuple(map(neg, reversed(exps))))
 
 
 class BlockElimination(MonomialOrder):
@@ -59,7 +60,7 @@ class BlockElimination(MonomialOrder):
     def key(self, exps):
         head = tuple(exps[: self.block])
         tail = exps[self.block :]
-        return (head, (sum(tail), tuple(-e for e in reversed(tail))))
+        return (head, (sum(tail), tuple(map(neg, reversed(tail)))))
 
 
 LEX = Lex()

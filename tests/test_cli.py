@@ -200,15 +200,22 @@ class TestErrors:
             ("onecomp_n4.json", "fp:1"),
             ("diag_n3.json", "fp:1"),
             ("n2_64.json", "fp:9"),
+            ("onecomp_n4.json", "fp:-7"),
         ],
     )
     def test_verify_full_rejects_non_prime_field(self, capsys, name, field):
-        # r divides k - 1 here, so only the primality test can refuse k
-        code, _, err = run(
-            capsys, "verify", golden_path(name), "--level", "full", "--field", field
-        )
-        assert code == 4
-        assert "BadPrime" in err
+        # r divides k - 1 here, so only the primality test can refuse k; every
+        # command refuses it, verify at the identities level included
+        for command, *level in (("verify", "--level", "full"), ("verify",), ("decompose",)):
+            code, out, err = run(capsys, command, golden_path(name), *level, "--field", field)
+            assert (code, out) == (4, ""), (command, level)
+            assert "BadPrime" in err
+
+    def test_verify_identities_accepts_a_bad_characteristic(self, capsys):
+        # 7 is prime but not 1 (mod 4); the identity checks run over Z
+        doc = run_json(capsys, "verify", golden_path("simplest_n4.json"), "--field", "fp:7")
+        assert doc["result"]["field"] == "fp:7"
+        assert doc["result"]["ok"]
 
     def test_bad_field_spec(self, capsys):
         code, _, _ = run(

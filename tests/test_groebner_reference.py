@@ -4,15 +4,23 @@ groebner._buchberger picks pairs by sugar and prunes them with the
 Gebauer-Moeller update when an element arrives. _reference_buchberger is
 the engine it replaced: the normal strategy (smallest lcm first), the
 coprime criterion, and on each popped pair a scan over the whole basis for
-the chain criterion. A reduced Groebner basis is unique, so both engines
-must give identical reduced bases: on random binomial ideals, binomial
-ideals plus a monomial and the t-lifted inputs of `intersect`, over GF(p)
-and QQ, under degrevlex and elimination orders. Under degrevlex the bases
-must also equal sympy's. On the ideals of every golden input the new engine
-must make no more S-polynomials than the reference.
+the chain criterion. It divides, builds S-polynomials and reduces with its
+own generator-based kernels (_reference_nf, _reference_spoly,
+_reference_reduce), not with the engine's C-level exponent arithmetic and
+key cache, so the comparison never holds the engine against itself.
+
+A reduced Groebner basis is unique, so both engines must give identical
+reduced bases: on random binomial ideals, binomial ideals plus a monomial
+and the t-lifted inputs of `intersect`, over GF(p) and QQ, under degrevlex
+and elimination orders. Under degrevlex the bases must also equal sympy's,
+and normal_form must give the reference division's remainder. On the ideals
+of every golden input the new engine must make no more S-polynomials than
+the reference, and its S-polynomials, reductions to zero, elements added
+and largest basis are pinned exactly.
 """
 
 import heapq
+import sys
 from typing import List
 
 import pytest
@@ -27,11 +35,80 @@ from pcbideal.oracle import (
     BlockElimination,
     Polynomial,
     groebner_basis,
+    normal_form,
     ring_map_kernel,
 )
 from pcbideal.oracle import groebner as gb
 
 from conftest import load_golden
+
+
+def _reference_nf(work, basis, field, keyf):
+    """Full remainder of `work` modulo monic `basis`; consumes `work`."""
+    remainder = {}
+    zero = field.zero
+    sub = field.sub
+    mul = field.mul
+    while work:
+        m = max(work, key=keyf)
+        c = work.pop(m)
+        for lm, terms in basis:
+            if all(a <= b for a, b in zip(lm, m)):
+                shift = tuple(b - a for a, b in zip(lm, m))
+                for e, ce in terms.items():
+                    if e == lm:
+                        continue
+                    k = tuple(a + b for a, b in zip(e, shift))
+                    s = sub(work.get(k, zero), mul(c, ce))
+                    if s == zero:
+                        work.pop(k, None)
+                    else:
+                        work[k] = s
+                break
+        else:
+            remainder[m] = c
+    return remainder
+
+
+def _reference_spoly(f, g, field):
+    (flm, fterms), (glm, gterms) = f, g
+    lcm = tuple(max(a, b) for a, b in zip(flm, glm))
+    fs = tuple(l - a for l, a in zip(lcm, flm))
+    gs = tuple(l - a for l, a in zip(lcm, glm))
+    out = {}
+    zero = field.zero
+    add = field.add
+    sub = field.sub
+    for e, c in fterms.items():
+        k = tuple(a + b for a, b in zip(e, fs))
+        s = add(out.get(k, zero), c)
+        if s == zero:
+            out.pop(k, None)
+        else:
+            out[k] = s
+    for e, c in gterms.items():
+        k = tuple(a + b for a, b in zip(e, gs))
+        s = sub(out.get(k, zero), c)
+        if s == zero:
+            out.pop(k, None)
+        else:
+            out[k] = s
+    return out
+
+
+def _reference_reduce(G, field, keyf):
+    kept = []
+    for idx in sorted(range(len(G)), key=lambda i: keyf(G[i][0])):
+        lm = G[idx][0]
+        if any(all(a <= b for a, b in zip(klm, lm)) for klm, _ in kept):
+            continue
+        kept.append(G[idx])
+    out = []
+    for i, (lm, terms) in enumerate(kept):
+        others = kept[:i] + kept[i + 1 :]
+        out.append((lm, _reference_nf(dict(terms), others, field, keyf)))
+    out.sort(key=lambda entry: keyf(entry[0]))
+    return out
 
 
 def _reference_buchberger(seeds, field, keyf) -> List[gb.Entry]:
@@ -82,8 +159,8 @@ def _reference_buchberger(seeds, field, keyf) -> List[gb.Entry]:
                     break
         if settled:
             continue
-        s = gb._spoly_dict(G[i], G[j], field)
-        r = gb._nf_dict(s, G, field, keyf)
+        s = _reference_spoly(G[i], G[j], field)
+        r = _reference_nf(s, G, field, keyf)
         if r:
             append(r)
             push_pairs(len(G) - 1)
@@ -94,7 +171,7 @@ def _reference_basis(gens, order):
     polys = [g for g in gens if g.terms]
     field, nvars = polys[0].field, polys[0].nvars
     G = _reference_buchberger([dict(g.terms) for g in polys], field, order.key)
-    return tuple(Polynomial(field, nvars, terms) for _, terms in gb._reduce_basis(G, field, order.key))
+    return tuple(Polynomial(field, nvars, terms) for _, terms in _reference_reduce(G, field, order.key))
 
 
 FIELDS = [GF(2), GF(3), GF(7), QQ]
@@ -145,6 +222,34 @@ def test_engine_matches_the_reference(case):
     if not gens:
         return
     assert groebner_basis(gens, order) == _reference_basis(gens, order)
+
+
+def _monic_entries(basis, order):
+    entries = []
+    for g in basis:
+        monic = g.monic(order)
+        entries.append((max(monic.terms, key=order.key), monic.terms))
+    return entries
+
+
+@settings(max_examples=100, deadline=None)
+@given(binomial_inputs(), st.data())
+def test_normal_form_matches_the_reference_division(case, data):
+    """Division by the drawn family, whose remainder depends on the reducer
+    scan, and by its reduced basis; f is a monomial multiple of a generator
+    plus a few drawn terms."""
+    gens, order = case
+    if not gens:
+        return
+    field, nvars = gens[0].field, gens[0].nvars
+    exps = st.tuples(*[st.integers(min_value=0, max_value=4)] * nvars)
+    g = data.draw(st.sampled_from(gens))
+    f = Polynomial.monomial(field, nvars, data.draw(exps)) * g + Polynomial.from_terms(
+        field, nvars, data.draw(st.lists(st.tuples(st.integers(1, 6), exps), max_size=4))
+    )
+    for basis in (gens, groebner_basis(gens, order)):
+        expected = _reference_nf(dict(f.terms), _monic_entries(basis, order), field, order.key)
+        assert normal_form(f, basis, order) == Polynomial(field, nvars, expected)
 
 
 @st.composite
@@ -205,13 +310,16 @@ def _golden_ideals(P, field):
 @pytest.mark.parametrize("name,p", GOLDEN_CASES)
 def test_engine_makes_no_more_spolynomials_on_goldens(name, p, monkeypatch):
     count = [0]
-    spoly = gb._spoly_dict
 
-    def counted(*args):
-        count[0] += 1
-        return spoly(*args)
+    def counting(spoly):
+        def counted(*args):
+            count[0] += 1
+            return spoly(*args)
 
-    monkeypatch.setattr(gb, "_spoly_dict", counted)
+        return counted
+
+    monkeypatch.setattr(gb, "_spoly_dict", counting(gb._spoly_dict))
+    monkeypatch.setattr(sys.modules[__name__], "_reference_spoly", counting(_reference_spoly))
     engine = gb._buchberger
     for label, build in _golden_ideals(load_golden(name), GF(p)):
         count[0] = 0
@@ -222,3 +330,68 @@ def test_engine_makes_no_more_spolynomials_on_goldens(name, p, monkeypatch):
         monkeypatch.setattr(gb, "_buchberger", engine)
         assert ours == theirs, label
         assert new <= old, (label, new, old)
+
+
+def _engine_work(build, monkeypatch):
+    """(S-polynomials, reductions to zero, elements added, largest basis grown)
+    over the Buchberger runs of build(): the first three summed, the last
+    the largest final G of any one run."""
+    work = {"spolys": 0, "zeros": 0, "added": 0, "largest": 0}
+    reducing = [False]
+    spoly, nf, engine = gb._spoly_dict, gb._nf_dict, gb._buchberger
+
+    def counted_spoly(*args):
+        work["spolys"] += 1
+        reducing[0] = True  # _buchberger divides each S-polynomial right away
+        return spoly(*args)
+
+    def counted_nf(*args):
+        r = nf(*args)
+        if reducing[0]:
+            reducing[0] = False
+            work["zeros"] += not r
+        return r
+
+    def counted_engine(seeds, *args):
+        kept = work["spolys"] - work["zeros"]
+        G = engine(seeds, *args)
+        grown = len(seeds) + work["spolys"] - work["zeros"] - kept  # G never shrinks
+        work["added"] += grown
+        work["largest"] = max(work["largest"], grown)
+        return G
+
+    with monkeypatch.context() as m:
+        m.setattr(gb, "_spoly_dict", counted_spoly)
+        m.setattr(gb, "_nf_dict", counted_nf)
+        m.setattr(gb, "_buchberger", counted_engine)
+        build()
+    return tuple(work.values())
+
+
+# (S-polynomials, reductions to zero, elements added, largest basis grown) of
+# the engine on each golden ideal, recorded before its exponent arithmetic
+# moved to C: any change in pair selection or reducer choice moves them.
+PINNED_WORK = {
+    "diag_n3.json": {"I": (2, 2, 3, 3), "S": (12, 7, 9, 9), "kernel": (2, 0, 5, 5)},
+    "n3_doubled.json": {"I": (2, 2, 3, 3), "S": (12, 7, 9, 9), "kernel": (2, 0, 5, 5)},
+    "n2_64.json": {"I": (1, 1, 2, 2), "S": (1, 1, 2, 2), "kernel": (5, 2, 5, 5)},
+    "onecomp_n4.json": {
+        "I": (24, 17, 11, 11), "S": (76, 55, 26, 26), "E": (41, 30, 16, 16), "kernel": (103, 68, 39, 39),
+    },
+    "simplest_n4.json": {
+        "I": (12, 9, 7, 7), "S": (56, 40, 21, 21), "E": (34, 25, 14, 14), "kernel": (3, 0, 7, 7),
+    },
+    "n3_mixed.json": {"I": (2, 2, 3, 3), "S": (15, 9, 10, 10), "kernel": (17, 9, 11, 11)},
+    "diag_n5.json": {
+        "I": (92, 70, 27, 27), "S": (267, 212, 61, 61), "E": (193, 153, 46, 46), "kernel": (4, 0, 9, 9),
+    },
+}
+
+
+@pytest.mark.parametrize("name,p", GOLDEN_CASES)
+def test_engine_work_is_pinned_on_goldens(name, p, monkeypatch):
+    work = {
+        label: _engine_work(build, monkeypatch)
+        for label, build in _golden_ideals(load_golden(name), GF(p))
+    }
+    assert work == PINNED_WORK[name]
