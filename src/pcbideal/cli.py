@@ -17,6 +17,7 @@ failure. This module parses, dispatches and renders; the checks behind
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -82,11 +83,10 @@ def _parse_field(text: str, allow_symbolic: bool) -> Tuple[str, Optional[int]]:
         return "symbolic", None
     if not allow_symbolic and text == "q":
         return "q", None
-    if text.startswith("fp:"):
-        try:
-            p = int(text[3:])
-        except ValueError:
-            raise SchemaError(f"bad field spec {text!r}") from None
+    digits = text[3:].removeprefix("-")
+    # int() alone would also read "1_1", "+7", " 7" and non-ASCII digits
+    if text.startswith("fp:") and digits.isascii() and digits.isdigit():
+        p = int(text[3:])
         prime_field(p)  # a non-prime p is BadPrime at every level, not only where F_p is used
         return "fp", p
     raise SchemaError(f"bad field spec {text!r}")
@@ -228,7 +228,10 @@ def _print_pretty(command: str, payload: Dict, digest: str, ms: int) -> None:
         print(f"  overall: {'ok' if payload['ok'] else 'FAILED'}")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one in
+    the process (parse_args leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="pcb",
         description="Exact invariants and primary decomposition for PCB matrices.",

@@ -8,10 +8,14 @@ is the ideal plus the single syzygy monomial x^{b(n)}. Everything here is
 verified computation: candidates are produced by formula and then checked
 against the Groebner oracle. verify_full_decomposition is the one place
 that does so: it builds the ideal, its hull and the embedded component once
-and decides every verification question on them. Over F_p one elimination
-realizes the trivial-character component and torus twists give the others;
-that they meet in the hull is certified by a Hilbert-series degree count,
-not by intersecting them.
+and decides every verification question on them, each fact once. The hull
+S and the embedded component E meet in the ideal, and S is stable under
+the colon by x^{b(n)}, because S is saturated by x_1 (see
+embedded_checks); neither fact is recomputed. Over F_p one elimination
+realizes the trivial-character component and torus twists give the
+others; that they meet in the hull is certified by a Hilbert-series
+degree count, and that the hull lies in each of them by one containment
+and the twist (see _chain_checks), not by intersecting them.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .core import (
@@ -41,7 +47,6 @@ from .oracle import (
     PrimeField,
     colon,
     dimension_one_degree,
-    intersect,
     ring_map_kernel,
     saturate,
 )
@@ -205,19 +210,37 @@ def embedded_component(P: PcbMatrix, field) -> Ideal:
     return Ideal(field, n, I.gens + (socle_monomial(P, field),))
 
 
-def embedded_checks(I: Ideal, S: Ideal, E: Ideal, xb: Polynomial) -> List[Tuple[str, bool]]:
-    """Prove E the embedded component of I, with hull S = I : x^{b(n)}.
+def embedded_checks(I: Ideal, S: Ideal, E: Ideal, saturated: bool) -> List[Tuple[str, bool]]:
+    """Prove E = I + (x^{b(n)}) the embedded component of I, with hull
+    S = I : x^{b(n)}. saturated is a boolean already computed that, when
+    True, proves S : x_1 = S: the hull check I : x_1^∞ = S, or the colon
+    itself in the char-2 case. No colon and no intersection is computed
+    here: both facts below are read off saturated, and a False reports
+    both checks False.
 
-    "embedded component verified": the colon by x^{b(n)} stabilizes after
-    one step (S : x^{b(n)} = S), S differs from I, and the leading ideal
-    of E holds a pure power of every variable, so E is primary to
-    (x_1, ..., x_n) (see _primary_to_maximal). "hull meets
-    embedded component in the ideal": S meets E in I.
+    Lemma A (positivity). Each generator is f_j = x_j^{a_jj} minus the
+    product of x_i^{a_ij} over i != j, and every a_ij is positive. A prime
+    that holds I and x_k holds, for each j != k, the product in f_j, which
+    has x_k as a factor, hence x_j^{a_jj} and x_j: it holds every
+    variable. Let T ⊇ I with T : x_1 = T. An associated prime of T that
+    held a variable would be (x_1, ..., x_n) and would hold x_1, a
+    nonzerodivisor modulo T. So every variable is a nonzerodivisor modulo
+    T, and T : m = T for every monomial m. With T = S: S : x^{b(n)} = S.
+
+    Lemma B. Write f = x^{b(n)}, so S = I : f, and let S : f = S. Take
+    z = a + hf in S ∩ (I + (f)) with a in I. Then zf and af lie in I, so
+    hf^2 does, h lies in I : f^2 = S : f = S, hf lies in I, and so does z.
+    Hence S ∩ E = I.
+
+    "embedded component verified": S : x^{b(n)} = S (Lemma A), S differs
+    from I, and the leading ideal of E holds a pure power of every
+    variable, so E is primary to (x_1, ..., x_n) (see
+    _primary_to_maximal). "hull meets embedded component in the ideal":
+    S ∩ E = I (Lemma B).
     """
-    verified = colon(S, xb) == S and S != I and _primary_to_maximal(E)
     return [
-        ("embedded component verified", verified),
-        ("hull meets embedded component in the ideal", intersect(S, E) == I),
+        ("embedded component verified", saturated and S != I and _primary_to_maximal(E)),
+        ("hull meets embedded component in the ideal", saturated),
     ]
 
 
@@ -288,26 +311,52 @@ def prime_field_for(P: PcbMatrix, p: int) -> Tuple[PrimeField, bool]:
 
 @dataclass(frozen=True)
 class PrimeFieldRealization:
+    """The isolated components over F_p: trivial is P_0, the kernel of the
+    trivial-character map psi_0: x_i -> t^{nu_i}, and kernels[i] is its
+    twist D_{-e}(P_0) by the character e of specs[i], so no component is
+    stored apart from P_0 and its character.
+
+    Write psi_e for x_i -> zeta^{e_i} t^{nu_i} and D_e for the substitution
+    x_i -> zeta^{e_i} x_i (Eisenbud-Sturmfels, "Binomial ideals"). Then
+    psi_e = psi_0 o D_e, so ker psi_e = D_e^{-1}(ker psi_0) = D_{-e}(P_0).
+    D_{-e} multiplies each term c x^a by the unit zeta^{-e.a}, so it keeps
+    every leading and every standard monomial: applied to the reduced basis
+    of P_0 and made monic again, it gives the reduced basis of ker psi_e
+    exactly.
+    """
+
     p: int
     r: int
     zeta: int
     specs: Tuple[ComponentSpec, ...]
-    kernels: Tuple[Ideal, ...]
+    trivial: Ideal
+
+    @cached_property
+    def kernels(self) -> Tuple[Ideal, ...]:
+        field, n = self.trivial.field, self.trivial.nvars
+        powers = [pow(self.zeta, k, self.p) for k in range(self.r)]
+        basis = self.trivial.groebner()
+        kernels = []
+        for s in self.specs:
+            e = s.coeff_exponents
+            twisted = []
+            for g, lm in zip(basis, _leading_monomials(basis)):
+                lead = sum(map(mul, e, lm))
+                # c x^a -> c zeta^{-e.a} x^a, divided by the new leading coefficient
+                twisted.append(Polynomial(field, n, {
+                    a: field.mul(c, powers[(lead - sum(map(mul, e, a))) % self.r])
+                    for a, c in g.terms.items()
+                }))
+            kernels.append(Ideal._with_basis(field, n, twisted, DEGREVLEX))
+        return tuple(kernels)
 
 
 def realize_over_prime_field(P: PcbMatrix, p: int) -> PrimeFieldRealization:
     """Instantiate every isolated component over F_p, p = 1 (mod r).
 
     zeta is g^((p-1)/r) for the least primitive root g, so the realization
-    is reproducible. One elimination computes P_0, the kernel of the
-    trivial-character map psi_0: x_i -> t^{nu_i}; every other kernel is a
-    twist of it (Eisenbud-Sturmfels, "Binomial ideals"). Write psi_e for
-    x_i -> zeta^{e_i} t^{nu_i} and D_e for the substitution
-    x_i -> zeta^{e_i} x_i. Then psi_e = psi_0 o D_e, so
-    ker psi_e = D_e^{-1}(ker psi_0) = D_{-e}(P_0). D_{-e} multiplies each
-    term c x^a by the unit zeta^{-e.a}, so it keeps every leading and every
-    standard monomial: applied to the reduced basis of P_0 and made monic
-    again, it gives the reduced basis of ker psi_e exactly.
+    is reproducible. One elimination computes P_0; the realization twists
+    it into every other component (see PrimeFieldRealization).
     """
     field, good = prime_field_for(P, p)
     specs = enumerate_components(P)
@@ -315,22 +364,8 @@ def realize_over_prime_field(P: PcbMatrix, p: int) -> PrimeFieldRealization:
     if not good:
         raise BadPrime(p, r)  # the components collapse; none is realized apart
     zeta = pow(least_primitive_root(p), (p - 1) // r, p) if r > 1 else 1
-    powers = [pow(zeta, k, p) for k in range(r)]
     trivial = ring_map_kernel([Polynomial.monomial(field, 1, (w,)) for w in specs[0].weights])
-    basis = trivial.groebner()
-    kernels = []
-    for s in specs:
-        e = s.coeff_exponents
-        twisted = []
-        for g, lm in zip(basis, _leading_monomials(basis)):
-            lead = sum(a * b for a, b in zip(e, lm))
-            # c x^a -> c zeta^{-e.a} x^a, divided by the new leading coefficient
-            twisted.append(Polynomial(field, P.n, {
-                a: field.mul(c, powers[(lead - sum(x * y for x, y in zip(e, a))) % r])
-                for a, c in g.terms.items()
-            }))
-        kernels.append(Ideal._with_basis(field, P.n, twisted, DEGREVLEX))
-    return PrimeFieldRealization(p, r, zeta, specs, tuple(kernels))
+    return PrimeFieldRealization(p, r, zeta, specs, trivial)
 
 
 @dataclass(frozen=True)
@@ -402,7 +437,7 @@ def _hull_checks(P: PcbMatrix, I: Ideal, S: Ideal, xb: Polynomial) -> List[Tuple
 
 
 def _char2_checks(
-    P: PcbMatrix, I: Ideal, S: Ideal, embedded: List[Tuple[str, bool]]
+    P: PcbMatrix, I: Ideal, S: Ideal, embedded: List[Tuple[str, bool]], saturated: bool
 ) -> List[Tuple[str, bool]]:
     """Verification for the one worked char-2 case, p | d.
 
@@ -415,7 +450,9 @@ def _char2_checks(
     F_2, (x_i - x_4)^4 = x_i^4 - x_4^4, so these generate the Frobenius
     power a^[4]); the seventh ordinary power a^7 lies in S (seventh is
     sharp: a^6 is not inside, and neither is (x1-x4)^2(x2-x4)^2 in a^4);
-    S sits inside a; S differs from I; S : x1 = S; and S meets E in I.
+    S sits inside a; S differs from I; S : x1 = S (saturated, computed
+    once by the caller); and S meets E in I, which embedded_checks reads
+    off S : x1 = S (its Lemma B).
 
     Why they suffice. a^7 <= S <= a with a prime gives rad S = a, so every
     associated prime of S contains a. S is homogeneous, so its associated
@@ -429,17 +466,14 @@ def _char2_checks(
     and dropping S leaves E, which contains a power of x1 and so is not
     inside a, while I is.
     """
-    field = I.field
-    n = P.n
-    a_gens = diagonal_prime_gens(P, field)
-    x1 = Polynomial.variable(field, n, 0)
+    a_gens = diagonal_prime_gens(P, I.field)
     verified, meets = embedded
     checks = [
         ("fourth power of each prime generator inside the hull", all(S.contains(g * g * g * g) for g in a_gens)),
         ("seventh power of the diagonal prime inside the hull", _power_inside(S, a_gens, 7)),
-        ("hull inside the diagonal prime", Ideal(field, n, a_gens).includes(S)),
+        ("hull inside the diagonal prime", Ideal(I.field, P.n, a_gens).includes(S)),
         ("hull differs from the ideal", S != I),
-        ("hull saturated by x_1", colon(S, x1) == S),
+        ("hull saturated by x_1", saturated),
         meets,
     ]
     for name, ok in [verified] + checks:
@@ -453,30 +487,26 @@ def _leading_monomials(basis: Sequence[Polynomial]) -> Tuple[Tuple[int, ...], ..
 
 
 def _intersection_witness(
-    kernels: Sequence[Ideal], S: Ideal, nu: Sequence[int], saturated: bool
+    real: PrimeFieldRealization, S: Ideal, nu: Sequence[int], saturated: bool
 ) -> Optional[str]:
     """None when the degree certificate proves S = P_1 ∩ ... ∩ P_d (see
     _chain_checks), else the first fact that fails."""
     if not saturated:
         return "hull not saturated by x_1"
+    P1 = real.kernels[0]
     hull_basis = S.groebner()
-    for i, K in enumerate(kernels):
-        if not all(K.contains(g) for g in hull_basis):
-            return f"a hull generator has a nonzero normal form modulo component {i + 1}"
-    degrees = {}
-    seen = set()
-    total = 0
-    for i, K in enumerate(kernels):
-        basis = K.groebner()
-        if basis in seen:
-            continue  # a repeated component adds no prime; irredundancy reports it
-        seen.add(basis)
-        lead = _leading_monomials(basis)
-        if lead not in degrees:
-            degrees[lead] = dimension_one_degree(lead, nu)
-        if degrees[lead] is None:
-            return f"component {i + 1} is not of dimension one"
-        total += degrees[lead]
+    if not all(P1.contains(g) for g in hull_basis):
+        return "a hull generator has a nonzero normal form modulo component 1"
+    e1 = real.specs[0].coeff_exponents
+    for i, s in enumerate(real.specs[1:], start=2):
+        e = [a - b for a, b in zip(s.coeff_exponents, e1)]
+        if any(len({sum(map(mul, e, a)) % real.r for a in g.terms}) > 1 for g in hull_basis):
+            return f"the twist to component {i} moves a hull generator"
+    degree = dimension_one_degree(_leading_monomials(P1.groebner()), nu)
+    if degree is None:
+        return "component 1 is not of dimension one"
+    # a repeated component adds no prime; irredundancy reports it
+    total = degree * len({K.groebner() for K in real.kernels})
     hull_degree = dimension_one_degree(_leading_monomials(hull_basis), nu)
     if hull_degree is None:
         return "hull is not of dimension one"
@@ -486,7 +516,7 @@ def _intersection_witness(
 
 
 def _chain_checks(
-    kernels: Sequence[Ideal],
+    real: PrimeFieldRealization,
     I: Ideal,
     S: Ideal,
     meets: Optional[bool],
@@ -496,11 +526,15 @@ def _chain_checks(
     """Prove I = P_1 ∩ ... ∩ P_d (∩ E) and that no component is redundant;
     returns the checks and the number of components.
 
-    kernels are the realized isolated components P_i, S is the hull
-    I : x^{b(n)}, and meets says whether S ∩ E = I (embedded_checks
-    computed it); it is None for n <= 3, where there is no E. nu is the
-    weight vector, and saturated says whether I : x_1^∞ = S (the hull check
-    "saturation by x_1 agrees with the colon").
+    real holds the isolated components: P_i is the twist D_{-e_i}(P_0) of
+    the trivial-character kernel P_0 by the character e_i of its i-th
+    spec (see PrimeFieldRealization), so a component can differ from the
+    realized one only through its character, and the certificate names
+    it. S is the hull I : x^{b(n)}, and meets says whether S ∩ E = I
+    (embedded_checks decided it); it is None for n <= 3, where there is no
+    E. nu is the weight vector, and saturated says whether
+    I : x_1^∞ = S (the hull check "saturation by x_1 agrees with the
+    colon").
 
     Intersection. No ideal is intersected. Grade by deg x_i = nu_i: I is
     homogeneous because nu L = 0, hence so is S, and so is every P_i, the
@@ -509,14 +543,24 @@ def _chain_checks(
     1. S : x_1 = S, because S is a saturation by x_1, which one more colon
        by x_1 does not move. So x_1 is a nonzerodivisor modulo S, and the
        irrelevant ideal (x_1, ..., x_n) is not associated to S.
-    2. S ⊆ P_i for every i: each element of S's reduced basis has normal
-       form zero modulo the reduced basis of P_i.
+    2. S ⊆ P_i for every i. For i = 1: each element of S's reduced basis
+       has normal form zero modulo the reduced basis of P_1. For i >= 2,
+       P_i = D_{-e}(P_1) with e = e_i - e_1. D_{-e} multiplies a term x^a
+       by zeta^{-e.a}, and zeta has order r, so it maps a polynomial whose
+       terms all have the same e.a (mod r) to a unit multiple of itself.
+       Every element of S's reduced basis is such a polynomial for e:
+       for a binomial x^u - x^v that says e.(u - v) = 0 (mod r), checked
+       in integers. So D_{-e} maps S into itself, its inverse D_e does
+       too, D_e(S) ⊆ S ⊆ P_1, and S ⊆ D_{-e}(P_1) = P_i. Only the
+       normal forms modulo P_1 are computed.
     3. The P_i are pairwise distinct: their reduced bases are.
     4. dim S = 1, each P_i has dimension one, and deg S = Σ deg P_i over
        the distinct P_i. Dimension and degree come from the nu-graded
        Hilbert series of the leading ideal (oracle.dimension_one_degree,
        after Bayer-Stillman), which for a homogeneous ideal equals the
-       ideal's own; each degree is computed once per leading ideal.
+       ideal's own. The reduced basis of P_i is that of P_0 with each
+       term scaled by a unit, so every P_i has the leading ideal of P_1,
+       and its dimension and degree are computed once, for P_1.
     By 2 and 4 each P_i is a minimal prime of S of dimension one. The
     associativity formula gives deg S = Σ_P length(S_P) deg P over all
     minimal primes P of S of dimension one, every deg P > 0, so by 3 and 4
@@ -527,9 +571,10 @@ def _chain_checks(
     S = P_1 ∩ ... ∩ P_d. Then for n >= 4, S ∩ E = I gives the whole
     intersection; for n <= 3, S = I does. A failure raises
     VerificationFailed with one witness after the message: S ∩ E != I (or
-    S != I), an unsaturated hull, the first component modulo which a hull
-    generator has a nonzero normal form, a dimension other than one, or
-    the two degrees that differ.
+    S != I), an unsaturated hull, a hull generator with a nonzero normal
+    form modulo P_1, the first component whose twist moves a hull
+    generator, a dimension other than one, or the two degrees that
+    differ.
 
     Irredundancy. Each P_i has dimension one and holds no monomial (a
     monomial maps to a nonzero term). Suppose P_j is redundant: the meet
@@ -546,15 +591,15 @@ def _chain_checks(
         witness = None if S == I else "hull differs from the ideal"
     else:
         witness = None if meets else "hull meets the embedded component outside the ideal"
-    witness = witness or _intersection_witness(kernels, S, nu, saturated)
+    witness = witness or _intersection_witness(real, S, nu, saturated)
     if witness:
         raise VerificationFailed(f"intersection of all components is not the ideal: {witness}")
     checks = [("intersection of all components equals the ideal", True)]
-    bases = Counter(K.groebner() for K in kernels)
-    for j, K in enumerate(kernels):
+    bases = Counter(K.groebner() for K in real.kernels)
+    for j, K in enumerate(real.kernels):
         if bases[K.groebner()] > 1:
             raise VerificationFailed(f"component {j + 1} is redundant", index=j)
-    k = len(kernels)
+    k = len(real.kernels)
     if meets is not None:
         k += 1
         if S == I:
@@ -567,31 +612,35 @@ def verify_full_decomposition(P: PcbMatrix, p: Optional[int] = None) -> Decompos
     """Every check of `pcb verify --level full`, over F_p, or over Q when p is None.
 
     The ideal I, its hull S = I : x^{b(n)} and, for n >= 4, the embedded
-    component E = I + (x^{b(n)}) are built once here, and S meets E once;
-    every check below shares them. Over Q and over a good F_p (see
-    prime_field_for) the hull checks and the embedded-component checks
-    run; over F_p the isolated components are then realized, certified to
-    meet in S by a degree count and proved irredundant from their
-    primality (see _chain_checks). In the char-2 case the collapse
-    checks run instead. A failed chain or char-2 check raises
-    VerificationFailed; the others report False.
+    component E = I + (x^{b(n)}) are built once here; every check below
+    shares them. Over Q and over a good F_p (see prime_field_for) the hull
+    checks run, and their boolean "saturation by x_1 agrees with the
+    colon" decides the embedded-component checks (see embedded_checks);
+    over F_p the isolated components are then realized, certified to meet
+    in S by a degree count and proved irredundant from their primality
+    (see _chain_checks). In the char-2 case the collapse checks run
+    instead, on the boolean S : x_1 = S. A failed chain or char-2 check
+    raises VerificationFailed; the others report False.
     """
     field, good = (QQ, True) if p is None else prime_field_for(P, p)
     I = pcb_ideal(P, field)
     xb = socle_monomial(P, field)
     S = colon(I, xb)
-    E = embedded_component(P, field) if P.n >= 4 else None
-    embedded = embedded_checks(I, S, E, xb) if E is not None else []
+    if good:
+        checks = _hull_checks(P, I, S, xb)
+        saturated = dict(checks)["saturation by x_1 agrees with the colon"]
+    else:
+        saturated = colon(S, Polynomial.variable(field, P.n, 0)) == S
+    embedded = embedded_checks(I, S, embedded_component(P, field), saturated) if P.n >= 4 else []
     count = None
     if not good:
-        checks, count = _char2_checks(P, I, S, embedded), 2
+        checks, count = _char2_checks(P, I, S, embedded, saturated), 2
     else:
-        checks = _hull_checks(P, I, S, xb) + embedded
+        checks += embedded
         if p is not None:
             meets = embedded[1][1] if embedded else None
-            saturated = dict(checks)["saturation by x_1 agrees with the colon"]
-            kernels = realize_over_prime_field(P, p).kernels
-            chain, count = _chain_checks(kernels, I, S, meets, associated_vector(P)[2], saturated)
+            real = realize_over_prime_field(P, p)
+            chain, count = _chain_checks(real, I, S, meets, associated_vector(P)[2], saturated)
             checks += chain
     if count is not None:
         checks.append((f"component count is {count}", True))

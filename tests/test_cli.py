@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pcbideal
 from pcbideal.cli import main
 
 from conftest import LARGE_WEIGHTS, golden_path
@@ -218,13 +223,45 @@ class TestErrors:
         assert doc["result"]["ok"]
 
     def test_bad_field_spec(self, capsys):
-        code, _, _ = run(
-            capsys, "decompose", golden_path("simplest_n4.json"), "--field", "fp:abc"
-        )
-        assert code == 2
+        # only ASCII digits, after an optional minus sign, name a field:
+        # int() would read each spec after the first as 11 or 7
+        for field in ("fp:abc", "fp:1_1", "fp:+7", "fp: 7", "fp:\u0667"):
+            for command in ("decompose", "verify"):
+                code, out, err = run(capsys, command, golden_path("simplest_n4.json"), "--field", field)
+                assert (code, out) == (2, ""), (field, command)
+                assert "bad field spec" in err
 
     def test_verify_rejects_symbolic(self, capsys):
         code, _, _ = run(
             capsys, "verify", golden_path("simplest_n4.json"), "--field", "symbolic"
         )
         assert code == 2
+
+
+class TestOneProcess:
+    def test_repeated_calls_match_separate_runs(self, capsys):
+        # main builds its parser once per process; an argparse error on the
+        # way must leave the next command as it would be in a fresh process
+        jobs = [
+            ["analyze", golden_path("simplest_n4.json")],
+            ["verify", golden_path("simplest_n4.json"), "--level", "bogus"],
+            ["verify", golden_path("diag_n3.json"), "--field", "fp:7", "--level", "full"],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(pcbideal.__file__).parent.parent))
+        for argv in jobs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            alone = subprocess.run(
+                [sys.executable, "-m", "pcbideal.cli", *argv], capture_output=True, text=True, env=env
+            )
+            assert (code, out.err) == (alone.returncode, alone.stderr), argv
+            if code == 0:
+                got, want = json.loads(out.out), json.loads(alone.stdout)
+                got.pop("elapsed_ms")
+                want.pop("elapsed_ms")
+                assert got == want
+            else:
+                assert code == 2 and out.out == alone.stdout == ""

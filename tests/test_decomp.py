@@ -27,6 +27,7 @@ from pcbideal.oracle import (
     QQ,
     Ideal,
     Polynomial,
+    colon,
     intersect,
     ring_map_kernel,
 )
@@ -162,10 +163,18 @@ class TestEmbedded:
         # I itself contains no power of x1, so it is no embedded component
         I = pcb_ideal(simplest, QQ)
         S = hull(simplest, QQ)
-        checks = dict(embedded_checks(I, S, I, socle_monomial(simplest, QQ)))
+        saturated = colon(S, Polynomial.variable(QQ, 4, 0)) == S
+        checks = dict(embedded_checks(I, S, I, saturated))
         assert checks["embedded component verified"] is False
         comp = embedded_component(simplest, QQ)
-        assert all(ok for _, ok in embedded_checks(I, S, comp, socle_monomial(simplest, QQ)))
+        assert all(ok for _, ok in embedded_checks(I, S, comp, saturated))
+
+    def test_unsaturated_hull_verifies_nothing(self, simplest):
+        # both embedded facts are read off S : x_1 = S; without it neither holds
+        I = pcb_ideal(simplest, QQ)
+        S = hull(simplest, QQ)
+        comp = embedded_component(simplest, QQ)
+        assert not any(ok for _, ok in embedded_checks(I, S, comp, False))
 
     def test_simplest_alternative_presentation(self, simplest):
         # adding x1 instead of the socle monomial also lands m-primary:

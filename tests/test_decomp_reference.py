@@ -1,8 +1,9 @@
 """The cheap proofs in decomp held against the brute-force routines they replaced.
 
 _chain_checks proves that the isolated components meet in the hull by a
-degree count and irredundancy from primality: the isolated components are
-distinct primes of dimension one holding no monomial. Two proofs it
+degree count, with the hull inside every component from one containment
+and the twist, and irredundancy from primality: the isolated components
+are distinct primes of dimension one holding no monomial. Two proofs it
 replaced stay here as references: _reference_kernel_chain intersects the
 kernels in one chain of d - 1 intersections and compares the result with
 the hull, and _reference_chain drops each component in turn and
@@ -11,10 +12,13 @@ realize_over_prime_field twists one kernel into all d;
 _reference_kernels eliminates once per character.
 _primary_to_maximal reads finite colength off the leading ideal;
 _reference_primary_to_maximal searches a power of every variable inside
-the ideal, bounded by the dimension of the quotient. The two sides must
-agree, on real inputs and on altered component lists.
+the ideal, bounded by the dimension of the quotient. embedded_checks reads
+S : x^{b(n)} = S and S ∩ E = I off the saturation of the hull by x_1;
+_reference_embedded_checks computes the colon and the intersection. The
+two sides must agree, on real inputs and on altered component lists.
 """
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -23,17 +27,20 @@ from typing import List, Optional, Sequence, Tuple
 
 import pytest
 
+from pcbideal import decomp
 from pcbideal.core import associated_vector, normalized_snf
 from pcbideal.decomp import (
     VerificationFailed,
     _chain_checks,
     _primary_to_maximal,
+    embedded_checks,
     embedded_component,
     enumerate_components,
     least_primitive_root,
     pcb_ideal,
     realize_over_prime_field,
     socle_monomial,
+    verify_full_decomposition,
 )
 from pcbideal.oracle import (
     DEGREVLEX,
@@ -113,6 +120,15 @@ def _reference_chain(parts: Sequence[Ideal], I: Ideal) -> int:
     return k
 
 
+def _reference_embedded_checks(I: Ideal, S: Ideal, E: Ideal, xb: Polynomial):
+    """The embedded checks with S : x^{b(n)} = S and S ∩ E = I computed."""
+    verified = colon(S, xb) == S and S != I and _primary_to_maximal(E)
+    return [
+        ("embedded component verified", verified),
+        ("hull meets embedded component in the ideal", intersect(S, E) == I),
+    ]
+
+
 def _pure_power_bounds(basis: Sequence[Polynomial], nvars: int) -> List[Optional[int]]:
     bounds: List[Optional[int]] = [None] * nvars
     for g in basis:
@@ -167,8 +183,8 @@ def _outcome(run) -> Tuple[Optional[str], Optional[int], Optional[int]]:
     return None, None, k
 
 
-def _new(kernels, I, S, meets, nu, saturated):
-    checks, k = _chain_checks(kernels, I, S, meets, nu, saturated)
+def _new(real, I, S, meets, nu, saturated):
+    checks, k = _chain_checks(real, I, S, meets, nu, saturated)
     assert checks == CHECKS
     return k
 
@@ -188,8 +204,8 @@ def _least_good_prime(P) -> int:
 
 
 def _setup(P, p: int):
-    """Kernels, I, the hull S, E (None for n <= 3), whether S ∩ E = I, nu,
-    and whether the saturation of I by x_1 is S."""
+    """The realization, I, the hull S, E (None for n <= 3), whether
+    S ∩ E = I, nu, and whether the saturation of I by x_1 is S."""
     field = GF(p)
     I = pcb_ideal(P, field)
     S = colon(I, socle_monomial(P, field))
@@ -197,12 +213,26 @@ def _setup(P, p: int):
     meets = None if E is None else intersect(S, E) == I
     saturated = saturate(I, Polynomial.variable(field, P.n, 0))[0] == S
     nu = associated_vector(P)[2]
-    return list(realize_over_prime_field(P, p).kernels), I, S, E, meets, nu, saturated
+    return realize_over_prime_field(P, p), I, S, E, meets, nu, saturated
 
 
-def _agree(kernels, I, S, E, meets, nu, saturated):
+def _with_specs(real, specs):
+    """The realization with other characters: its kernels are the twists
+    of the same trivial-character kernel by them."""
+    return dataclasses.replace(real, specs=tuple(specs))
+
+
+def _non_character(spec):
+    """x_1 -> zeta t^{nu_1}, x_i -> t^{nu_i} otherwise: no character of the
+    torsion group when r does not divide every entry of the first row of L."""
+    n = len(spec.coeff_exponents)
+    return dataclasses.replace(spec, coeff_exponents=(1,) + (0,) * (n - 1))
+
+
+def _agree(real, I, S, E, meets, nu, saturated):
+    kernels = list(real.kernels)
     parts = kernels + ([E] if E is not None else [])
-    new = _outcome(lambda: _new(kernels, I, S, meets, nu, saturated))
+    new = _outcome(lambda: _new(real, I, S, meets, nu, saturated))
     assert new == _outcome(lambda: _kernel_chain(kernels, I, S, meets))
     assert new == _outcome(lambda: _reference_chain(parts, I))
     return new
@@ -221,17 +251,17 @@ GOLDEN_CASES = [
 @pytest.mark.parametrize("name,p", GOLDEN_CASES)
 def test_chain_agrees_with_the_reference_on_goldens(name, p):
     P = load_golden(name)
-    kernels, I, S, E, meets, nu, saturated = _setup(P, p)
-    expected = len(kernels) + (E is not None)
-    assert _agree(kernels, I, S, E, meets, nu, saturated) == (None, None, expected)
+    real, I, S, E, meets, nu, saturated = _setup(P, p)
+    expected = len(real.kernels) + (E is not None)
+    assert _agree(real, I, S, E, meets, nu, saturated) == (None, None, expected)
 
 
 def test_chain_agrees_with_the_reference_on_random_n3():
     rng = random.Random(83)
     for _ in range(12):
         P = random_pcb(rng, 3, max_entry=2)
-        kernels, I, S, E, meets, nu, saturated = _setup(P, _least_good_prime(P))
-        assert _agree(kernels, I, S, E, meets, nu, saturated) == (None, None, len(kernels))
+        real, I, S, E, meets, nu, saturated = _setup(P, _least_good_prime(P))
+        assert _agree(real, I, S, E, meets, nu, saturated) == (None, None, len(real.kernels))
 
 
 @pytest.fixture(scope="module")
@@ -240,8 +270,8 @@ def diag_n3_f7():
 
 
 def test_duplicated_kernel_is_redundant(diag_n3_f7):
-    kernels, I, S, E, meets, nu, saturated = diag_n3_f7
-    doubled = kernels + [kernels[0]]
+    real, I, S, E, meets, nu, saturated = diag_n3_f7
+    doubled = _with_specs(real, real.specs + real.specs[:1])
     with pytest.raises(VerificationFailed, match="component 1 is redundant") as err:
         _chain_checks(doubled, I, S, meets, nu, saturated)
     assert err.value.index == 0
@@ -251,36 +281,39 @@ def test_duplicated_kernel_is_redundant(diag_n3_f7):
 def test_embedded_component_over_its_hull_is_redundant(diag_n3_f7):
     # over n = 3, S = I: any (x)-primary E containing I meets S in I and
     # adds nothing, so it must be named as the last component
-    kernels, I, S, _, _, nu, saturated = diag_n3_f7
+    real, I, S, _, _, nu, saturated = diag_n3_f7
     assert S == I
     field = I.field
     E = Ideal(field, 3, list(I.gens) + [Polynomial.variable(field, 3, i) for i in range(3)])
-    k = len(kernels) + 1
+    k = len(real.kernels) + 1
     with pytest.raises(VerificationFailed, match=f"component {k} is redundant") as err:
-        _chain_checks(kernels, I, S, True, nu, saturated)
+        _chain_checks(real, I, S, True, nu, saturated)
     assert err.value.index == k - 1
-    assert _agree(kernels, I, S, E, True, nu, saturated)[:2] == (f"component {k} is redundant", k - 1)
+    assert _agree(real, I, S, E, True, nu, saturated)[:2] == (f"component {k} is redundant", k - 1)
 
 
 def test_wrong_kernel_breaks_the_intersection(diag_n3_f7):
-    kernels, I, S, E, meets, nu, saturated = diag_n3_f7
+    real, I, S, E, meets, nu, saturated = diag_n3_f7
     field = I.field
     # x1 -> 2t, x2 -> t, x3 -> t is no character of the torsion group: its
-    # kernel is a prime that does not hold I
+    # kernel is a prime that does not hold I. Over F_7 with r = 3, zeta = 2,
+    # so it is the twist of the trivial kernel by e = (1, 0, 0)
     wrong = ring_map_kernel([Polynomial.monomial(field, 1, (1,), c) for c in (2, 1, 1)])
     assert not wrong.includes(I)
-    swapped = [wrong] + kernels[1:]
+    swapped = _with_specs(real, (_non_character(real.specs[0]),) + real.specs[1:])
+    assert swapped.kernels[0] == wrong
     with pytest.raises(VerificationFailed, match="intersection of all components is not the ideal"):
         _chain_checks(swapped, I, S, meets, nu, saturated)
     assert _agree(swapped, I, S, E, meets, nu, saturated)[0] == "intersection of all components is not the ideal"
-    assert _agree(kernels[1:], I, S, E, meets, nu, saturated)[0] == "intersection of all components is not the ideal"
+    dropped = _with_specs(real, real.specs[1:])
+    assert _agree(dropped, I, S, E, meets, nu, saturated)[0] == "intersection of all components is not the ideal"
 
 
 def test_chain_takes_the_embedded_meet_as_given(diag_n3_f7):
     # n >= 4 reads S ∩ E = I from embedded_checks; a False there fails the chain
-    kernels, I, S, _, _, nu, saturated = diag_n3_f7
+    real, I, S, _, _, nu, saturated = diag_n3_f7
     with pytest.raises(VerificationFailed, match="intersection of all components is not the ideal"):
-        _chain_checks(kernels, I, S, False, nu, saturated)
+        _chain_checks(real, I, S, False, nu, saturated)
 
 
 @pytest.fixture(scope="module")
@@ -288,23 +321,23 @@ def simplest_n4_f5():
     return _setup(load_golden("simplest_n4.json"), 5)
 
 
-def _fails_with(message, kernels, I, S, meets, nu, saturated):
+def _fails_with(message, real, I, S, meets, nu, saturated):
     with pytest.raises(VerificationFailed) as err:
-        _chain_checks(kernels, I, S, meets, nu, saturated)
+        _chain_checks(real, I, S, meets, nu, saturated)
     assert str(err.value) == message
     return err.value.index
 
 
 @pytest.mark.parametrize("case", ["diag_n3_f7", "simplest_n4_f5"])
 def test_dropped_kernel_fails_the_degree_count(case, request):
-    kernels, I, S, E, meets, nu, saturated = request.getfixturevalue(case)
-    d = len(kernels)
+    real, I, S, E, meets, nu, saturated = request.getfixturevalue(case)
+    d = len(real.kernels)
     message = (
         "intersection of all components is not the ideal: "
         f"deg S = {d}, sum of component degrees = {d - 1}"
     )
     for dropped in (0, d - 1):
-        rest = kernels[:dropped] + kernels[dropped + 1 :]
+        rest = _with_specs(real, real.specs[:dropped] + real.specs[dropped + 1 :])
         assert _fails_with(message, rest, I, S, meets, nu, saturated) is None
         assert _agree(rest, I, S, E, meets, nu, saturated)[0] == message.split(": ")[0]
 
@@ -313,45 +346,68 @@ def test_dropped_kernel_fails_the_degree_count(case, request):
 def test_duplicated_kernel_passes_the_degree_count_and_is_redundant(case, request):
     # the degrees are summed over distinct components, so a repeat is named
     # as redundant, not as a failed intersection
-    kernels, I, S, E, meets, nu, saturated = request.getfixturevalue(case)
-    doubled = kernels + [kernels[0]]
+    real, I, S, E, meets, nu, saturated = request.getfixturevalue(case)
+    doubled = _with_specs(real, real.specs + real.specs[:1])
     assert _fails_with("component 1 is redundant", doubled, I, S, meets, nu, saturated) == 0
     assert _agree(doubled, I, S, E, meets, nu, saturated)[:2] == ("component 1 is redundant", 0)
 
 
 def test_non_character_kernel_leaves_the_hull_outside(diag_n3_f7):
-    kernels, I, S, E, meets, nu, saturated = diag_n3_f7
+    # the first component is checked by normal forms; a later one by the
+    # congruence that its twist fixes the hull, and the witness names it
+    real, I, S, E, meets, nu, saturated = diag_n3_f7
     field = I.field
     wrong = ring_map_kernel([Polynomial.monomial(field, 1, (1,), c) for c in (2, 1, 1)])
-    for j in (0, len(kernels) - 1):
-        swapped = kernels[:j] + [wrong] + kernels[j + 1 :]
-        message = (
-            "intersection of all components is not the ideal: "
-            f"a hull generator has a nonzero normal form modulo component {j + 1}"
-        )
+    d = len(real.specs)
+    witnesses = {
+        0: "a hull generator has a nonzero normal form modulo component 1",
+        d - 1: f"the twist to component {d} moves a hull generator",
+    }
+    for j, witness in witnesses.items():
+        specs = list(real.specs)
+        specs[j] = _non_character(specs[j])
+        swapped = _with_specs(real, specs)
+        assert swapped.kernels[j] == wrong
+        message = f"intersection of all components is not the ideal: {witness}"
         assert _fails_with(message, swapped, I, S, meets, nu, saturated) is None
         assert _agree(swapped, I, S, E, meets, nu, saturated)[0] == message.split(": ")[0]
 
 
 @pytest.mark.parametrize("case", ["diag_n3_f7", "simplest_n4_f5"])
+def test_wrong_trivial_kernel_leaves_the_hull_outside(case, request):
+    # every component is a twist of the trivial kernel, so a wrong one moves
+    # them all; the one containment, modulo component 1, names it
+    real, I, S, E, meets, nu, saturated = request.getfixturevalue(case)
+    field = I.field
+    images = [Polynomial.monomial(field, 1, (1,), c) for c in [2] + [1] * (I.nvars - 1)]
+    wrong = dataclasses.replace(real, trivial=ring_map_kernel(images))
+    message = (
+        "intersection of all components is not the ideal: "
+        "a hull generator has a nonzero normal form modulo component 1"
+    )
+    assert _fails_with(message, wrong, I, S, meets, nu, saturated) is None
+    assert _agree(wrong, I, S, E, meets, nu, saturated)[0] == message.split(": ")[0]
+
+
+@pytest.mark.parametrize("case", ["diag_n3_f7", "simplest_n4_f5"])
 def test_unsaturated_hull_fails_the_certificate(case, request):
-    kernels, I, S, _, meets, nu, saturated = request.getfixturevalue(case)
+    real, I, S, _, meets, nu, saturated = request.getfixturevalue(case)
     assert saturated
     message = "intersection of all components is not the ideal: hull not saturated by x_1"
-    assert _fails_with(message, kernels, I, S, meets, nu, False) is None
+    assert _fails_with(message, real, I, S, meets, nu, False) is None
 
 
 def test_failed_meet_is_the_witness(diag_n3_f7, simplest_n4_f5):
-    kernels, I, S, _, _, nu, saturated = simplest_n4_f5
+    real, I, S, _, _, nu, saturated = simplest_n4_f5
     message = (
         "intersection of all components is not the ideal: "
         "hull meets the embedded component outside the ideal"
     )
-    assert _fails_with(message, kernels, I, S, False, nu, saturated) is None
-    kernels, I, _, _, _, nu, saturated = diag_n3_f7
+    assert _fails_with(message, real, I, S, False, nu, saturated) is None
+    real, I, _, _, _, nu, saturated = diag_n3_f7
     S = Ideal(I.field, 3, I.gens[:-1])
     message = "intersection of all components is not the ideal: hull differs from the ideal"
-    assert _fails_with(message, kernels, I, S, None, nu, saturated) is None
+    assert _fails_with(message, real, I, S, None, nu, saturated) is None
 
 
 def _assert_twists_match(P, p):
@@ -406,3 +462,92 @@ def test_primary_to_maximal_agrees_on_random_n4():
         P = random_pcb(rng, 4, max_entry=2)
         for J in _ideals(P, QQ):
             assert _primary_to_maximal(J) == _reference_primary_to_maximal(J)
+
+
+N4_GOLDENS = [("onecomp_n4.json", 2), ("simplest_n4.json", 5), ("diag_n5.json", 11)]
+
+
+def _embedded_agree(P, field, good: bool = True) -> bool:
+    """embedded_checks on the boolean verify_full_decomposition hands it
+    against the computed colon and intersection; returns that boolean."""
+    I = pcb_ideal(P, field)
+    xb = socle_monomial(P, field)
+    S = colon(I, xb)
+    E = embedded_component(P, field)
+    x1 = Polynomial.variable(field, P.n, 0)
+    saturated = saturate(I, x1)[0] == S if good else colon(S, x1) == S
+    reference = _reference_embedded_checks(I, S, E, xb)
+    assert embedded_checks(I, S, E, saturated) == reference
+    assert saturated == (colon(S, xb) == S) == (intersect(S, E) == I)
+    return saturated
+
+
+@pytest.mark.parametrize("name,p", N4_GOLDENS)
+def test_embedded_checks_agree_with_the_colon_and_the_meet_on_goldens(name, p):
+    P = load_golden(name)
+    assert _embedded_agree(P, QQ)
+    assert _embedded_agree(P, GF(p))
+
+
+def test_embedded_checks_agree_with_the_colon_and_the_meet_in_char_2():
+    assert _embedded_agree(load_golden("simplest_n4.json"), GF(2), good=False)
+
+
+@pytest.mark.parametrize("n,count", [(4, 8), (5, 2)])
+def test_embedded_checks_agree_with_the_colon_and_the_meet_on_random_inputs(n, count):
+    rng = random.Random(61 + n)
+    for _ in range(count):
+        P = random_pcb(rng, n, max_entry=2)
+        assert _embedded_agree(P, QQ)
+        assert _embedded_agree(P, GF(_least_good_prime(P)))
+
+
+def _variable_cuts_to_the_origin(P) -> bool:
+    """Lemma A's premise in embedded_checks: I + (x_k) is primary to
+    (x_1, ..., x_n) for every k."""
+    I = pcb_ideal(P, QQ)
+    return all(
+        _primary_to_maximal(Ideal(QQ, P.n, I.gens + (Polynomial.variable(QQ, P.n, k),)))
+        for k in range(P.n)
+    )
+
+
+@pytest.mark.parametrize(
+    "name", ["diag_n3.json", "diag_n5.json", "n2_64.json", "n3_doubled.json", "n3_mixed.json", "onecomp_n4.json", "simplest_n4.json"]
+)
+def test_one_variable_cuts_the_ideal_to_the_origin_on_goldens(name):
+    assert _variable_cuts_to_the_origin(load_golden(name))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_one_variable_cuts_the_ideal_to_the_origin_on_random_inputs(n):
+    rng = random.Random(67 + n)
+    for _ in range(10):
+        assert _variable_cuts_to_the_origin(random_pcb(rng, n, max_entry=3))
+
+
+def test_full_verification_checks_one_containment_and_intersects_nothing(monkeypatch):
+    # K_5 over F_11 (d = 125): the hull lies in P_1 by |basis(S)| normal
+    # forms, and the mixedness witness makes the other two membership tests
+    P = load_golden("diag_n5.json")
+    field = GF(11)
+    hull_size = len(colon(pcb_ideal(P, field), socle_monomial(P, field)).groebner())
+    calls = []
+    contains = Ideal.contains
+
+    def counted(self, f):
+        calls.append(f)
+        return contains(self, f)
+
+    def forbidden(*args):
+        raise AssertionError("verify_full_decomposition intersected two ideals")
+
+    imported = hasattr(decomp, "intersect")
+    monkeypatch.setattr(Ideal, "contains", counted)
+    monkeypatch.setattr(decomp, "intersect", forbidden, raising=False)
+    monkeypatch.setattr("pcbideal.oracle.intersect", forbidden)
+    report = verify_full_decomposition(P, 11)
+    assert report.component_count == 126
+    assert all(ok for _, ok in report.checks)
+    assert len(calls) <= hull_size + 2
+    assert not imported
