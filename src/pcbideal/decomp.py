@@ -8,14 +8,19 @@ is the ideal plus the single syzygy monomial x^{b(n)}. Everything here is
 verified computation: candidates are produced by formula and then checked
 against the Groebner oracle. verify_full_decomposition is the one place
 that does so: it builds the ideal, its hull and the embedded component once
-and decides every verification question on them, each fact once. The hull
-S and the embedded component E meet in the ideal, and S is stable under
-the colon by x^{b(n)}, because S is saturated by x_1 (see
-embedded_checks); neither fact is recomputed. Over F_p one elimination
-realizes the trivial-character component and torus twists give the
-others; that they meet in the hull is certified by a Hilbert-series
-degree count, and that the hull lies in each of them by one containment
-and the twist (see _chain_checks), not by intersecting them.
+and decides every verification question on them, each fact once. Every
+ideal here is homogeneous for deg x_i = nu_i, because nu L = 0, so every
+colon and saturation is by a monomial on the nu-graded path of the
+oracle: a weighted reverse-lex basis divided by powers of one variable
+at a time, with no auxiliary variable and no intersection (see
+oracle.colon). The hull S and the embedded component E meet in the
+ideal, and S is stable under the colon by x^{b(n)}, because S is
+saturated by x_1 (see embedded_checks); neither fact is recomputed. Over
+F_p one elimination realizes the trivial-character component and torus
+twists give the others; that they meet in the hull is certified by a
+Hilbert-series degree count, and that the hull lies in each of them by
+one containment and the twist (see _chain_checks), not by intersecting
+them. That elimination is the only one `--level full` runs.
 """
 
 from __future__ import annotations
@@ -167,8 +172,9 @@ def socle_monomial(P: PcbMatrix, field) -> Polynomial:
 
 
 def hull(P: PcbMatrix, field) -> Ideal:
-    """Intersection of the isolated components, computed as a colon ideal."""
-    return colon(pcb_ideal(P, field), socle_monomial(P, field))
+    """Intersection of the isolated components, computed as a colon ideal
+    graded by nu."""
+    return colon(pcb_ideal(P, field), socle_monomial(P, field), associated_vector(P)[2])
 
 
 def _primary_to_maximal(comp: Ideal) -> bool:
@@ -247,7 +253,7 @@ def embedded_checks(I: Ideal, S: Ideal, E: Ideal, saturated: bool) -> List[Tuple
 def unmixedness_test(P: PcbMatrix, field) -> bool:
     """True when I : x_1 = I, which happens exactly for n <= 3."""
     I = pcb_ideal(P, field)
-    return colon(I, Polynomial.variable(field, P.n, 0)) == I
+    return colon(I, Polynomial.variable(field, P.n, 0), associated_vector(P)[2]) == I
 
 
 def _prime_factors(n: int) -> Tuple[int, ...]:
@@ -405,13 +411,18 @@ def prime_power_in_hull(P: PcbMatrix, field, power: int) -> bool:
 
 def _hull_checks(P: PcbMatrix, I: Ideal, S: Ideal, xb: Polynomial) -> List[Tuple[str, bool]]:
     """Hull S = I : x^{b(n)} recomputed two more ways, the unmixedness
-    dichotomy, the mixedness witness and the lattice shape of S's basis."""
+    dichotomy, the mixedness witness and the lattice shape of S's basis.
+
+    The two other ways are J : x^{b(n)}, J generated by f_1, ..., f_{n-1},
+    and the saturation I : x_1^∞, both graded by nu like S itself (see
+    oracle.colon and oracle.saturate)."""
     field = I.field
     n = P.n
-    sat, steps = saturate(I, Polynomial.variable(field, n, 0))
+    m, _, nu = associated_vector(P)
+    sat, steps = saturate(I, Polynomial.variable(field, n, 0), nu)
     J = pcb_ideal(P, field, omit_last=True)
     checks = [
-        ("colon by x^{b(n)} agrees from I and from J", colon(J, xb) == S),
+        ("colon by x^{b(n)} agrees from I and from J", colon(J, xb, nu) == S),
         ("saturation by x_1 agrees with the colon", sat == S),
         # the saturation stops after no step exactly when I : x_1 = I
         ("unmixed exactly when n <= 3", (steps == 0) == (n <= 3)),
@@ -419,7 +430,6 @@ def _hull_checks(P: PcbMatrix, I: Ideal, S: Ideal, xb: Polynomial) -> List[Tuple
     if n >= 4:
         g = binomial_to_polynomial(mixedness_witness(P), field, n)
         checks.append(("witness sits in the colon but not the ideal", S.contains(g) and not I.contains(g)))
-    m, _, _ = associated_vector(P)
     snf = normalized_snf(P)
     lattice_ok = True
     for g in S.groebner():
@@ -623,14 +633,15 @@ def verify_full_decomposition(P: PcbMatrix, p: Optional[int] = None) -> Decompos
     raises VerificationFailed; the others report False.
     """
     field, good = (QQ, True) if p is None else prime_field_for(P, p)
+    nu = associated_vector(P)[2]
     I = pcb_ideal(P, field)
     xb = socle_monomial(P, field)
-    S = colon(I, xb)
+    S = colon(I, xb, nu)
     if good:
         checks = _hull_checks(P, I, S, xb)
         saturated = dict(checks)["saturation by x_1 agrees with the colon"]
     else:
-        saturated = colon(S, Polynomial.variable(field, P.n, 0)) == S
+        saturated = colon(S, Polynomial.variable(field, P.n, 0), nu) == S
     embedded = embedded_checks(I, S, embedded_component(P, field), saturated) if P.n >= 4 else []
     count = None
     if not good:
@@ -640,7 +651,7 @@ def verify_full_decomposition(P: PcbMatrix, p: Optional[int] = None) -> Decompos
         if p is not None:
             meets = embedded[1][1] if embedded else None
             real = realize_over_prime_field(P, p)
-            chain, count = _chain_checks(real, I, S, meets, associated_vector(P)[2], saturated)
+            chain, count = _chain_checks(real, I, S, meets, nu, saturated)
             checks += chain
     if count is not None:
         checks.append((f"component count is {count}", True))

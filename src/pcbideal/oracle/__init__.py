@@ -14,7 +14,7 @@ from .ideal import (
     ring_map_kernel,
     saturate,
 )
-from .order import DEGREVLEX, LEX, BlockElimination, DegRevLex, Lex, MonomialOrder
+from .order import DEGREVLEX, LEX, BlockElimination, DegRevLex, Lex, MonomialOrder, WeightedRevLex
 from .poly import Polynomial, render
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "DegRevLex",
     "Lex",
     "MonomialOrder",
+    "WeightedRevLex",
     "Polynomial",
     "render",
 ]

@@ -1,10 +1,16 @@
 """Ideal handles and the derived operations built on elimination.
 
-Intersections use the classic single-auxiliary-variable trick, colon ideals
-divide an intersection by the denominator, saturation iterates colon until
-the chain stops moving, and kernels of monomial ring maps come from
-eliminating the parameter block. Auxiliary variables always sit in front,
-so a block order that eliminates a prefix covers every construction here.
+Intersections use the classic single-auxiliary-variable trick, and kernels
+of monomial ring maps come from eliminating the parameter block. Auxiliary
+variables always sit in front, so a block order that eliminates a prefix
+covers every construction here.
+
+Colon and saturation have two paths. The general one, for any f, divides
+the intersection I ∩ (f) by f, and saturation iterates that colon until
+the chain stops moving. The graded one, for a monomial f and an ideal
+homogeneous for positive weights, needs no auxiliary variable: it divides
+the reduced basis under a weighted reverse-lex order by powers of one
+variable at a time (Bayer-Stillman; see colon).
 
 A reduced Groebner basis restricted to the tail block of an elimination
 order is again reduced for the inherited order on the subring; every
@@ -16,11 +22,12 @@ from __future__ import annotations
 
 from operator import add as _add
 from operator import le as _le
+from operator import mul as _mul
 from operator import sub as _sub
 from typing import Dict, Optional, Sequence, Tuple
 
-from .groebner import _entries, _KeyCache, _nf_dict, groebner_basis
-from .order import DEGREVLEX, BlockElimination, MonomialOrder
+from .groebner import _entries, _KeyCache, _nf_dict, _reduce_basis, groebner_basis
+from .order import DEGREVLEX, BlockElimination, MonomialOrder, WeightedRevLex
 from .poly import Polynomial
 
 
@@ -48,6 +55,11 @@ class Ideal:
 
     @classmethod
     def _with_basis(cls, field, nvars, basis: Sequence[Polynomial], order: MonomialOrder) -> "Ideal":
+        """The ideal generated by `basis`, with `basis` cached as its Groebner
+        basis under `order`. The caller vouches that it is exactly what
+        groebner_basis would return there: reduced, monic and sorted by the
+        order's key. __eq__ compares cached bases as they stand, so any other
+        basis makes equal ideals compare unequal."""
         out = cls(field, nvars, basis)
         out._bases[order.label] = tuple(basis)
         return out
@@ -81,17 +93,23 @@ class Ideal:
             raise ValueError("ideals live in different rings")
 
     def __eq__(self, other) -> bool:
+        """Equal reduced bases under one order: degrevlex, unless both
+        ideals already hold the reduced basis of some other order. A reduced
+        basis is unique, so any one order decides equality."""
         if not isinstance(other, Ideal):
             return NotImplemented
         if self.field != other.field or self.nvars != other.nvars:
             return False
+        shared = sorted(self._bases.keys() & other._bases.keys())
+        if shared and DEGREVLEX.label not in shared:
+            return self._bases[shared[0]] == other._bases[shared[0]]
         return self.groebner() == other.groebner()
 
     def __repr__(self) -> str:
         return f"Ideal({len(self.gens)} gens, {self.field.tag}, {self.nvars} vars)"
 
 
-def _lift_shift(g: Polynomial, nvars: int) -> Dict[Tuple[int, ...], object]:
+def _lift_shift(g: Polynomial) -> Dict[Tuple[int, ...], object]:
     return {(0,) + e: c for e, c in g.terms.items()}
 
 
@@ -126,7 +144,7 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
         gens.append(Polynomial(field, total, _lift_times_t(g)))
     neg = field.neg
     for g in b._working_gens():
-        terms = _lift_shift(g, total)
+        terms = _lift_shift(g)
         for e, c in _lift_times_t(g).items():
             terms[e] = neg(c)  # exponent blocks cannot collide: t-degrees differ
         gens.append(Polynomial(field, total, terms))
@@ -162,12 +180,70 @@ def exact_divide(g: Polynomial, f: Polynomial, order: MonomialOrder = DEGREVLEX)
     return Polynomial(g.field, g.nvars, quotient)
 
 
-def colon(ideal: Ideal, f: Polynomial) -> Ideal:
-    """The colon ideal (I : f)."""
+def _graded_monomial(ideal: Ideal, f: Polynomial, weights: Sequence[int]) -> Tuple[int, ...]:
+    """The exponents of f, once f is known to be a monomial and every
+    generator of the ideal homogeneous for the weights; ValueError otherwise."""
+    if len(weights) != ideal.nvars:
+        raise ValueError("one weight per variable is needed")
+    if len(f.terms) != 1:
+        raise ValueError("the graded colon needs a monomial")
+    for g in ideal.gens:
+        if len({sum(map(_mul, weights, e)) for e in g.terms}) > 1:
+            raise ValueError("a generator is not homogeneous for the weights")
+    return next(iter(f.terms))
+
+
+def _divide_variable(ideal: Ideal, weights: Sequence[int], j: int, k: int) -> Ideal:
+    """I : x_j^k for I homogeneous for the weights; see colon."""
+    order = WeightedRevLex(weights, j)
+    keyf = _KeyCache(order.key).__getitem__
+    field, nvars = ideal.field, ideal.nvars
+    entries = []
+    for g in ideal.groebner(order):
+        s = min(k, min(e[j] for e in g.terms))
+        terms = {e[:j] + (e[j] - s,) + e[j + 1 :]: c for e, c in g.terms.items()} if s else g.terms
+        entries.append((max(terms, key=keyf), terms))
+    basis = tuple(Polynomial(field, nvars, terms) for _, terms in _reduce_basis(entries, field, keyf))
+    return Ideal._with_basis(field, nvars, basis, order)
+
+
+def colon(ideal: Ideal, f: Polynomial, weights: Optional[Sequence[int]] = None) -> Ideal:
+    """The colon ideal (I : f).
+
+    Without weights, I ∩ (f) is computed with an auxiliary variable and
+    divided by f. With weights, f must be a monomial x^b and every
+    generator of I homogeneous for the positive grading deg x_i = w_i
+    (ValueError otherwise), and no auxiliary variable is used:
+    I : x^b = (...(I : x_{j1}^{b_{j1}}) : ...) : x_{jk}^{b_{jk}} over the
+    support of b, and each step divides the reduced WeightedRevLex(w, j)
+    basis of the current ideal by powers of x_j.
+
+    Why (Bayer-Stillman, "A criterion for detecting m-regularity", 1987).
+    The terms of a homogeneous g share one weighted degree, and among
+    them the order prefers less x_j, so the leading monomial of g has the
+    least x_j-exponent of its terms, ord_{x_j} g; writing g = x_j^a g',
+    lm(g) = x_j^a lm(g'). Let G be a Groebner basis of I and
+    G_k = {g / x_j^{min(k, ord g)}}, which lies in I : x_j^k. The colon of
+    a homogeneous ideal is homogeneous, so its leading ideal is generated
+    by the leading monomials of homogeneous h in I : x_j^k. Then x_j^k h
+    is in I, and x_j^k lm(h) = m lm(g) for some g in G and monomial m.
+    With lm(g) = x_j^a u, u free of x_j: if a <= k, u divides lm(h); if
+    a > k, x_j^{a-k} u divides lm(h). Either way the leading monomial of
+    g / x_j^{min(k, a)} divides lm(h), so G_k is a Groebner basis of
+    I : x_j^k, and its elements stay homogeneous for the next step. The
+    divided basis is minimalized and tail-reduced, which is no further
+    Groebner run, and the result keeps that reduced basis.
+    """
     if f.field != ideal.field or f.nvars != ideal.nvars:
         raise ValueError("polynomial lives in a different ring")
     if not f.terms:
         raise ZeroDivisionError("colon by the zero polynomial")
+    if weights is not None:
+        current = ideal
+        for j, b in enumerate(_graded_monomial(ideal, f, weights)):
+            if b:
+                current = _divide_variable(current, weights, j, b)
+        return current
     if len(f.terms) == 1 and not any(next(iter(f.terms))):
         return ideal  # colon by a unit
     meet = intersect(ideal, Ideal(ideal.field, ideal.nvars, (f,)))
@@ -187,13 +263,19 @@ def colon(ideal: Ideal, f: Polynomial) -> Ideal:
     return Ideal(ideal.field, ideal.nvars, tuple(exact_divide(g, f) for g in basis))
 
 
-def saturate(ideal: Ideal, f: Polynomial) -> Tuple[Ideal, int]:
+def saturate(ideal: Ideal, f: Polynomial, weights: Optional[Sequence[int]] = None) -> Tuple[Ideal, int]:
     """Iterate colon until stable; returns the saturation and the exponent N
-    with (I : f^N) already saturated."""
+    with (I : f^N) already saturated, the number of colons that moved.
+
+    With weights, each colon takes the graded path, under its conditions.
+    For a power of one variable x_j, each step's result keeps the
+    WeightedRevLex(w, j) basis the next step needs, so after the first step
+    neither the next colon nor the comparison runs a Groebner computation.
+    """
     current = ideal
     steps = 0
     while True:
-        bigger = colon(current, f)
+        bigger = colon(current, f, weights)
         if bigger == current:
             return current, steps
         current = bigger

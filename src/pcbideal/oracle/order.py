@@ -7,7 +7,7 @@ number of variables, which is all the Buchberger engine needs.
 
 from __future__ import annotations
 
-from operator import neg
+from operator import mul, neg
 from typing import Sequence
 
 
@@ -61,6 +61,31 @@ class BlockElimination(MonomialOrder):
         head = tuple(exps[: self.block])
         tail = exps[self.block :]
         return (head, (sum(tail), tuple(map(neg, reversed(tail)))))
+
+
+class WeightedRevLex(MonomialOrder):
+    """Weighted degree w.e first; ties go to reverse lex with x_last the
+    smallest variable: less x_last wins, then the smaller last nonzero
+    difference over the other variables, as in degrevlex.
+
+    The weights must be positive, so each degree holds finitely many
+    monomials and the order is a well-order. For a polynomial homogeneous
+    for w, the leading monomial therefore has the least x_last-exponent of
+    its terms, which is what colon and saturation by a monomial use (see
+    oracle.ideal.colon).
+    """
+
+    def __init__(self, weights: Sequence[int], last: int):
+        self.weights = tuple(int(w) for w in weights)
+        if not self.weights or min(self.weights) <= 0:
+            raise ValueError("weights must be positive")
+        if not 0 <= last < len(self.weights):
+            raise ValueError("the last variable is out of range")
+        self.label = f"wrevlex({','.join(map(str, self.weights))};{last})"
+        self._revlex = (last,) + tuple(i for i in reversed(range(len(self.weights))) if i != last)
+
+    def key(self, exps):
+        return (sum(map(mul, self.weights, exps)), tuple(map(neg, map(exps.__getitem__, self._revlex))))
 
 
 LEX = Lex()

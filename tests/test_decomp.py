@@ -260,6 +260,15 @@ class TestFullVerification:
         assert report.component_count == 3
         assert all(ok for _, ok in report.checks)
 
+    def test_k6_f7(self):
+        # K_6, d = 6^4 = 1296: b(6) has four nonzero entries, so the hull
+        # is four successive graded colons
+        P = validate([[5 if i == j else -1 for j in range(6)] for i in range(6)])
+        assert sum(1 for b in syzygy_vectors(P)[5] if b) == 4
+        report = verify_full_decomposition(P, 7)
+        assert report.component_count == 1297
+        assert all(ok for _, ok in report.checks)
+
     def test_n2_f3(self):
         report = verify_full_decomposition(load_golden("n2_64.json"), 3)
         assert report.component_count == 2

@@ -14,8 +14,11 @@ _primary_to_maximal reads finite colength off the leading ideal;
 _reference_primary_to_maximal searches a power of every variable inside
 the ideal, bounded by the dimension of the quotient. embedded_checks reads
 S : x^{b(n)} = S and S ∩ E = I off the saturation of the hull by x_1;
-_reference_embedded_checks computes the colon and the intersection. The
-two sides must agree, on real inputs and on altered component lists.
+_reference_embedded_checks computes the colon and the intersection.
+Every colon and saturation of the package is graded by nu and divides a
+weighted reverse-lex basis by powers of one variable; the colon and the
+saturation with an auxiliary variable are its references. The two sides
+must agree, on real inputs and on altered component lists.
 """
 
 import dataclasses
@@ -53,6 +56,7 @@ from pcbideal.oracle import (
     ring_map_kernel,
     saturate,
 )
+from pcbideal.oracle import ideal as oracle_ideal
 
 from conftest import load_golden, random_pcb
 
@@ -526,28 +530,79 @@ def test_one_variable_cuts_the_ideal_to_the_origin_on_random_inputs(n):
         assert _variable_cuts_to_the_origin(random_pcb(rng, n, max_entry=3))
 
 
+def _graded_agrees(P, field) -> None:
+    """The colons I : x^{b(n)}, J : x^{b(n)} and S : x_1 and the saturation
+    I : x_1^∞, graded by nu and with the auxiliary variable, each from
+    fresh ideals: equal degrevlex reduced bases and equal steps."""
+    nu = associated_vector(P)[2]
+    xb = socle_monomial(P, field)
+    x1 = Polynomial.variable(field, P.n, 0)
+    S = colon(pcb_ideal(P, field), xb)
+    cases = [
+        (lambda: pcb_ideal(P, field), xb),
+        (lambda: pcb_ideal(P, field, omit_last=True), xb),
+        (lambda: Ideal(field, P.n, S.groebner()), x1),
+    ]
+    for build, f in cases:
+        assert colon(build(), f, nu).groebner() == colon(build(), f).groebner()
+    graded, steps = saturate(pcb_ideal(P, field), x1, nu)
+    reference, reference_steps = saturate(pcb_ideal(P, field), x1)
+    assert graded.groebner() == reference.groebner() == S.groebner()
+    assert steps == reference_steps
+    assert (steps == 0) == (P.n <= 3)
+
+
+@pytest.mark.parametrize(
+    "name,field",
+    [(name, f) for name, p in GOLDEN_CASES + [("diag_n5.json", 11)] for f in (QQ, GF(p))]
+    + [("simplest_n4.json", GF(2))],
+    ids=lambda v: getattr(v, "tag", v),
+)
+def test_graded_colon_and_saturation_match_the_auxiliary_variable_on_goldens(name, field):
+    _graded_agrees(load_golden(name), field)
+
+
+@pytest.mark.parametrize("n,count", [(3, 10), (4, 6), (5, 2)])
+def test_graded_colon_and_saturation_match_the_auxiliary_variable_on_random_inputs(n, count):
+    rng = random.Random(71 + n)
+    for _ in range(count):
+        P = random_pcb(rng, n, max_entry=2)
+        _graded_agrees(P, QQ)
+        _graded_agrees(P, GF(_least_good_prime(P)))
+
+
 def test_full_verification_checks_one_containment_and_intersects_nothing(monkeypatch):
     # K_5 over F_11 (d = 125): the hull lies in P_1 by |basis(S)| normal
-    # forms, and the mixedness witness makes the other two membership tests
+    # forms, and the mixedness witness makes the other two membership tests;
+    # no colon or saturation intersects, so the one elimination left is the
+    # trivial-character kernel
     P = load_golden("diag_n5.json")
     field = GF(11)
     hull_size = len(colon(pcb_ideal(P, field), socle_monomial(P, field)).groebner())
     calls = []
     contains = Ideal.contains
+    eliminations = []
+    eliminate = oracle_ideal.eliminate
 
     def counted(self, f):
         calls.append(f)
         return contains(self, f)
+
+    def counted_eliminate(ideal, k):
+        eliminations.append(k)
+        return eliminate(ideal, k)
 
     def forbidden(*args):
         raise AssertionError("verify_full_decomposition intersected two ideals")
 
     imported = hasattr(decomp, "intersect")
     monkeypatch.setattr(Ideal, "contains", counted)
-    monkeypatch.setattr(decomp, "intersect", forbidden, raising=False)
+    monkeypatch.setattr(oracle_ideal, "intersect", forbidden)
+    monkeypatch.setattr(oracle_ideal, "eliminate", counted_eliminate)
     monkeypatch.setattr("pcbideal.oracle.intersect", forbidden)
     report = verify_full_decomposition(P, 11)
     assert report.component_count == 126
     assert all(ok for _, ok in report.checks)
     assert len(calls) <= hull_size + 2
+    assert eliminations == [1]
     assert not imported

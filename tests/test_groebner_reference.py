@@ -27,16 +27,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcbideal.decomp import embedded_component, enumerate_components, hull, pcb_ideal
+from pcbideal.core import associated_vector
+from pcbideal.decomp import embedded_component, enumerate_components, pcb_ideal, socle_monomial
 from pcbideal.oracle import (
     DEGREVLEX,
     GF,
     QQ,
     BlockElimination,
     Polynomial,
+    colon,
     groebner_basis,
     normal_form,
     ring_map_kernel,
+    saturate,
 )
 from pcbideal.oracle import groebner as gb
 
@@ -296,9 +299,16 @@ GOLDEN_CASES = [
 
 
 def _golden_ideals(P, field):
-    """I, S, E (n >= 4) and the trivial-character kernel, each built afresh."""
+    """I; S by the colon with an auxiliary variable and by the colon graded
+    by nu; the saturation I : x_1^∞ graded by nu; E (n >= 4); and the
+    trivial-character kernel; each built afresh, down to its degrevlex
+    basis."""
+    nu = associated_vector(P)[2]
+    x1 = Polynomial.variable(field, P.n, 0)
     yield "I", lambda: pcb_ideal(P, field).groebner()
-    yield "S", lambda: hull(P, field).groebner()
+    yield "S", lambda: colon(pcb_ideal(P, field), socle_monomial(P, field)).groebner()
+    yield "S graded", lambda: colon(pcb_ideal(P, field), socle_monomial(P, field), nu).groebner()
+    yield "saturation", lambda: saturate(pcb_ideal(P, field), x1, nu)[0].groebner()
     if P.n >= 4:
         yield "E", lambda: embedded_component(P, field).groebner()
     weights = enumerate_components(P)[0].weights
@@ -370,20 +380,38 @@ def _engine_work(build, monkeypatch):
 
 # (S-polynomials, reductions to zero, elements added, largest basis grown) of
 # the engine on each golden ideal, recorded before its exponent arithmetic
-# moved to C: any change in pair selection or reducer choice moves them.
+# moved to C: any change in pair selection or reducer choice moves them. The
+# rows "S graded" and "saturation" were recorded when colon and saturate took
+# the nu-graded path; they count its weighted reverse-lex runs and the
+# degrevlex run on the result.
 PINNED_WORK = {
-    "diag_n3.json": {"I": (2, 2, 3, 3), "S": (12, 7, 9, 9), "kernel": (2, 0, 5, 5)},
-    "n3_doubled.json": {"I": (2, 2, 3, 3), "S": (12, 7, 9, 9), "kernel": (2, 0, 5, 5)},
-    "n2_64.json": {"I": (1, 1, 2, 2), "S": (1, 1, 2, 2), "kernel": (5, 2, 5, 5)},
+    "diag_n3.json": {
+        "I": (2, 2, 3, 3), "S": (12, 7, 9, 9), "S graded": (4, 4, 6, 3), "saturation": (4, 4, 6, 3),
+        "kernel": (2, 0, 5, 5),
+    },
+    "n3_doubled.json": {
+        "I": (2, 2, 3, 3), "S": (12, 7, 9, 9), "S graded": (4, 4, 6, 3), "saturation": (4, 4, 6, 3),
+        "kernel": (2, 0, 5, 5),
+    },
+    "n2_64.json": {
+        "I": (1, 1, 2, 2), "S": (1, 1, 2, 2), "S graded": (1, 1, 2, 2), "saturation": (2, 2, 4, 2),
+        "kernel": (5, 2, 5, 5),
+    },
     "onecomp_n4.json": {
-        "I": (24, 17, 11, 11), "S": (76, 55, 26, 26), "E": (41, 30, 16, 16), "kernel": (103, 68, 39, 39),
+        "I": (24, 17, 11, 11), "S": (76, 55, 26, 26), "S graded": (50, 43, 25, 10),
+        "saturation": (35, 29, 17, 10), "E": (41, 30, 16, 16), "kernel": (103, 68, 39, 39),
     },
     "simplest_n4.json": {
-        "I": (12, 9, 7, 7), "S": (56, 40, 21, 21), "E": (34, 25, 14, 14), "kernel": (3, 0, 7, 7),
+        "I": (12, 9, 7, 7), "S": (56, 40, 21, 21), "S graded": (36, 33, 21, 7),
+        "saturation": (24, 21, 14, 7), "E": (34, 25, 14, 14), "kernel": (3, 0, 7, 7),
     },
-    "n3_mixed.json": {"I": (2, 2, 3, 3), "S": (15, 9, 10, 10), "kernel": (17, 9, 11, 11)},
+    "n3_mixed.json": {
+        "I": (2, 2, 3, 3), "S": (15, 9, 10, 10), "S graded": (4, 4, 6, 3), "saturation": (4, 4, 6, 3),
+        "kernel": (17, 9, 11, 11),
+    },
     "diag_n5.json": {
-        "I": (92, 70, 27, 27), "S": (267, 212, 61, 61), "E": (193, 153, 46, 46), "kernel": (4, 0, 9, 9),
+        "I": (92, 70, 27, 27), "S": (267, 212, 61, 61), "S graded": (269, 241, 90, 33),
+        "saturation": (142, 120, 42, 27), "E": (193, 153, 46, 46), "kernel": (4, 0, 9, 9),
     },
 }
 

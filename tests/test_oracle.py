@@ -23,6 +23,7 @@ from pcbideal.oracle import (
     ring_map_kernel,
     saturate,
     spolynomial,
+    WeightedRevLex,
 )
 
 
@@ -70,6 +71,22 @@ class TestOrders:
         assert DEGREVLEX.key((0, 2, 0)) > DEGREVLEX.key((1, 0, 1))
         # degree dominates
         assert DEGREVLEX.key((0, 0, 3)) > DEGREVLEX.key((2, 0, 0))
+
+    def test_weighted_revlex(self):
+        order = WeightedRevLex((2, 1, 3), 1)
+        # weighted degree dominates: 2*0 + 3*1 = 3 beats 2*1 = 2
+        assert order.key((0, 0, 1)) > order.key((1, 0, 0))
+        # equal weight 4: less of x_2, the last variable, wins
+        assert order.key((2, 0, 0)) > order.key((1, 2, 0))
+        assert order.key((0, 1, 1)) > order.key((1, 2, 0))
+        # equal weight and x_2-exponent: revlex on x_3, then x_1
+        assert order.key((3, 0, 0)) > order.key((0, 0, 2))
+        assert order.label != WeightedRevLex((2, 1, 3), 0).label
+        assert order == WeightedRevLex([2, 1, 3], 1)
+        with pytest.raises(ValueError):
+            WeightedRevLex((1, 0, 1), 0)
+        with pytest.raises(ValueError):
+            WeightedRevLex((1, 1), 2)
 
     def test_block(self):
         order = BlockElimination(1)
@@ -237,6 +254,62 @@ class TestIdealOps:
         S, steps = saturate(I, x)
         assert steps == 0
         assert S == I
+
+    def test_graded_colon_rejects_what_it_cannot_prove(self):
+        x, y = self.x, self.y
+        I = Ideal(QQ, 2, [x * x - y])
+        with pytest.raises(ValueError, match="not homogeneous"):
+            colon(I, y, (1, 1))
+        with pytest.raises(ValueError, match="not homogeneous"):
+            saturate(I, y, (1, 1))
+        with pytest.raises(ValueError, match="monomial"):
+            colon(I, x + y, (1, 2))
+        with pytest.raises(ValueError, match="monomial"):
+            saturate(I, x + y, (1, 2))
+        with pytest.raises(ValueError, match="one weight per variable"):
+            colon(I, y, (1, 2, 3))
+        # a foreign ring or a zero f fails as on the path without weights
+        for op in (colon, saturate):
+            with pytest.raises(ValueError, match="different ring"):
+                op(I, Polynomial.variable(GF(5), 2, 1), (1, 2))
+            with pytest.raises(ValueError, match="different ring"):
+                op(I, Polynomial.variable(QQ, 1, 0), (1, 2))
+            with pytest.raises(ZeroDivisionError):
+                op(I, Polynomial.constant(QQ, 2, 0), (1, 2))
+
+    def test_graded_colon_and_saturation_match_the_auxiliary_variable(self):
+        # homogeneous for w = (2, 1, 3), of weights 10, 12 and 10
+        F = GF(7)
+        x, y, z = (Polynomial.variable(F, 3, i) for i in range(3))
+        I = Ideal(F, 3, [
+            poly(F, 3, (1, (3, 4, 0)), (-1, (2, 3, 1))),
+            poly(F, 3, (1, (1, 4, 2)), (-3, (3, 3, 1))),
+            poly(F, 3, (1, (5, 0, 0)), (-1, (0, 1, 3))),
+        ])
+        w = (2, 1, 3)
+        for f in (y, y * y, x * z, x * y * y * z, Polynomial.constant(F, 3, 1)):
+            assert colon(I, f, w).groebner() == colon(I, f).groebner()
+            graded, steps = saturate(I, f, w)
+            reference, reference_steps = saturate(I, f)
+            assert graded.groebner() == reference.groebner()
+            assert steps == reference_steps
+
+    def test_saturation_steps_round_up_for_a_power(self):
+        x, y = self.x, self.y
+        I = Ideal(QQ, 2, [x * x * x * y])
+        assert saturate(I, x * x, (1, 1)) == saturate(I, x * x)
+        assert saturate(I, x * x, (1, 1))[1] == 2
+
+    def test_equality_reads_a_shared_basis(self):
+        x, y = self.x, self.y
+        order = WeightedRevLex((1, 1), 0)
+        a = Ideal(QQ, 2, [x * y, y * y])
+        b = Ideal(QQ, 2, [x * y + y * y, y * y])
+        c = Ideal(QQ, 2, [x * y])
+        for ideal in (a, b, c):
+            ideal.groebner(order)
+        assert a == b and a != c
+        assert not any(DEGREVLEX.label in ideal._bases for ideal in (a, b, c))
 
     def test_ring_map_kernel_collapsed_torus(self):
         # all four variables sent to t: kernel is the diagonal
