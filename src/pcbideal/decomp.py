@@ -13,9 +13,12 @@ ideal here is homogeneous for deg x_i = nu_i, because nu L = 0, so every
 colon and saturation is by a monomial on the nu-graded path of the
 oracle: a weighted reverse-lex basis divided by powers of one variable
 at a time, with no auxiliary variable and no intersection (see
-oracle.colon). The hull S and the embedded component E meet in the
-ideal, and S is stable under the colon by x^{b(n)}, because S is
-saturated by x_1 (see embedded_checks); neither fact is recomputed. Over
+oracle.colon). The hull S is computed once, as the saturation by x_1,
+and one division sweep into f_1, ..., f_{n-1}, which are already a
+Groebner basis, proves it equal to I : x^{b(n)} (see _hull_checks). S
+and the embedded component E meet in the ideal, and S is stable under
+the colon by x^{b(n)}, because S is saturated by x_1 (see
+embedded_checks); no fact is recomputed. Over
 F_p one elimination realizes the trivial-character component and torus
 twists give the others; that they meet in the hull is certified by a
 Hilbert-series degree count, and that the hull lies in each of them by
@@ -50,8 +53,10 @@ from .oracle import (
     Ideal,
     Polynomial,
     PrimeField,
+    WeightedRevLex,
     colon,
     dimension_one_degree,
+    normal_form,
     ring_map_kernel,
     saturate,
 )
@@ -77,7 +82,7 @@ def binomial_to_polynomial(b: Binomial, field, nvars: int) -> Polynomial:
 
 
 def pcb_ideal(P: PcbMatrix, field, omit_last: bool = False) -> Ideal:
-    """The ideal of column binomials; omit_last drops f_n for colon cross-checks."""
+    """The ideal of column binomials; omit_last drops f_n for the hull sweep."""
     gens = generators(P)
     if omit_last:
         gens = gens[:-1]
@@ -218,11 +223,11 @@ def embedded_component(P: PcbMatrix, field) -> Ideal:
 
 def embedded_checks(I: Ideal, S: Ideal, E: Ideal, saturated: bool) -> List[Tuple[str, bool]]:
     """Prove E = I + (x^{b(n)}) the embedded component of I, with hull
-    S = I : x^{b(n)}. saturated is a boolean already computed that, when
-    True, proves S : x_1 = S: the hull check I : x_1^∞ = S, or the colon
-    itself in the char-2 case. No colon and no intersection is computed
-    here: both facts below are read off saturated, and a False reports
-    both checks False.
+    S = I : x^{b(n)}. saturated is the hull sweep, already computed, that
+    when True proves S = I : x^{b(n)} and S : x_1 = S for S the saturation
+    I : x_1^∞ (see _hull_checks), on the good and the char-2 path alike.
+    No colon and no intersection is computed here: both facts below are
+    read off saturated, and a False reports both checks False.
 
     Lemma A (positivity). Each generator is f_j = x_j^{a_jj} minus the
     product of x_i^{a_ij} over i != j, and every a_ij is positive. A prime
@@ -409,22 +414,57 @@ def prime_power_in_hull(P: PcbMatrix, field, power: int) -> bool:
     return _power_inside(hull(P, field), diagonal_prime_gens(P, field), power)
 
 
-def _hull_checks(P: PcbMatrix, I: Ideal, S: Ideal, xb: Polynomial) -> List[Tuple[str, bool]]:
-    """Hull S = I : x^{b(n)} recomputed two more ways, the unmixedness
-    dichotomy, the mixedness witness and the lattice shape of S's basis.
+def _hull_swept(P: PcbMatrix, S: Ideal, nu: Sequence[int]) -> bool:
+    """Whether S : x_1 = S and x^{b(n)} g lies in J = (f_1, ..., f_{n-1})
+    for every g in S's reduced WeightedRevLex(nu, 0) basis, which for
+    S ⊇ I homogeneous for nu proves S = I : x^{b(n)} = J : x^{b(n)} (see
+    _hull_checks). No Groebner basis of J is computed."""
+    basis = S.groebner(WeightedRevLex(nu, 0))
+    J, xb = pcb_ideal(P, S.field, omit_last=True).gens, socle_monomial(P, S.field)
+    order = WeightedRevLex(nu, P.n - 1)
+    stable = not any(min(e[0] for e in g.terms) for g in basis)
+    return stable and not any(normal_form(xb * g, J, order).terms for g in basis)
 
-    The two other ways are J : x^{b(n)}, J generated by f_1, ..., f_{n-1},
-    and the saturation I : x_1^∞, both graded by nu like S itself (see
-    oracle.colon and oracle.saturate)."""
-    field = I.field
-    n = P.n
-    m, _, nu = associated_vector(P)
-    sat, steps = saturate(I, Polynomial.variable(field, n, 0), nu)
-    J = pcb_ideal(P, field, omit_last=True)
+
+def _hull_checks(P: PcbMatrix, I: Ideal, S: Ideal, steps: int, swept: bool) -> List[Tuple[str, bool]]:
+    """The hull checks: the hull computed once and proved by one division
+    sweep, the unmixedness dichotomy, the mixedness witness and the
+    lattice shape of S's basis.
+
+    S is the saturation I : x_1^∞ that saturate(I, x_1, nu) returns after
+    `steps` colons that moved, graded by nu (see oracle.saturate), and
+    swept is _hull_swept(P, S, nu). No colon by x^{b(n)} is computed, from
+    I or from J = (f_1, ..., f_{n-1}); the sweep proves
+    S = I : x^{b(n)} = J : x^{b(n)}:
+    1. The generators of J are a Groebner basis under
+       WeightedRevLex(nu, n - 1), in every characteristic. Both terms of
+       f_j have the same nu-degree, because nu L = 0. Among them the order
+       prefers less x_n: x_j^{a_jj} has no x_n, and the other term has
+       x_n-exponent a_nj > 0, so the leading monomial of f_j is
+       x_j^{a_jj}. These are pairwise coprime, so every S-polynomial
+       reduces to zero (Buchberger's first criterion), and a polynomial
+       lies in J exactly when its normal form modulo f_1, ..., f_{n-1} is
+       zero: one division, with no Buchberger run.
+    2. S contains I and S : x_1 = S. A saturation stops only there, and
+       _hull_swept reads it off S's reduced WeightedRevLex(nu, 0) basis:
+       by Bayer-Stillman (see oracle.colon) S : x_1 = S exactly when
+       x_1 divides no element of it. Lemma A of embedded_checks then
+       gives S : x^{b(n)} = S.
+    3. If x^{b(n)} g lies in J for every g in that basis, then
+       S ⊆ J : x^{b(n)} ⊆ I : x^{b(n)} ⊆ S : x^{b(n)} = S, by J ⊆ I,
+       I ⊆ S and 2. So S = I : x^{b(n)} = J : x^{b(n)}.
+    The one boolean swept therefore answers both "colon by x^{b(n)}
+    agrees from I and from J" and "saturation by x_1 agrees with the
+    colon", and a failed sweep reports both False. It is also the
+    `saturated` that embedded_checks and _chain_checks take, and the
+    char-2 check "hull saturated by x_1". The saturation stops after no
+    step exactly when I : x_1 = I, which decides the unmixedness
+    dichotomy.
+    """
+    field, n, m = I.field, P.n, associated_vector(P)[0]
     checks = [
-        ("colon by x^{b(n)} agrees from I and from J", colon(J, xb, nu) == S),
-        ("saturation by x_1 agrees with the colon", sat == S),
-        # the saturation stops after no step exactly when I : x_1 = I
+        ("colon by x^{b(n)} agrees from I and from J", swept),
+        ("saturation by x_1 agrees with the colon", swept),
         ("unmixed exactly when n <= 3", (steps == 0) == (n <= 3)),
     ]
     if n >= 4:
@@ -460,9 +500,11 @@ def _char2_checks(
     F_2, (x_i - x_4)^4 = x_i^4 - x_4^4, so these generate the Frobenius
     power a^[4]); the seventh ordinary power a^7 lies in S (seventh is
     sharp: a^6 is not inside, and neither is (x1-x4)^2(x2-x4)^2 in a^4);
-    S sits inside a; S differs from I; S : x1 = S (saturated, computed
-    once by the caller); and S meets E in I, which embedded_checks reads
-    off S : x1 = S (its Lemma B).
+    S sits inside a; S differs from I; S : x1 = S (saturated, the hull
+    sweep of the caller: S is the saturation I : x1^∞, proved equal to
+    I : x^{b(n)} by one division into f_1, f_2, f_3, see _hull_checks);
+    and S meets E in I, which embedded_checks reads off the same sweep
+    (its Lemma B).
 
     Why they suffice. a^7 <= S <= a with a prime gives rad S = a, so every
     associated prime of S contains a. S is homogeneous, so its associated
@@ -542,9 +584,9 @@ def _chain_checks(
     realized one only through its character, and the certificate names
     it. S is the hull I : x^{b(n)}, and meets says whether S ∩ E = I
     (embedded_checks decided it); it is None for n <= 3, where there is no
-    E. nu is the weight vector, and saturated says whether
-    I : x_1^∞ = S (the hull check "saturation by x_1 agrees with the
-    colon").
+    E. nu is the weight vector, and saturated is the hull sweep: whether
+    the saturation S = I : x_1^∞ equals I : x^{b(n)} (the hull check
+    "saturation by x_1 agrees with the colon", see _hull_checks).
 
     Intersection. No ideal is intersected. Grade by deg x_i = nu_i: I is
     homogeneous because nu L = 0, hence so is S, and so is every P_i, the
@@ -621,37 +663,36 @@ def _chain_checks(
 def verify_full_decomposition(P: PcbMatrix, p: Optional[int] = None) -> DecompositionReport:
     """Every check of `pcb verify --level full`, over F_p, or over Q when p is None.
 
-    The ideal I, its hull S = I : x^{b(n)} and, for n >= 4, the embedded
-    component E = I + (x^{b(n)}) are built once here; every check below
-    shares them. Over Q and over a good F_p (see prime_field_for) the hull
-    checks run, and their boolean "saturation by x_1 agrees with the
-    colon" decides the embedded-component checks (see embedded_checks);
-    over F_p the isolated components are then realized, certified to meet
-    in S by a degree count and proved irredundant from their primality
-    (see _chain_checks). In the char-2 case the collapse checks run
-    instead, on the boolean S : x_1 = S. A failed chain or char-2 check
-    raises VerificationFailed; the others report False.
+    The ideal I, its hull S and, for n >= 4, the embedded component
+    E = I + (x^{b(n)}) are built once here; every check below shares
+    them. S is computed once, on every path, as the saturation
+    I : x_1^∞ graded by nu, and one division sweep of its basis into
+    f_1, ..., f_{n-1} proves S = I : x^{b(n)} (see _hull_checks); no
+    colon by x^{b(n)} and no Groebner basis of (f_1, ..., f_{n-1}) is
+    computed. That one boolean decides the embedded-component checks (see
+    embedded_checks). Over Q and over a good F_p (see prime_field_for)
+    the hull checks run; over F_p the isolated components are then
+    realized, certified to meet in S by a degree count and proved
+    irredundant from their primality (see _chain_checks). In the char-2
+    case the collapse checks run instead, on the same boolean. A failed
+    chain or char-2 check raises VerificationFailed; the others report
+    False.
     """
     field, good = (QQ, True) if p is None else prime_field_for(P, p)
     nu = associated_vector(P)[2]
     I = pcb_ideal(P, field)
-    xb = socle_monomial(P, field)
-    S = colon(I, xb, nu)
-    if good:
-        checks = _hull_checks(P, I, S, xb)
-        saturated = dict(checks)["saturation by x_1 agrees with the colon"]
-    else:
-        saturated = colon(S, Polynomial.variable(field, P.n, 0), nu) == S
-    embedded = embedded_checks(I, S, embedded_component(P, field), saturated) if P.n >= 4 else []
+    S, steps = saturate(I, Polynomial.variable(field, P.n, 0), nu)
+    swept = _hull_swept(P, S, nu)
+    embedded = embedded_checks(I, S, embedded_component(P, field), swept) if P.n >= 4 else []
     count = None
     if not good:
-        checks, count = _char2_checks(P, I, S, embedded, saturated), 2
+        checks, count = _char2_checks(P, I, S, embedded, swept), 2
     else:
-        checks += embedded
+        checks = _hull_checks(P, I, S, steps, swept) + embedded
         if p is not None:
             meets = embedded[1][1] if embedded else None
             real = realize_over_prime_field(P, p)
-            chain, count = _chain_checks(real, I, S, meets, nu, saturated)
+            chain, count = _chain_checks(real, I, S, meets, nu, swept)
             checks += chain
     if count is not None:
         checks.append((f"component count is {count}", True))

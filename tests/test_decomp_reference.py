@@ -15,6 +15,10 @@ _reference_primary_to_maximal searches a power of every variable inside
 the ideal, bounded by the dimension of the quotient. embedded_checks reads
 S : x^{b(n)} = S and S ∩ E = I off the saturation of the hull by x_1;
 _reference_embedded_checks computes the colon and the intersection.
+verify_full_decomposition computes the hull once, as the saturation by
+x_1, and proves it equal to I : x^{b(n)} and J : x^{b(n)} by one division
+sweep into J = (f_1, ..., f_{n-1}); _reference_hull_checks computes the
+colons I : x^{b(n)} and J : x^{b(n)} and the saturation and compares them.
 Every colon and saturation of the package is graded by nu and divides a
 weighted reverse-lex basis by powers of one variable; the colon and the
 saturation with an auxiliary variable are its references. The two sides
@@ -35,6 +39,9 @@ from pcbideal.core import associated_vector, normalized_snf
 from pcbideal.decomp import (
     VerificationFailed,
     _chain_checks,
+    _char2_checks,
+    _hull_checks,
+    _hull_swept,
     _primary_to_maximal,
     embedded_checks,
     embedded_component,
@@ -51,7 +58,9 @@ from pcbideal.oracle import (
     QQ,
     Ideal,
     Polynomial,
+    WeightedRevLex,
     colon,
+    groebner_basis,
     intersect,
     ring_map_kernel,
     saturate,
@@ -606,3 +615,197 @@ def test_full_verification_checks_one_containment_and_intersects_nothing(monkeyp
     assert len(calls) <= hull_size + 2
     assert eliminations == [1]
     assert not imported
+
+
+def _reference_hull_checks(P, field):
+    """The three-way hull the division sweep replaced: the colons
+    I : x^{b(n)} and J : x^{b(n)} and the saturation I : x_1^∞, each graded
+    by nu and computed from fresh ideals. Returns the colon I : x^{b(n)} and
+    the two hull checks it decides."""
+    nu = associated_vector(P)[2]
+    xb = socle_monomial(P, field)
+    S = colon(pcb_ideal(P, field), xb, nu)
+    sat, _ = saturate(pcb_ideal(P, field), Polynomial.variable(field, P.n, 0), nu)
+    return S, [
+        ("colon by x^{b(n)} agrees from I and from J", colon(pcb_ideal(P, field, omit_last=True), xb, nu) == S),
+        ("saturation by x_1 agrees with the colon", sat == S),
+    ]
+
+
+def _hull(P, field):
+    """I, the hull S as verify_full_decomposition computes it, the steps of
+    its saturation, and nu."""
+    nu = associated_vector(P)[2]
+    I = pcb_ideal(P, field)
+    S, steps = saturate(I, Polynomial.variable(field, P.n, 0), nu)
+    return I, S, steps, nu
+
+
+def _hull_agrees(P, field) -> None:
+    """The sweep's booleans against the three-way reference, and the
+    saturation's reduced degrevlex basis against the colon's."""
+    I, S, steps, nu = _hull(P, field)
+    swept = _hull_swept(P, S, nu)
+    colon_hull, reference = _reference_hull_checks(P, field)
+    assert _hull_checks(P, I, S, steps, swept)[:2] == reference
+    assert S.groebner() == colon_hull.groebner()
+    assert swept
+
+
+@pytest.mark.parametrize(
+    "name,field",
+    [(name, f) for name, p in GOLDEN_CASES + [("diag_n5.json", 11)] for f in (QQ, GF(p))]
+    + [("simplest_n4.json", GF(2))],
+    ids=lambda v: getattr(v, "tag", v),
+)
+def test_hull_sweep_agrees_with_the_three_way_hull_on_goldens(name, field):
+    _hull_agrees(load_golden(name), field)
+
+
+@pytest.mark.parametrize("n,count", [(3, 10), (4, 6), (5, 2)])
+def test_hull_sweep_agrees_with_the_three_way_hull_on_random_inputs(n, count):
+    rng = random.Random(101 + n)
+    for _ in range(count):
+        P = random_pcb(rng, n, max_entry=2)
+        _hull_agrees(P, QQ)
+        _hull_agrees(P, GF(_least_good_prime(P)))
+
+
+def _sweep_premise(P, field) -> None:
+    """J = (f_1, ..., f_{n-1}) is its own Groebner basis under
+    WeightedRevLex(nu, n - 1): the leading monomials are the x_j^{a_jj}."""
+    n = P.n
+    order = WeightedRevLex(associated_vector(P)[2], n - 1)
+    basis = groebner_basis(pcb_ideal(P, field, omit_last=True).gens, order)
+    leads = [g.leading_term(order)[0] for g in basis]
+    assert sorted(leads) == sorted(tuple(P.a[j][j] if i == j else 0 for i in range(n)) for j in range(n - 1))
+
+
+@pytest.mark.parametrize(
+    "name", ["diag_n3.json", "diag_n5.json", "n2_64.json", "n3_doubled.json", "n3_mixed.json", "onecomp_n4.json", "simplest_n4.json"]
+)
+def test_sweep_divisors_are_a_groebner_basis_on_goldens(name):
+    for field in (QQ, GF(2), GF(5)):
+        _sweep_premise(load_golden(name), field)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_sweep_divisors_are_a_groebner_basis_on_random_inputs(n):
+    rng = random.Random(103 + n)
+    for _ in range(10):
+        P = random_pcb(rng, n)
+        _sweep_premise(P, QQ)
+        _sweep_premise(P, GF(2))
+
+
+def _outside_the_hull(S, field, nu):
+    """A binomial of the trivial-character prime x_i -> t^{nu_i} that the
+    hull does not hold: a lattice binomial of ker nu outside J : x^{b(n)}."""
+    kernel = ring_map_kernel([Polynomial.monomial(field, 1, (w,)) for w in nu])
+    return next(g for g in kernel.groebner() if not S.contains(g))
+
+
+def _wrong_hulls(P, field):
+    """I, the hull's steps, nu and the wrong hulls: I itself (n >= 4) and the
+    hull with one binomial from outside J : x^{b(n)} added."""
+    I, S, steps, nu = _hull(P, field)
+    wrong = [Ideal(field, P.n, S.gens + (_outside_the_hull(S, field, nu),))]
+    if P.n >= 4:
+        wrong.append(I)
+    return I, steps, nu, wrong
+
+
+@pytest.mark.parametrize(
+    "name,field",
+    [("simplest_n4.json", QQ), ("simplest_n4.json", GF(5)), ("simplest_n4.json", GF(2)), ("diag_n5.json", GF(11)), ("diag_n3.json", GF(7))],
+    ids=lambda v: getattr(v, "tag", v),
+)
+def test_failed_sweep_reports_false(name, field):
+    P = load_golden(name)
+    I, steps, nu, wrong = _wrong_hulls(P, field)
+    for S in wrong:
+        swept = _hull_swept(P, S, nu)
+        assert not swept
+        assert [ok for _, ok in _hull_checks(P, I, S, steps, swept)[:2]] == [False, False]
+        if P.n >= 4:
+            E = embedded_component(P, field)
+            assert [ok for _, ok in embedded_checks(I, S, E, swept)] == [False, False]
+
+
+@pytest.mark.parametrize("name,p", [("simplest_n4.json", 5), ("diag_n5.json", 11)])
+def test_failed_sweep_fails_the_chain(name, p):
+    # with the embedded meet taken as given, the sweep alone stops the chain
+    P = load_golden(name)
+    I, _, nu, wrong = _wrong_hulls(P, GF(p))
+    real = realize_over_prime_field(P, p)
+    message = "intersection of all components is not the ideal: hull not saturated by x_1"
+    for S in wrong:
+        assert _fails_with(message, real, I, S, True, nu, _hull_swept(P, S, nu)) is None
+
+
+def test_failed_sweep_fails_the_char2_collapse():
+    # the hull plus x1 - x4 still holds a^[4] and a^7 and lies in a, so with
+    # the embedded facts taken as given the sweep alone raises
+    P = load_golden("simplest_n4.json")
+    field = GF(2)
+    I, S, _, nu = _hull(P, field)
+    wrong = Ideal(field, P.n, S.gens + (_outside_the_hull(S, field, nu),))
+    E = embedded_component(P, field)
+    with pytest.raises(VerificationFailed, match="^char-2 check failed: hull saturated by x_1$"):
+        _char2_checks(P, I, wrong, embedded_checks(I, S, E, True), _hull_swept(P, wrong, nu))
+
+
+@pytest.mark.parametrize("p", [None, 5, 2])
+def test_wrong_saturation_never_reports_ok(p, monkeypatch):
+    # end to end: a saturation that returned the hull plus a binomial
+    # outside it gives False hull and embedded checks over Q and raises
+    # over F_p, good or char-2
+    P = load_golden("simplest_n4.json")
+    field = QQ if p is None else GF(p)
+    _, steps, _, (wrong, _) = _wrong_hulls(P, field)
+    monkeypatch.setattr(decomp, "saturate", lambda *args: (wrong, steps))
+    names = [
+        "colon by x^{b(n)} agrees from I and from J",
+        "saturation by x_1 agrees with the colon",
+        "embedded component verified",
+        "hull meets embedded component in the ideal",
+    ]
+    if p is None:
+        checks = dict(verify_full_decomposition(P).checks)
+        assert [checks[name] for name in names] == [False] * 4
+    else:
+        with pytest.raises(VerificationFailed):
+            verify_full_decomposition(P, p)
+
+
+def _counted(calls, fn):
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("name,p", [("diag_n5.json", 11), ("simplest_n4.json", 2)])
+def test_full_verification_runs_one_saturation_and_no_colon(name, p, monkeypatch):
+    # the hull is one saturation by x_1; neither I : x^{b(n)} nor
+    # J : x^{b(n)} is computed, and J's generators are divided by as they
+    # stand, once per element of the hull's basis, with no Groebner run on
+    # them
+    P = load_golden(name)
+    field = GF(p)
+    J = pcb_ideal(P, field, omit_last=True).gens
+    j_order = WeightedRevLex(associated_vector(P)[2], P.n - 1)
+    calls = {"colon": [], "saturate": [], "groebner_basis": [], "normal_form": []}
+    for module, attr in [(decomp, "colon"), (decomp, "saturate"), (decomp, "normal_form"), (oracle_ideal, "groebner_basis")]:
+        monkeypatch.setattr(module, attr, _counted(calls[attr], getattr(module, attr)))
+    report = verify_full_decomposition(P, p)
+    assert all(ok for _, ok in report.checks)
+    assert calls["colon"] == []
+    ((I, x1, nu),) = calls["saturate"]
+    hull_size = len(saturate(I, x1, nu)[0].groebner(WeightedRevLex(nu, 0)))
+    assert [(tuple(divisors), order) for _, divisors, order in calls["normal_form"]] == [(J, j_order)] * hull_size
+    runs = calls["groebner_basis"]
+    assert runs
+    assert not any(frozenset(gens) == frozenset(J) or order == j_order for gens, order in runs)
+
