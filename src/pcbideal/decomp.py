@@ -19,16 +19,17 @@ Groebner basis, proves it equal to I : x^{b(n)} (see _hull_checks). S
 and the embedded component E meet in the ideal, and S is stable under
 the colon by x^{b(n)}, because S is saturated by x_1 (see
 embedded_checks); no fact is recomputed. Over
-F_p one elimination realizes the trivial-character component and torus
-twists give the others; that they meet in the hull is certified by a
-Hilbert-series degree count, and that the hull lies in each of them by
-one containment and the twist (see _chain_checks), not by intersecting
-them. That elimination is the only one `--level full` runs.
+F_p verify realizes no component: the hull's basis is lattice binomials,
+and that S is the meet of the d isolated components, each once, follows
+from integers and one Hilbert series (see _chain_checks). Only decompose
+realizes them: one elimination gives the trivial-character component and
+torus twists give the others (see PrimeFieldRealization).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,7 +46,7 @@ from .core import (
     normalized_snf,
     syzygy_vectors,
 )
-from .intmat import lattice_contains
+from .intmat import adjugate, lattice_contains
 from .oracle import (
     DEGREVLEX,
     GF,
@@ -182,33 +183,6 @@ def hull(P: PcbMatrix, field) -> Ideal:
     return colon(pcb_ideal(P, field), socle_monomial(P, field), associated_vector(P)[2])
 
 
-def _primary_to_maximal(comp: Ideal) -> bool:
-    """Whether the ideal is primary to (x_1, ..., x_n): whether the
-    leading ideal holds a pure power of every variable.
-
-    The test is exact for ideals homogeneous for the positive grading
-    deg x_i = nu_i, such as I, whose generators f_j are homogeneous
-    because nu L = 0, S = I : x^{b(n)}, and E = I + (x^{b(n)}), the f_j
-    plus a monomial. Let J be such an ideal. If J is the whole ring its
-    basis is (1), which is no pure power of a variable, and the answer
-    False is right. Otherwise J lies in (x), so its zero set over the
-    algebraic closure holds 0. The zero set is stable under
-    x_i -> s^{nu_i} x_i, so any other point in it lies on a whole curve in
-    it. Hence J is (x)-primary, that is rad J = (x), exactly when its zero
-    set is finite, that is when the quotient by J is finite-dimensional.
-    By Macaulay's basis theorem the standard monomials span the quotient,
-    so that holds exactly when the leading ideal holds a pure power of
-    every variable.
-    """
-    powered = set()
-    for g in comp.groebner():
-        lm, _ = g.leading_term(DEGREVLEX)
-        support = [i for i, e in enumerate(lm) if e]
-        if len(support) == 1:
-            powered.add(support[0])
-    return len(powered) == comp.nvars
-
-
 def embedded_component(P: PcbMatrix, field) -> Ideal:
     """The component primary to (x_1, ..., x_n): the ideal plus x^{b(n)}.
 
@@ -221,13 +195,23 @@ def embedded_component(P: PcbMatrix, field) -> Ideal:
     return Ideal(field, n, I.gens + (socle_monomial(P, field),))
 
 
-def embedded_checks(I: Ideal, S: Ideal, E: Ideal, saturated: bool) -> List[Tuple[str, bool]]:
+def _primary_to_origin(P: PcbMatrix, I: Ideal, E: Ideal) -> bool:
+    """Whether the premises hold that make E primary to (x_1, ..., x_n)
+    with no Groebner basis of E: every a_ij > 0, b(n) != 0, and E is
+    generated by the generators of I and x^{b(n)} (see embedded_checks)."""
+    positive = all(v > 0 for row in P.a for v in row)
+    xb = socle_monomial(P, I.field)
+    return positive and xb.total_degree() > 0 and E.gens == I.gens + (xb,)
+
+
+def embedded_checks(P: PcbMatrix, I: Ideal, S: Ideal, E: Ideal, saturated: bool) -> List[Tuple[str, bool]]:
     """Prove E = I + (x^{b(n)}) the embedded component of I, with hull
     S = I : x^{b(n)}. saturated is the hull sweep, already computed, that
     when True proves S = I : x^{b(n)} and S : x_1 = S for S the saturation
     I : x_1^∞ (see _hull_checks), on the good and the char-2 path alike.
-    No colon and no intersection is computed here: both facts below are
-    read off saturated, and a False reports both checks False.
+    No colon, no intersection and no Groebner basis is computed here: the
+    colon and the meet are read off saturated, and a False reports both
+    checks False.
 
     Lemma A (positivity). Each generator is f_j = x_j^{a_jj} minus the
     product of x_i^{a_ij} over i != j, and every a_ij is positive. A prime
@@ -243,14 +227,21 @@ def embedded_checks(I: Ideal, S: Ideal, E: Ideal, saturated: bool) -> List[Tuple
     hf^2 does, h lies in I : f^2 = S : f = S, hf lies in I, and so does z.
     Hence S ∩ E = I.
 
+    E is primary to (x) = (x_1, ..., x_n), by Lemma A again
+    (_primary_to_origin checks its premises in integers):
+    - every a_ij > 0, and b(n) != 0;
+    - so E ⊆ (x): both terms of every f_j and x^{b(n)} are nonconstant
+      monomials. Any prime holding E holds x^{b(n)}, hence a variable,
+      hence all variables by Lemma A;
+    - so (x) is the only prime over E, rad E = (x), and E, an ideal whose
+      radical is maximal, is primary to it.
+
     "embedded component verified": S : x^{b(n)} = S (Lemma A), S differs
-    from I, and the leading ideal of E holds a pure power of every
-    variable, so E is primary to (x_1, ..., x_n) (see
-    _primary_to_maximal). "hull meets embedded component in the ideal":
-    S ∩ E = I (Lemma B).
+    from I, and E is (x)-primary. "hull meets embedded component in the
+    ideal": S ∩ E = I (Lemma B).
     """
     return [
-        ("embedded component verified", saturated and S != I and _primary_to_maximal(E)),
+        ("embedded component verified", saturated and S != I and _primary_to_origin(P, I, E)),
         ("hull meets embedded component in the ideal", saturated),
     ]
 
@@ -460,8 +451,18 @@ def _hull_checks(P: PcbMatrix, I: Ideal, S: Ideal, steps: int, swept: bool) -> L
     char-2 check "hull saturated by x_1". The saturation stops after no
     step exactly when I : x_1 = I, which decides the unmixedness
     dichotomy.
+
+    No Groebner basis is computed here either. The saturation leaves the
+    reduced WeightedRevLex(nu, 0) bases of I and of S cached, and every
+    check reads them: the mixedness witness lies in S and not in I when
+    its normal form is zero modulo S's basis and nonzero modulo I's, and
+    the lattice check runs over S's basis. Its boolean, the last check,
+    is the `lattice` that _chain_checks takes.
     """
-    field, n, m = I.field, P.n, associated_vector(P)[0]
+    field, n = I.field, P.n
+    m, _, nu = associated_vector(P)
+    order = WeightedRevLex(nu, 0)
+    basis = S.groebner(order)
     checks = [
         ("colon by x^{b(n)} agrees from I and from J", swept),
         ("saturation by x_1 agrees with the colon", swept),
@@ -469,11 +470,12 @@ def _hull_checks(P: PcbMatrix, I: Ideal, S: Ideal, steps: int, swept: bool) -> L
     ]
     if n >= 4:
         g = binomial_to_polynomial(mixedness_witness(P), field, n)
-        checks.append(("witness sits in the colon but not the ideal", S.contains(g) and not I.contains(g)))
+        inside = not normal_form(g, basis, order) and bool(normal_form(g, I.groebner(order), order))
+        checks.append(("witness sits in the colon but not the ideal", inside))
     snf = normalized_snf(P)
     lattice_ok = True
-    for g in S.groebner():
-        terms = sorted(g.terms.items(), key=lambda t: DEGREVLEX.key(t[0]), reverse=True)
+    for g in basis:
+        terms = sorted(g.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
         if len(terms) != 2 or terms[0][1] != field.one or terms[1][1] != field.neg(field.one):
             lattice_ok = False
             break
@@ -534,98 +536,132 @@ def _char2_checks(
     return checks
 
 
-def _leading_monomials(basis: Sequence[Polynomial]) -> Tuple[Tuple[int, ...], ...]:
-    return tuple(g.leading_term(DEGREVLEX)[0] for g in basis)
+def _leading_monomials(basis: Sequence[Polynomial], order=DEGREVLEX) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(g.leading_term(order)[0] for g in basis)
+
+
+def _kernel_vectors(P: PcbMatrix) -> List[Tuple[int, ...]]:
+    """w_1, ..., w_{n-1}, a basis of ker nu ∩ Z^n: the first n - 1 columns
+    of the adjugate of the normalized SNF's left transform, which is ± its
+    inverse (see _chain_checks)."""
+    adj = adjugate(normalized_snf(P).P)
+    return [adj.column(j) for j in range(P.n - 1)]
+
+
+def _residue_vectors(specs: Sequence[ComponentSpec], kernel: Sequence[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
+    """(e.w_j mod r)_j for the character e of each spec and each kernel
+    vector w_j: equal exactly when the components are (see _chain_checks)."""
+    return [tuple(sum(map(mul, s.coeff_exponents, w)) % s.root_order for w in kernel) for s in specs]
 
 
 def _intersection_witness(
-    real: PrimeFieldRealization, S: Ideal, nu: Sequence[int], saturated: bool
+    P: PcbMatrix,
+    specs: Sequence[ComponentSpec],
+    kernel: Sequence[Tuple[int, ...]],
+    distinct: int,
+    S: Ideal,
+    saturated: bool,
+    lattice: bool,
 ) -> Optional[str]:
-    """None when the degree certificate proves S = P_1 ∩ ... ∩ P_d (see
-    _chain_checks), else the first fact that fails."""
+    """None when the certificate proves S = P_1 ∩ ... ∩ P_d (see
+    _chain_checks), with `distinct` residue vectors among the specs, else
+    the first fact that fails."""
     if not saturated:
         return "hull not saturated by x_1"
-    P1 = real.kernels[0]
-    hull_basis = S.groebner()
-    if not all(P1.contains(g) for g in hull_basis):
-        return "a hull generator has a nonzero normal form modulo component 1"
-    e1 = real.specs[0].coeff_exponents
-    for i, s in enumerate(real.specs[1:], start=2):
-        e = [a - b for a, b in zip(s.coeff_exponents, e1)]
-        if any(len({sum(map(mul, e, a)) % real.r for a in g.terms}) > 1 for g in hull_basis):
-            return f"the twist to component {i} moves a hull generator"
-    degree = dimension_one_degree(_leading_monomials(P1.groebner()), nu)
-    if degree is None:
-        return "component 1 is not of dimension one"
-    # a repeated component adds no prime; irredundancy reports it
-    total = degree * len({K.groebner() for K in real.kernels})
-    hull_degree = dimension_one_degree(_leading_monomials(hull_basis), nu)
+    if not lattice:
+        return "hull basis is not lattice binomials"
+    columns = P.signed.transpose().data
+    for i, s in enumerate(specs, start=1):
+        if any(sum(map(mul, s.coeff_exponents, col)) % s.root_order for col in columns):
+            return f"the character of component {i} does not kill the lattice"
+    nu = associated_vector(P)[2]
+    if math.gcd(*nu) != 1:
+        return "the weights have a common factor"
+    for j, w in enumerate(kernel, start=1):
+        if sum(map(mul, nu, w)):
+            return f"the weights do not kill kernel vector {j}"
+    order = WeightedRevLex(nu, 0)
+    hull_degree = dimension_one_degree(_leading_monomials(S.groebner(order), order), nu)
     if hull_degree is None:
         return "hull is not of dimension one"
-    if hull_degree != total:
-        return f"deg S = {hull_degree}, sum of component degrees = {total}"
+    if hull_degree != distinct:
+        return f"deg S = {hull_degree}, sum of component degrees = {distinct}"
     return None
 
 
 def _chain_checks(
-    real: PrimeFieldRealization,
+    P: PcbMatrix,
+    specs: Sequence[ComponentSpec],
     I: Ideal,
     S: Ideal,
     meets: Optional[bool],
-    nu: Sequence[int],
     saturated: bool,
+    lattice: bool,
 ) -> Tuple[List[Tuple[str, bool]], int]:
     """Prove I = P_1 ∩ ... ∩ P_d (∩ E) and that no component is redundant;
     returns the checks and the number of components.
 
-    real holds the isolated components: P_i is the twist D_{-e_i}(P_0) of
-    the trivial-character kernel P_0 by the character e_i of its i-th
-    spec (see PrimeFieldRealization), so a component can differ from the
-    realized one only through its character, and the certificate names
-    it. S is the hull I : x^{b(n)}, and meets says whether S ∩ E = I
+    P_i is the kernel of x_j -> zeta^{e_j} t^{nu_j}, e the character of
+    specs[i - 1] and zeta a primitive r-th root of unity, r the last
+    invariant factor, which F_p holds because p = 1 (mod r) (see
+    prime_field_for). No P_i is realized: every fact about them below is
+    a fact about integers (Eisenbud-Sturmfels, "Binomial ideals", 1996).
+    S is the hull I : x^{b(n)}, and meets says whether S ∩ E = I
     (embedded_checks decided it); it is None for n <= 3, where there is no
-    E. nu is the weight vector, and saturated is the hull sweep: whether
-    the saturation S = I : x_1^∞ equals I : x^{b(n)} (the hull check
-    "saturation by x_1 agrees with the colon", see _hull_checks).
+    E. saturated is the hull sweep (S : x_1 = S, see _hull_checks), and
+    lattice is the hull check "hull basis is lattice binomials killed by
+    the weights": every element of S's reduced basis is x^u - x^v with
+    u - v in the column lattice L.
+
+    Facts from integers. The left transform of the normalized SNF is
+    unimodular with last row nu, so the columns of its inverse, ± those of
+    its adjugate, are a basis of Z^n, and nu.w_j = 0 for the first n - 1,
+    w_1, ..., w_{n-1} (checked), which therefore span ker nu ∩ Z^n. The
+    residue vector of a character e is (e.w_j mod r)_{j < n}.
+    a. S ⊆ P_i when e_i kills every column of L modulo r (checked for
+       every i). A basis element x^u - x^v of S maps to
+       (zeta^{e.u} - zeta^{e.v}) t^{nu.u} = 0: nu.u = nu.v by nu L = 0,
+       and e.(u - v) = 0 (mod r) for u - v in L.
+    b. P_e != P_{e'} when (e - e').w != 0 (mod r) for some w in
+       ker nu ∩ Z^n: x^{w+} - zeta^{e.w} x^{w-} lies in P_e and not in
+       P_{e'}. So distinct residue vectors give distinct components.
+       Conversely P_e is spanned by the binomials x^u - zeta^{e.(u-v)} x^v
+       with u - v in ker nu (Sturmfels, "Groebner Bases and Convex
+       Polytopes", Lemma 4.1, twisted by e), so equal residue vectors give
+       equal components.
+    c. deg P_i = 1, because gcd(nu) = 1 (checked): F_p[x]/P_i is
+       isomorphic to F_p[t^{nu_1}, ..., t^{nu_n}], which is
+       one-dimensional in every large degree.
 
     Intersection. No ideal is intersected. Grade by deg x_i = nu_i: I is
-    homogeneous because nu L = 0, hence so is S, and so is every P_i, the
-    kernel of x_i -> zeta^{e_i} t^{nu_i}. Each P_i is prime, as the kernel
-    of a map into the domain F_p[t]. S = P_1 ∩ ... ∩ P_d follows from:
-    1. S : x_1 = S, because S is a saturation by x_1, which one more colon
-       by x_1 does not move. So x_1 is a nonzerodivisor modulo S, and the
-       irrelevant ideal (x_1, ..., x_n) is not associated to S.
-    2. S ⊆ P_i for every i. For i = 1: each element of S's reduced basis
-       has normal form zero modulo the reduced basis of P_1. For i >= 2,
-       P_i = D_{-e}(P_1) with e = e_i - e_1. D_{-e} multiplies a term x^a
-       by zeta^{-e.a}, and zeta has order r, so it maps a polynomial whose
-       terms all have the same e.a (mod r) to a unit multiple of itself.
-       Every element of S's reduced basis is such a polynomial for e:
-       for a binomial x^u - x^v that says e.(u - v) = 0 (mod r), checked
-       in integers. So D_{-e} maps S into itself, its inverse D_e does
-       too, D_e(S) ⊆ S ⊆ P_1, and S ⊆ D_{-e}(P_1) = P_i. Only the
-       normal forms modulo P_1 are computed.
-    3. The P_i are pairwise distinct: their reduced bases are.
-    4. dim S = 1, each P_i has dimension one, and deg S = Σ deg P_i over
-       the distinct P_i. Dimension and degree come from the nu-graded
-       Hilbert series of the leading ideal (oracle.dimension_one_degree,
-       after Bayer-Stillman), which for a homogeneous ideal equals the
-       ideal's own. The reduced basis of P_i is that of P_0 with each
-       term scaled by a unit, so every P_i has the leading ideal of P_1,
-       and its dimension and degree are computed once, for P_1.
-    By 2 and 4 each P_i is a minimal prime of S of dimension one. The
-    associativity formula gives deg S = Σ_P length(S_P) deg P over all
-    minimal primes P of S of dimension one, every deg P > 0, so by 3 and 4
-    every length at a P_i is one and S has no other minimal prime of
-    dimension one. A homogeneous ideal of dimension one has no further
-    associated prime but the irrelevant ideal, which 1 excludes. Hence S
-    is unmixed and its P_i-primary component is S_{P_i} ∩ R = P_i, so
-    S = P_1 ∩ ... ∩ P_d. Then for n >= 4, S ∩ E = I gives the whole
+    homogeneous because nu L = 0, hence so is S, and each P_i is a
+    homogeneous prime of dimension one, the kernel of a graded map into
+    the domain F_p[t]. S = P_1 ∩ ... ∩ P_d follows from:
+    1. S : x_1 = S, because S is a saturation by x_1. So x_1 is a
+       nonzerodivisor modulo S, and the irrelevant ideal (x_1, ..., x_n)
+       is not associated to S.
+    2. S ⊆ P_i for every i (a).
+    3. dim S = 1, and deg S equals the number of distinct residue
+       vectors. deg S comes from the nu-graded Hilbert series of the
+       leading ideal of S's reduced WeightedRevLex(nu, 0) basis, the one
+       the saturation left cached (oracle.dimension_one_degree, after
+       Bayer-Stillman), which for a homogeneous ideal equals the ideal's
+       own under any order.
+    By 2 each P_i, of dimension one like S, is a minimal prime of S, and
+    by b the distinct P_i are at least as many as the distinct residue
+    vectors. The associativity formula gives deg S = Σ_P length(S_P) deg P
+    over all minimal primes P of S of dimension one, every deg P > 0, so
+    by c and 3 every length at a P_i is one and S has no other minimal
+    prime of dimension one. A homogeneous ideal of dimension one has no
+    further associated prime but the irrelevant ideal, which 1 excludes.
+    Hence S is unmixed and its P_i-primary component is S_{P_i} ∩ R = P_i,
+    so S = P_1 ∩ ... ∩ P_d. Then for n >= 4, S ∩ E = I gives the whole
     intersection; for n <= 3, S = I does. A failure raises
     VerificationFailed with one witness after the message: S ∩ E != I (or
-    S != I), an unsaturated hull, a hull generator with a nonzero normal
-    form modulo P_1, the first component whose twist moves a hull
-    generator, a dimension other than one, or the two degrees that
+    S != I), an unsaturated hull, a hull basis of other than lattice
+    binomials, the first component whose character does not kill the
+    lattice, weights with a common factor or a kernel vector they do not
+    kill, a hull of dimension other than one, or the two degrees that
     differ.
 
     Irredundancy. Each P_i has dimension one and holds no monomial (a
@@ -633,25 +669,29 @@ def _chain_checks(
     of the other components lies in P_j. A prime that holds a finite
     intersection of ideals holds one of them, so some P_i lies in P_j with
     i != j, or E does. P_i in P_j makes them equal, because both primes
-    have dimension one, and the kernels' reduced bases are checked
-    pairwise distinct. E in P_j is impossible: E holds the monomial
-    x^{b(n)}. E itself is redundant exactly when the P_i meet in I, that
-    is when S = I, so S != I is checked. A failure raises
-    VerificationFailed naming the first redundant component.
+    have dimension one, and by b that happens exactly when their residue
+    vectors are equal, so the residue vectors are checked pairwise
+    distinct. E in P_j is impossible: E holds the monomial x^{b(n)}. E
+    itself is redundant exactly when the P_i meet in I, that is when
+    S = I, so S != I is checked. A failure raises VerificationFailed
+    naming the first redundant component: the first index of a repeated
+    residue vector, or E.
     """
+    kernel = _kernel_vectors(P)
+    classes = _residue_vectors(specs, kernel)
     if meets is None:
         witness = None if S == I else "hull differs from the ideal"
     else:
         witness = None if meets else "hull meets the embedded component outside the ideal"
-    witness = witness or _intersection_witness(real, S, nu, saturated)
+    witness = witness or _intersection_witness(P, specs, kernel, len(set(classes)), S, saturated, lattice)
     if witness:
         raise VerificationFailed(f"intersection of all components is not the ideal: {witness}")
     checks = [("intersection of all components equals the ideal", True)]
-    bases = Counter(K.groebner() for K in real.kernels)
-    for j, K in enumerate(real.kernels):
-        if bases[K.groebner()] > 1:
+    repeats = Counter(classes)
+    for j, c in enumerate(classes):
+        if repeats[c] > 1:
             raise VerificationFailed(f"component {j + 1} is redundant", index=j)
-    k = len(real.kernels)
+    k = len(specs)
     if meets is not None:
         k += 1
         if S == I:
@@ -671,28 +711,30 @@ def verify_full_decomposition(P: PcbMatrix, p: Optional[int] = None) -> Decompos
     colon by x^{b(n)} and no Groebner basis of (f_1, ..., f_{n-1}) is
     computed. That one boolean decides the embedded-component checks (see
     embedded_checks). Over Q and over a good F_p (see prime_field_for)
-    the hull checks run; over F_p the isolated components are then
-    realized, certified to meet in S by a degree count and proved
-    irredundant from their primality (see _chain_checks). In the char-2
-    case the collapse checks run instead, on the same boolean. A failed
-    chain or char-2 check raises VerificationFailed; the others report
-    False.
+    the hull checks run; over F_p the d isolated components are then
+    certified, without realizing any of them, to meet in S by a degree
+    count and to be irredundant, from their characters (see
+    _chain_checks). On this path the saturation's is the only Groebner
+    run. In the char-2 case the collapse checks run instead, on the same
+    boolean. A failed chain or char-2 check raises VerificationFailed;
+    the others report False.
     """
     field, good = (QQ, True) if p is None else prime_field_for(P, p)
     nu = associated_vector(P)[2]
     I = pcb_ideal(P, field)
     S, steps = saturate(I, Polynomial.variable(field, P.n, 0), nu)
     swept = _hull_swept(P, S, nu)
-    embedded = embedded_checks(I, S, embedded_component(P, field), swept) if P.n >= 4 else []
+    embedded = embedded_checks(P, I, S, embedded_component(P, field), swept) if P.n >= 4 else []
     count = None
     if not good:
         checks, count = _char2_checks(P, I, S, embedded, swept), 2
     else:
-        checks = _hull_checks(P, I, S, steps, swept) + embedded
+        hull_checks = _hull_checks(P, I, S, steps, swept)
+        checks = hull_checks + embedded
         if p is not None:
             meets = embedded[1][1] if embedded else None
-            real = realize_over_prime_field(P, p)
-            chain, count = _chain_checks(real, I, S, meets, nu, swept)
+            lattice = hull_checks[-1][1]
+            chain, count = _chain_checks(P, enumerate_components(P), I, S, meets, swept, lattice)
             checks += chain
     if count is not None:
         checks.append((f"component count is {count}", True))

@@ -213,7 +213,7 @@ def test_criterion_07_char2_collapse():
         "hull : x1 = hull": colon(S, x1) == S,
         "hull meets E in I": intersect(S, E) == I,
         "E primary to the irrelevant ideal": all(
-            flag for _, flag in embedded_checks(I, S, E, colon(S, x1) == S)
+            flag for _, flag in embedded_checks(P, I, S, E, colon(S, x1) == S)
         ),
         "report: two components, all checks ok": report.component_count == 2
         and all(flag for _, flag in report.checks),

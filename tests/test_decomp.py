@@ -160,21 +160,22 @@ class TestEmbedded:
         assert comp.contains(socle_monomial(simplest, QQ))
 
     def test_candidate_not_primary_to_the_maximal_ideal_fails(self, simplest):
-        # I itself contains no power of x1, so it is no embedded component
+        # I itself contains no power of x1 and lacks x^{b(n)}, so it is no
+        # embedded component
         I = pcb_ideal(simplest, QQ)
         S = hull(simplest, QQ)
         saturated = colon(S, Polynomial.variable(QQ, 4, 0)) == S
-        checks = dict(embedded_checks(I, S, I, saturated))
+        checks = dict(embedded_checks(simplest, I, S, I, saturated))
         assert checks["embedded component verified"] is False
         comp = embedded_component(simplest, QQ)
-        assert all(ok for _, ok in embedded_checks(I, S, comp, saturated))
+        assert all(ok for _, ok in embedded_checks(simplest, I, S, comp, saturated))
 
     def test_unsaturated_hull_verifies_nothing(self, simplest):
         # both embedded facts are read off S : x_1 = S; without it neither holds
         I = pcb_ideal(simplest, QQ)
         S = hull(simplest, QQ)
         comp = embedded_component(simplest, QQ)
-        assert not any(ok for _, ok in embedded_checks(I, S, comp, False))
+        assert not any(ok for _, ok in embedded_checks(simplest, I, S, comp, False))
 
     def test_simplest_alternative_presentation(self, simplest):
         # adding x1 instead of the socle monomial also lands m-primary:

@@ -1,20 +1,26 @@
 """The cheap proofs in decomp held against the brute-force routines they replaced.
 
-_chain_checks proves that the isolated components meet in the hull by a
-degree count, with the hull inside every component from one containment
-and the twist, and irredundancy from primality: the isolated components
-are distinct primes of dimension one holding no monomial. Two proofs it
-replaced stay here as references: _reference_kernel_chain intersects the
-kernels in one chain of d - 1 intersections and compares the result with
-the hull, and _reference_chain drops each component in turn and
-intersects the rest (prefix, suffix and middle intersections).
-realize_over_prime_field twists one kernel into all d;
-_reference_kernels eliminates once per character.
-_primary_to_maximal reads finite colength off the leading ideal;
+_chain_checks proves that the isolated components meet in the hull, and
+that none is redundant, from integers and one Hilbert series, and
+realizes no component: the hull's basis is lattice binomials, every
+character kills the lattice, characters with distinct residue vectors on
+a basis of ker nu have distinct components of degree one, and deg S
+counts them. Three proofs it replaced stay here as references, each on
+the realized components: _reference_degree_chain twists the
+trivial-character kernel into every component, divides the hull by the
+first one and compares deg S with the degrees and the reduced bases of
+the kernels; _reference_kernel_chain intersects the kernels in one chain
+of d - 1 intersections and compares the result with the hull; and
+_reference_chain drops each component in turn and intersects the rest
+(prefix, suffix and middle intersections). realize_over_prime_field
+twists one kernel into all d; _reference_kernels eliminates once per
+character. embedded_checks proves E primary to (x_1, ..., x_n) from the
+positivity of L and b(n) != 0 (_primary_to_origin); _primary_to_maximal
+reads finite colength off E's leading ideal, and
 _reference_primary_to_maximal searches a power of every variable inside
-the ideal, bounded by the dimension of the quotient. embedded_checks reads
-S : x^{b(n)} = S and S ∩ E = I off the saturation of the hull by x_1;
-_reference_embedded_checks computes the colon and the intersection.
+the ideal, bounded by the dimension of the quotient. embedded_checks
+reads S : x^{b(n)} = S and S ∩ E = I off the saturation of the hull by
+x_1; _reference_embedded_checks computes the colon and the intersection.
 verify_full_decomposition computes the hull once, as the saturation by
 x_1, and proves it equal to I : x^{b(n)} and J : x^{b(n)} by one division
 sweep into J = (f_1, ..., f_{n-1}); _reference_hull_checks computes the
@@ -30,19 +36,24 @@ import functools
 import itertools
 import random
 from collections import Counter
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
 
 from pcbideal import decomp
-from pcbideal.core import associated_vector, normalized_snf
+from pcbideal.core import PcbMatrix, associated_vector, normalized_snf
 from pcbideal.decomp import (
+    PrimeFieldRealization,
     VerificationFailed,
     _chain_checks,
     _char2_checks,
     _hull_checks,
     _hull_swept,
-    _primary_to_maximal,
+    _kernel_vectors,
+    _leading_monomials,
+    _primary_to_origin,
+    _residue_vectors,
     embedded_checks,
     embedded_component,
     enumerate_components,
@@ -52,6 +63,7 @@ from pcbideal.decomp import (
     socle_monomial,
     verify_full_decomposition,
 )
+from pcbideal.intmat import IntMatrix, lattice_contains
 from pcbideal.oracle import (
     DEGREVLEX,
     GF,
@@ -60,8 +72,10 @@ from pcbideal.oracle import (
     Polynomial,
     WeightedRevLex,
     colon,
+    dimension_one_degree,
     groebner_basis,
     intersect,
+    normal_form,
     ring_map_kernel,
     saturate,
 )
@@ -180,6 +194,103 @@ def _reference_primary_to_maximal(comp: Ideal) -> bool:
     return True
 
 
+def _primary_to_maximal(comp: Ideal) -> bool:
+    """Whether the ideal is primary to (x_1, ..., x_n): whether the
+    leading ideal holds a pure power of every variable.
+
+    The test is exact for ideals homogeneous for the positive grading
+    deg x_i = nu_i, such as I, whose generators f_j are homogeneous
+    because nu L = 0, S = I : x^{b(n)}, and E = I + (x^{b(n)}), the f_j
+    plus a monomial. Let J be such an ideal. If J is the whole ring its
+    basis is (1), which is no pure power of a variable, and the answer
+    False is right. Otherwise J lies in (x), so its zero set over the
+    algebraic closure holds 0. The zero set is stable under
+    x_i -> s^{nu_i} x_i, so any other point in it lies on a whole curve in
+    it. Hence J is (x)-primary, that is rad J = (x), exactly when its zero
+    set is finite, that is when the quotient by J is finite-dimensional.
+    By Macaulay's basis theorem the standard monomials span the quotient,
+    so that holds exactly when the leading ideal holds a pure power of
+    every variable.
+    """
+    powered = set()
+    for g in comp.groebner():
+        lm, _ = g.leading_term(DEGREVLEX)
+        support = [i for i, e in enumerate(lm) if e]
+        if len(support) == 1:
+            powered.add(support[0])
+    return len(powered) == comp.nvars
+
+
+def _reference_degree_witness(
+    real: PrimeFieldRealization, S: Ideal, nu: Sequence[int], saturated: bool
+) -> Optional[str]:
+    """None when the degree certificate on the realized kernels proves
+    S = P_1 ∩ ... ∩ P_d, else the first fact that fails: S ⊆ P_1 by
+    normal forms, S ⊆ P_i by the twist from P_1 fixing S, and deg S
+    against deg P_1 times the number of distinct reduced bases."""
+    if not saturated:
+        return "hull not saturated by x_1"
+    P1 = real.kernels[0]
+    hull_basis = S.groebner()
+    if not all(P1.contains(g) for g in hull_basis):
+        return "a hull generator has a nonzero normal form modulo component 1"
+    e1 = real.specs[0].coeff_exponents
+    for i, s in enumerate(real.specs[1:], start=2):
+        e = [a - b for a, b in zip(s.coeff_exponents, e1)]
+        if any(len({sum(map(mul, e, a)) % real.r for a in g.terms}) > 1 for g in hull_basis):
+            return f"the twist to component {i} moves a hull generator"
+    degree = dimension_one_degree(_leading_monomials(P1.groebner()), nu)
+    if degree is None:
+        return "component 1 is not of dimension one"
+    # a repeated component adds no prime; irredundancy reports it
+    total = degree * len({K.groebner() for K in real.kernels})
+    hull_degree = dimension_one_degree(_leading_monomials(hull_basis), nu)
+    if hull_degree is None:
+        return "hull is not of dimension one"
+    if hull_degree != total:
+        return f"deg S = {hull_degree}, sum of component degrees = {total}"
+    return None
+
+
+def _reference_degree_chain(real: PrimeFieldRealization, I: Ideal, S: Ideal, meets: Optional[bool], nu, saturated: bool):
+    """The degree certificate on the realized kernels, then irredundancy by
+    a Counter of their d reduced bases. Returns the checks and the count."""
+    if meets is None:
+        witness = None if S == I else "hull differs from the ideal"
+    else:
+        witness = None if meets else "hull meets the embedded component outside the ideal"
+    witness = witness or _reference_degree_witness(real, S, nu, saturated)
+    if witness:
+        raise VerificationFailed(f"intersection of all components is not the ideal: {witness}")
+    checks = [("intersection of all components equals the ideal", True)]
+    bases = Counter(K.groebner() for K in real.kernels)
+    for j, K in enumerate(real.kernels):
+        if bases[K.groebner()] > 1:
+            raise VerificationFailed(f"component {j + 1} is redundant", index=j)
+    k = len(real.kernels)
+    if meets is not None:
+        k += 1
+        if S == I:
+            raise VerificationFailed(f"component {k} is redundant", index=k - 1)
+    checks.append(("every component is irredundant", True))
+    return checks, k
+
+
+def _reference_lattice(P: PcbMatrix, S: Ideal) -> bool:
+    """The lattice check on S's reduced degrevlex basis: every element is
+    x^u - x^v with u - v in the column lattice and killed by the weights."""
+    m = associated_vector(P)[0]
+    one = S.field.one
+    for g in S.groebner():
+        terms = sorted(g.terms.items(), key=lambda t: DEGREVLEX.key(t[0]), reverse=True)
+        if len(terms) != 2 or terms[0][1] != one or terms[1][1] != S.field.neg(one):
+            return False
+        member, _ = lattice_contains(P.signed, [a - b for a, b in zip(terms[0][0], terms[1][0])])
+        if not member or g.substitute_powers(m).terms:
+            return False
+    return True
+
+
 CHECKS = [
     ("intersection of all components equals the ideal", True),
     ("every component is irredundant", True),
@@ -188,7 +299,8 @@ CHECKS = [
 
 def _outcome(run) -> Tuple[Optional[str], Optional[int], Optional[int]]:
     """(message, index, None) when the proof fails, else (None, None, k).
-    The message is cut before the witness, which only _chain_checks gives."""
+    The message is cut before the witness, which only the degree
+    certificates give."""
     try:
         k = run()
     except VerificationFailed as err:
@@ -196,8 +308,41 @@ def _outcome(run) -> Tuple[Optional[str], Optional[int], Optional[int]]:
     return None, None, k
 
 
-def _new(real, I, S, meets, nu, saturated):
-    checks, k = _chain_checks(real, I, S, meets, nu, saturated)
+@dataclasses.dataclass(frozen=True)
+class Chain:
+    """The chain's arguments on one input over F_p, each computed by the
+    brute-force route: the realization, whose specs _chain_checks takes,
+    I, the hull S as the colon I : x^{b(n)}, E (None for n <= 3), whether
+    S ∩ E = I, nu, whether the saturation of I by x_1 is S, and whether
+    S's reduced degrevlex basis is lattice binomials."""
+
+    P: PcbMatrix
+    real: PrimeFieldRealization
+    I: Ideal
+    S: Ideal
+    E: Optional[Ideal]
+    meets: Optional[bool]
+    nu: Tuple[int, ...]
+    saturated: bool
+    lattice: bool
+
+    def run(self):
+        return _chain_checks(self.P, self.real.specs, self.I, self.S, self.meets, self.saturated, self.lattice)
+
+    def with_specs(self, specs) -> "Chain":
+        """The same input with other characters: the realization's kernels
+        are the twists of the same trivial-character kernel by them."""
+        return dataclasses.replace(self, real=dataclasses.replace(self.real, specs=tuple(specs)))
+
+
+def _new(c: Chain):
+    checks, k = c.run()
+    assert checks == CHECKS
+    return k
+
+
+def _degree_chain(c: Chain):
+    checks, k = _reference_degree_chain(c.real, c.I, c.S, c.meets, c.nu, c.saturated)
     assert checks == CHECKS
     return k
 
@@ -216,9 +361,7 @@ def _least_good_prime(P) -> int:
     return p
 
 
-def _setup(P, p: int):
-    """The realization, I, the hull S, E (None for n <= 3), whether
-    S ∩ E = I, nu, and whether the saturation of I by x_1 is S."""
+def _setup(P, p: int) -> Chain:
     field = GF(p)
     I = pcb_ideal(P, field)
     S = colon(I, socle_monomial(P, field))
@@ -226,13 +369,7 @@ def _setup(P, p: int):
     meets = None if E is None else intersect(S, E) == I
     saturated = saturate(I, Polynomial.variable(field, P.n, 0))[0] == S
     nu = associated_vector(P)[2]
-    return realize_over_prime_field(P, p), I, S, E, meets, nu, saturated
-
-
-def _with_specs(real, specs):
-    """The realization with other characters: its kernels are the twists
-    of the same trivial-character kernel by them."""
-    return dataclasses.replace(real, specs=tuple(specs))
+    return Chain(P, realize_over_prime_field(P, p), I, S, E, meets, nu, saturated, _reference_lattice(P, S))
 
 
 def _non_character(spec):
@@ -242,12 +379,21 @@ def _non_character(spec):
     return dataclasses.replace(spec, coeff_exponents=(1,) + (0,) * (n - 1))
 
 
-def _agree(real, I, S, E, meets, nu, saturated):
-    kernels = list(real.kernels)
-    parts = kernels + ([E] if E is not None else [])
-    new = _outcome(lambda: _new(real, I, S, meets, nu, saturated))
-    assert new == _outcome(lambda: _kernel_chain(kernels, I, S, meets))
-    assert new == _outcome(lambda: _reference_chain(parts, I))
+def _shifted_by_nu(spec, nu):
+    """The character e + nu (mod r): the same on ker nu, so the same
+    component, with other coefficient exponents whenever r does not
+    divide every weight."""
+    r = spec.root_order
+    return dataclasses.replace(spec, coeff_exponents=tuple((e + w) % r for e, w in zip(spec.coeff_exponents, nu)))
+
+
+def _agree(c: Chain):
+    kernels = list(c.real.kernels)
+    parts = kernels + ([c.E] if c.E is not None else [])
+    new = _outcome(lambda: _new(c))
+    assert new == _outcome(lambda: _degree_chain(c))
+    assert new == _outcome(lambda: _kernel_chain(kernels, c.I, c.S, c.meets))
+    assert new == _outcome(lambda: _reference_chain(parts, c.I))
     return new
 
 
@@ -263,18 +409,17 @@ GOLDEN_CASES = [
 
 @pytest.mark.parametrize("name,p", GOLDEN_CASES)
 def test_chain_agrees_with_the_reference_on_goldens(name, p):
-    P = load_golden(name)
-    real, I, S, E, meets, nu, saturated = _setup(P, p)
-    expected = len(real.kernels) + (E is not None)
-    assert _agree(real, I, S, E, meets, nu, saturated) == (None, None, expected)
+    c = _setup(load_golden(name), p)
+    expected = len(c.real.kernels) + (c.E is not None)
+    assert _agree(c) == (None, None, expected)
 
 
 def test_chain_agrees_with_the_reference_on_random_n3():
     rng = random.Random(83)
     for _ in range(12):
         P = random_pcb(rng, 3, max_entry=2)
-        real, I, S, E, meets, nu, saturated = _setup(P, _least_good_prime(P))
-        assert _agree(real, I, S, E, meets, nu, saturated) == (None, None, len(real.kernels))
+        c = _setup(P, _least_good_prime(P))
+        assert _agree(c) == (None, None, len(c.real.kernels))
 
 
 @pytest.fixture(scope="module")
@@ -283,50 +428,50 @@ def diag_n3_f7():
 
 
 def test_duplicated_kernel_is_redundant(diag_n3_f7):
-    real, I, S, E, meets, nu, saturated = diag_n3_f7
-    doubled = _with_specs(real, real.specs + real.specs[:1])
+    c = diag_n3_f7
+    doubled = c.with_specs(c.real.specs + c.real.specs[:1])
     with pytest.raises(VerificationFailed, match="component 1 is redundant") as err:
-        _chain_checks(doubled, I, S, meets, nu, saturated)
+        doubled.run()
     assert err.value.index == 0
-    assert _agree(doubled, I, S, E, meets, nu, saturated)[:2] == ("component 1 is redundant", 0)
+    assert _agree(doubled)[:2] == ("component 1 is redundant", 0)
 
 
 def test_embedded_component_over_its_hull_is_redundant(diag_n3_f7):
     # over n = 3, S = I: any (x)-primary E containing I meets S in I and
     # adds nothing, so it must be named as the last component
-    real, I, S, _, _, nu, saturated = diag_n3_f7
-    assert S == I
-    field = I.field
-    E = Ideal(field, 3, list(I.gens) + [Polynomial.variable(field, 3, i) for i in range(3)])
-    k = len(real.kernels) + 1
+    c = diag_n3_f7
+    assert c.S == c.I
+    field = c.I.field
+    E = Ideal(field, 3, list(c.I.gens) + [Polynomial.variable(field, 3, i) for i in range(3)])
+    over = dataclasses.replace(c, E=E, meets=True)
+    k = len(c.real.kernels) + 1
     with pytest.raises(VerificationFailed, match=f"component {k} is redundant") as err:
-        _chain_checks(real, I, S, True, nu, saturated)
+        over.run()
     assert err.value.index == k - 1
-    assert _agree(real, I, S, E, True, nu, saturated)[:2] == (f"component {k} is redundant", k - 1)
+    assert _agree(over)[:2] == (f"component {k} is redundant", k - 1)
 
 
 def test_wrong_kernel_breaks_the_intersection(diag_n3_f7):
-    real, I, S, E, meets, nu, saturated = diag_n3_f7
-    field = I.field
+    c = diag_n3_f7
+    field = c.I.field
     # x1 -> 2t, x2 -> t, x3 -> t is no character of the torsion group: its
     # kernel is a prime that does not hold I. Over F_7 with r = 3, zeta = 2,
     # so it is the twist of the trivial kernel by e = (1, 0, 0)
-    wrong = ring_map_kernel([Polynomial.monomial(field, 1, (1,), c) for c in (2, 1, 1)])
-    assert not wrong.includes(I)
-    swapped = _with_specs(real, (_non_character(real.specs[0]),) + real.specs[1:])
-    assert swapped.kernels[0] == wrong
+    wrong = ring_map_kernel([Polynomial.monomial(field, 1, (1,), v) for v in (2, 1, 1)])
+    assert not wrong.includes(c.I)
+    swapped = c.with_specs((_non_character(c.real.specs[0]),) + c.real.specs[1:])
+    assert swapped.real.kernels[0] == wrong
     with pytest.raises(VerificationFailed, match="intersection of all components is not the ideal"):
-        _chain_checks(swapped, I, S, meets, nu, saturated)
-    assert _agree(swapped, I, S, E, meets, nu, saturated)[0] == "intersection of all components is not the ideal"
-    dropped = _with_specs(real, real.specs[1:])
-    assert _agree(dropped, I, S, E, meets, nu, saturated)[0] == "intersection of all components is not the ideal"
+        swapped.run()
+    assert _agree(swapped)[0] == "intersection of all components is not the ideal"
+    dropped = c.with_specs(c.real.specs[1:])
+    assert _agree(dropped)[0] == "intersection of all components is not the ideal"
 
 
 def test_chain_takes_the_embedded_meet_as_given(diag_n3_f7):
     # n >= 4 reads S ∩ E = I from embedded_checks; a False there fails the chain
-    real, I, S, _, _, nu, saturated = diag_n3_f7
     with pytest.raises(VerificationFailed, match="intersection of all components is not the ideal"):
-        _chain_checks(real, I, S, False, nu, saturated)
+        dataclasses.replace(diag_n3_f7, meets=False).run()
 
 
 @pytest.fixture(scope="module")
@@ -334,93 +479,182 @@ def simplest_n4_f5():
     return _setup(load_golden("simplest_n4.json"), 5)
 
 
-def _fails_with(message, real, I, S, meets, nu, saturated):
+def _fails_with(message, c: Chain):
     with pytest.raises(VerificationFailed) as err:
-        _chain_checks(real, I, S, meets, nu, saturated)
+        c.run()
     assert str(err.value) == message
     return err.value.index
 
 
 @pytest.mark.parametrize("case", ["diag_n3_f7", "simplest_n4_f5"])
 def test_dropped_kernel_fails_the_degree_count(case, request):
-    real, I, S, E, meets, nu, saturated = request.getfixturevalue(case)
-    d = len(real.kernels)
+    c = request.getfixturevalue(case)
+    d = len(c.real.kernels)
     message = (
         "intersection of all components is not the ideal: "
         f"deg S = {d}, sum of component degrees = {d - 1}"
     )
     for dropped in (0, d - 1):
-        rest = _with_specs(real, real.specs[:dropped] + real.specs[dropped + 1 :])
-        assert _fails_with(message, rest, I, S, meets, nu, saturated) is None
-        assert _agree(rest, I, S, E, meets, nu, saturated)[0] == message.split(": ")[0]
+        rest = c.with_specs(c.real.specs[:dropped] + c.real.specs[dropped + 1 :])
+        assert _fails_with(message, rest) is None
+        assert _agree(rest)[0] == message.split(": ")[0]
 
 
 @pytest.mark.parametrize("case", ["diag_n3_f7", "simplest_n4_f5"])
 def test_duplicated_kernel_passes_the_degree_count_and_is_redundant(case, request):
     # the degrees are summed over distinct components, so a repeat is named
     # as redundant, not as a failed intersection
-    real, I, S, E, meets, nu, saturated = request.getfixturevalue(case)
-    doubled = _with_specs(real, real.specs + real.specs[:1])
-    assert _fails_with("component 1 is redundant", doubled, I, S, meets, nu, saturated) == 0
-    assert _agree(doubled, I, S, E, meets, nu, saturated)[:2] == ("component 1 is redundant", 0)
+    c = request.getfixturevalue(case)
+    doubled = c.with_specs(c.real.specs + c.real.specs[:1])
+    assert _fails_with("component 1 is redundant", doubled) == 0
+    assert _agree(doubled)[:2] == ("component 1 is redundant", 0)
+
+
+@pytest.mark.parametrize("case", ["diag_n3_f7", "simplest_n4_f5"])
+def test_character_repeated_modulo_ker_nu_is_redundant(case, request):
+    # e + nu differs from e but agrees with it on ker nu: the same
+    # component, so its first copy is named, as for a verbatim repeat
+    c = request.getfixturevalue(case)
+    first = c.real.specs[0]
+    shifted = _shifted_by_nu(first, c.nu)
+    assert shifted.coeff_exponents != first.coeff_exponents
+    repeated = c.with_specs(c.real.specs + (shifted,))
+    assert repeated.real.kernels[-1] == repeated.real.kernels[0]
+    assert _fails_with("component 1 is redundant", repeated) == 0
+    assert _agree(repeated)[:2] == ("component 1 is redundant", 0)
 
 
 def test_non_character_kernel_leaves_the_hull_outside(diag_n3_f7):
-    # the first component is checked by normal forms; a later one by the
-    # congruence that its twist fixes the hull, and the witness names it
-    real, I, S, E, meets, nu, saturated = diag_n3_f7
-    field = I.field
-    wrong = ring_map_kernel([Polynomial.monomial(field, 1, (1,), c) for c in (2, 1, 1)])
-    d = len(real.specs)
-    witnesses = {
-        0: "a hull generator has a nonzero normal form modulo component 1",
-        d - 1: f"the twist to component {d} moves a hull generator",
-    }
-    for j, witness in witnesses.items():
-        specs = list(real.specs)
+    # every character is checked to kill the lattice, and the witness
+    # names the first one that does not
+    c = diag_n3_f7
+    field = c.I.field
+    wrong = ring_map_kernel([Polynomial.monomial(field, 1, (1,), v) for v in (2, 1, 1)])
+    d = len(c.real.specs)
+    for j in (0, d - 1):
+        specs = list(c.real.specs)
         specs[j] = _non_character(specs[j])
-        swapped = _with_specs(real, specs)
-        assert swapped.kernels[j] == wrong
-        message = f"intersection of all components is not the ideal: {witness}"
-        assert _fails_with(message, swapped, I, S, meets, nu, saturated) is None
-        assert _agree(swapped, I, S, E, meets, nu, saturated)[0] == message.split(": ")[0]
+        swapped = c.with_specs(specs)
+        assert swapped.real.kernels[j] == wrong
+        message = (
+            "intersection of all components is not the ideal: "
+            f"the character of component {j + 1} does not kill the lattice"
+        )
+        assert _fails_with(message, swapped) is None
+        assert _agree(swapped)[0] == message.split(": ")[0]
 
 
 @pytest.mark.parametrize("case", ["diag_n3_f7", "simplest_n4_f5"])
 def test_wrong_trivial_kernel_leaves_the_hull_outside(case, request):
-    # every component is a twist of the trivial kernel, so a wrong one moves
-    # them all; the one containment, modulo component 1, names it
-    real, I, S, E, meets, nu, saturated = request.getfixturevalue(case)
-    field = I.field
-    images = [Polynomial.monomial(field, 1, (1,), c) for c in [2] + [1] * (I.nvars - 1)]
-    wrong = dataclasses.replace(real, trivial=ring_map_kernel(images))
+    # the realized certificate: every component is a twist of the trivial
+    # kernel, so a wrong one moves them all; the one containment, modulo
+    # component 1, names it, and the kernel chain agrees
+    c = request.getfixturevalue(case)
+    field = c.I.field
+    images = [Polynomial.monomial(field, 1, (1,), v) for v in [2] + [1] * (c.I.nvars - 1)]
+    wrong = dataclasses.replace(c, real=dataclasses.replace(c.real, trivial=ring_map_kernel(images)))
     message = (
         "intersection of all components is not the ideal: "
         "a hull generator has a nonzero normal form modulo component 1"
     )
-    assert _fails_with(message, wrong, I, S, meets, nu, saturated) is None
-    assert _agree(wrong, I, S, E, meets, nu, saturated)[0] == message.split(": ")[0]
+    with pytest.raises(VerificationFailed) as err:
+        _degree_chain(wrong)
+    assert str(err.value) == message
+    kernels = list(wrong.real.kernels)
+    assert _outcome(lambda: _kernel_chain(kernels, c.I, c.S, c.meets))[0] == message.split(": ")[0]
 
 
 @pytest.mark.parametrize("case", ["diag_n3_f7", "simplest_n4_f5"])
 def test_unsaturated_hull_fails_the_certificate(case, request):
-    real, I, S, _, meets, nu, saturated = request.getfixturevalue(case)
-    assert saturated
+    c = request.getfixturevalue(case)
+    assert c.saturated
     message = "intersection of all components is not the ideal: hull not saturated by x_1"
-    assert _fails_with(message, real, I, S, meets, nu, False) is None
+    assert _fails_with(message, dataclasses.replace(c, saturated=False)) is None
+
+
+@pytest.mark.parametrize("case", ["diag_n3_f7", "simplest_n4_f5"])
+def test_hull_of_other_than_lattice_binomials_fails_the_certificate(case, request):
+    c = request.getfixturevalue(case)
+    assert c.lattice
+    message = "intersection of all components is not the ideal: hull basis is not lattice binomials"
+    assert _fails_with(message, dataclasses.replace(c, lattice=False)) is None
+
+
+def test_kernel_vector_outside_ker_nu_fails_the_certificate(diag_n3_f7, monkeypatch):
+    c = diag_n3_f7
+    monkeypatch.setattr(decomp, "_kernel_vectors", lambda P: [(1, 0, 0), (0, 1, -1)])
+    message = "intersection of all components is not the ideal: the weights do not kill kernel vector 1"
+    assert _fails_with(message, c) is None
+
+
+def test_weights_with_a_common_factor_fail_the_certificate(diag_n3_f7, monkeypatch):
+    c = diag_n3_f7
+    m, d, nu = associated_vector(c.P)
+    monkeypatch.setattr(decomp, "associated_vector", lambda P: (m, d, tuple(2 * v for v in nu)))
+    message = "intersection of all components is not the ideal: the weights have a common factor"
+    assert _fails_with(message, c) is None
 
 
 def test_failed_meet_is_the_witness(diag_n3_f7, simplest_n4_f5):
-    real, I, S, _, _, nu, saturated = simplest_n4_f5
     message = (
         "intersection of all components is not the ideal: "
         "hull meets the embedded component outside the ideal"
     )
-    assert _fails_with(message, real, I, S, False, nu, saturated) is None
-    real, I, _, _, _, nu, saturated = diag_n3_f7
-    S = Ideal(I.field, 3, I.gens[:-1])
+    assert _fails_with(message, dataclasses.replace(simplest_n4_f5, meets=False)) is None
+    c = diag_n3_f7
+    S = Ideal(c.I.field, 3, c.I.gens[:-1])
     message = "intersection of all components is not the ideal: hull differs from the ideal"
-    assert _fails_with(message, real, I, S, None, nu, saturated) is None
+    assert _fails_with(message, dataclasses.replace(c, S=S, meets=None)) is None
+
+
+def _theory_premises(P, p: int) -> None:
+    """The facts _chain_checks takes from theory, on the realized
+    components: P_0 has degree one and holds S; the kernel vectors lie in
+    ker nu and are ± the first n - 1 columns of the inverse of the SNF's
+    left transform; and two specs, one of them a character repeated
+    modulo ker nu, have equal residue vectors exactly when their twisted
+    kernels have equal reduced bases."""
+    field = GF(p)
+    nu = associated_vector(P)[2]
+    real = realize_over_prime_field(P, p)
+    P0 = real.trivial.groebner()
+    assert dimension_one_degree(_leading_monomials(P0), nu) == 1
+    order = WeightedRevLex(nu, 0)
+    S, _ = saturate(pcb_ideal(P, field), Polynomial.variable(field, P.n, 0), nu)
+    assert not any(normal_form(g, P0, DEGREVLEX) for g in S.groebner(order))
+    kernel = _kernel_vectors(P)
+    assert len(kernel) == P.n - 1
+    assert all(sum(map(mul, nu, w)) == 0 for w in kernel)
+    left = normalized_snf(P).P
+    product = left @ IntMatrix(list(zip(*kernel)))
+    sign = product[0, 0]
+    assert sign in (1, -1)
+    assert product == IntMatrix([[sign if i == j else 0 for j in range(P.n - 1)] for i in range(P.n)])
+    specs = real.specs + (_shifted_by_nu(real.specs[-1], nu),)
+    classes = _residue_vectors(specs, kernel)
+    bases = [K.groebner() for K in dataclasses.replace(real, specs=specs).kernels]
+    assert classes[-1] == classes[-2] and bases[-1] == bases[-2]
+    for (a, ka), (b, kb) in itertools.combinations(zip(classes, bases), 2):
+        assert (a == b) == (ka == kb)
+
+
+@pytest.mark.parametrize("name,p", GOLDEN_CASES + [("diag_n5.json", 11)])
+def test_theory_premises_on_goldens(name, p):
+    _theory_premises(load_golden(name), p)
+
+
+@pytest.mark.parametrize("n,count", [(3, 8), (4, 4), (5, 2)])
+def test_theory_premises_on_random_inputs(n, count):
+    # d >= 2, so there is a twist, and sum(nu) <= 200, as for the twists
+    rng = random.Random(107 + n)
+    seen = 0
+    while seen < count:
+        P = random_pcb(rng, n, max_entry=2)
+        _, d, nu = associated_vector(P)
+        if d < 2 or sum(nu) > 200:
+            continue
+        _theory_premises(P, _least_good_prime(P))
+        seen += 1
 
 
 def _assert_twists_match(P, p):
@@ -477,6 +711,35 @@ def test_primary_to_maximal_agrees_on_random_n4():
             assert _primary_to_maximal(J) == _reference_primary_to_maximal(J)
 
 
+def _origin_agrees(P, field) -> None:
+    """_primary_to_origin against the leading-ideal test on E = I + (x^{b(n)})
+    and on I, for any n. E is (x)-primary for n >= 3 too, where it is no
+    component; for n = 2, b(n) = 0 and E is the whole ring."""
+    I = pcb_ideal(P, field)
+    E = Ideal(field, P.n, I.gens + (socle_monomial(P, field),))
+    for J in (E, I):
+        assert _primary_to_origin(P, I, J) == _primary_to_maximal(J)
+    assert _primary_to_origin(P, I, E) == (P.n >= 3)
+
+
+ALL_GOLDENS = ["diag_n3.json", "diag_n5.json", "n2_64.json", "n3_doubled.json", "n3_mixed.json", "onecomp_n4.json", "simplest_n4.json"]
+
+
+@pytest.mark.parametrize("name", ALL_GOLDENS)
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=lambda f: f.tag)
+def test_primary_to_origin_agrees_with_the_leading_ideal_on_goldens(name, field):
+    _origin_agrees(load_golden(name), field)
+
+
+@pytest.mark.parametrize("n,count", [(4, 8), (5, 4), (6, 2)])
+def test_primary_to_origin_agrees_with_the_leading_ideal_on_random_inputs(n, count):
+    rng = random.Random(113 + n)
+    for _ in range(count):
+        P = random_pcb(rng, n, max_entry=2)
+        _origin_agrees(P, QQ)
+        _origin_agrees(P, GF(_least_good_prime(P)))
+
+
 N4_GOLDENS = [("onecomp_n4.json", 2), ("simplest_n4.json", 5), ("diag_n5.json", 11)]
 
 
@@ -490,7 +753,7 @@ def _embedded_agree(P, field, good: bool = True) -> bool:
     x1 = Polynomial.variable(field, P.n, 0)
     saturated = saturate(I, x1)[0] == S if good else colon(S, x1) == S
     reference = _reference_embedded_checks(I, S, E, xb)
-    assert embedded_checks(I, S, E, saturated) == reference
+    assert embedded_checks(P, I, S, E, saturated) == reference
     assert saturated == (colon(S, xb) == S) == (intersect(S, E) == I)
     return saturated
 
@@ -525,9 +788,7 @@ def _variable_cuts_to_the_origin(P) -> bool:
     )
 
 
-@pytest.mark.parametrize(
-    "name", ["diag_n3.json", "diag_n5.json", "n2_64.json", "n3_doubled.json", "n3_mixed.json", "onecomp_n4.json", "simplest_n4.json"]
-)
+@pytest.mark.parametrize("name", ALL_GOLDENS)
 def test_one_variable_cuts_the_ideal_to_the_origin_on_goldens(name):
     assert _variable_cuts_to_the_origin(load_golden(name))
 
@@ -581,13 +842,12 @@ def test_graded_colon_and_saturation_match_the_auxiliary_variable_on_random_inpu
 
 
 def test_full_verification_checks_one_containment_and_intersects_nothing(monkeypatch):
-    # K_5 over F_11 (d = 125): the hull lies in P_1 by |basis(S)| normal
-    # forms, and the mixedness witness makes the other two membership tests;
-    # no colon or saturation intersects, so the one elimination left is the
-    # trivial-character kernel
+    # K_5 over F_11 (d = 125): no component is realized, so nothing is
+    # eliminated; the hull lies in every component by integer checks and
+    # the mixedness witness is decided by normal forms against the cached
+    # nu-graded bases, so no membership test runs; no colon or saturation
+    # intersects
     P = load_golden("diag_n5.json")
-    field = GF(11)
-    hull_size = len(colon(pcb_ideal(P, field), socle_monomial(P, field)).groebner())
     calls = []
     contains = Ideal.contains
     eliminations = []
@@ -612,9 +872,29 @@ def test_full_verification_checks_one_containment_and_intersects_nothing(monkeyp
     report = verify_full_decomposition(P, 11)
     assert report.component_count == 126
     assert all(ok for _, ok in report.checks)
-    assert len(calls) <= hull_size + 2
-    assert eliminations == [1]
+    assert calls == []
+    assert eliminations == []
     assert not imported
+
+
+@pytest.mark.parametrize("name,p", [("diag_n3.json", 7), ("diag_n5.json", 11)])
+def test_full_verification_realizes_nothing_and_runs_one_groebner_basis(name, p, monkeypatch):
+    # the one Buchberger run is the saturation's, under WeightedRevLex(nu, 0):
+    # no component, no degrevlex basis of I, S or E
+    P = load_golden(name)
+    calls = {"realize_over_prime_field": [], "ring_map_kernel": [], "groebner_basis": []}
+    for module, attr in [
+        (decomp, "realize_over_prime_field"),
+        (decomp, "ring_map_kernel"),
+        (oracle_ideal, "ring_map_kernel"),
+        (oracle_ideal, "groebner_basis"),
+    ]:
+        monkeypatch.setattr(module, attr, _counted(calls[attr], getattr(module, attr)))
+    report = verify_full_decomposition(P, p)
+    assert all(ok for _, ok in report.checks)
+    assert report.component_count == associated_vector(P)[1] + (P.n >= 4)
+    assert calls["realize_over_prime_field"] == calls["ring_map_kernel"] == []
+    assert [order for _, order in calls["groebner_basis"]] == [WeightedRevLex(associated_vector(P)[2], 0)]
 
 
 def _reference_hull_checks(P, field):
@@ -647,7 +927,10 @@ def _hull_agrees(P, field) -> None:
     I, S, steps, nu = _hull(P, field)
     swept = _hull_swept(P, S, nu)
     colon_hull, reference = _reference_hull_checks(P, field)
-    assert _hull_checks(P, I, S, steps, swept)[:2] == reference
+    checks = _hull_checks(P, I, S, steps, swept)
+    assert checks[:2] == reference
+    assert checks[-1] == ("hull basis is lattice binomials killed by the weights", _reference_lattice(P, S))
+    assert checks[-1][1]
     assert S.groebner() == colon_hull.groebner()
     assert swept
 
@@ -681,9 +964,7 @@ def _sweep_premise(P, field) -> None:
     assert sorted(leads) == sorted(tuple(P.a[j][j] if i == j else 0 for i in range(n)) for j in range(n - 1))
 
 
-@pytest.mark.parametrize(
-    "name", ["diag_n3.json", "diag_n5.json", "n2_64.json", "n3_doubled.json", "n3_mixed.json", "onecomp_n4.json", "simplest_n4.json"]
-)
+@pytest.mark.parametrize("name", ALL_GOLDENS)
 def test_sweep_divisors_are_a_groebner_basis_on_goldens(name):
     for field in (QQ, GF(2), GF(5)):
         _sweep_premise(load_golden(name), field)
@@ -726,10 +1007,12 @@ def test_failed_sweep_reports_false(name, field):
     for S in wrong:
         swept = _hull_swept(P, S, nu)
         assert not swept
-        assert [ok for _, ok in _hull_checks(P, I, S, steps, swept)[:2]] == [False, False]
+        checks = _hull_checks(P, I, S, steps, swept)
+        assert [ok for _, ok in checks[:2]] == [False, False]
+        assert checks[-1][1] == _reference_lattice(P, S)
         if P.n >= 4:
             E = embedded_component(P, field)
-            assert [ok for _, ok in embedded_checks(I, S, E, swept)] == [False, False]
+            assert [ok for _, ok in embedded_checks(P, I, S, E, swept)] == [False, False]
 
 
 @pytest.mark.parametrize("name,p", [("simplest_n4.json", 5), ("diag_n5.json", 11)])
@@ -737,10 +1020,15 @@ def test_failed_sweep_fails_the_chain(name, p):
     # with the embedded meet taken as given, the sweep alone stops the chain
     P = load_golden(name)
     I, _, nu, wrong = _wrong_hulls(P, GF(p))
-    real = realize_over_prime_field(P, p)
+    specs = enumerate_components(P)
     message = "intersection of all components is not the ideal: hull not saturated by x_1"
     for S in wrong:
-        assert _fails_with(message, real, I, S, True, nu, _hull_swept(P, S, nu)) is None
+        swept = _hull_swept(P, S, nu)
+        lattice = _hull_checks(P, I, S, 1, swept)[-1][1]
+        with pytest.raises(VerificationFailed) as err:
+            _chain_checks(P, specs, I, S, True, swept, lattice)
+        assert str(err.value) == message
+        assert err.value.index is None
 
 
 def test_failed_sweep_fails_the_char2_collapse():
@@ -752,7 +1040,7 @@ def test_failed_sweep_fails_the_char2_collapse():
     wrong = Ideal(field, P.n, S.gens + (_outside_the_hull(S, field, nu),))
     E = embedded_component(P, field)
     with pytest.raises(VerificationFailed, match="^char-2 check failed: hull saturated by x_1$"):
-        _char2_checks(P, I, wrong, embedded_checks(I, S, E, True), _hull_swept(P, wrong, nu))
+        _char2_checks(P, I, wrong, embedded_checks(P, I, S, E, True), _hull_swept(P, wrong, nu))
 
 
 @pytest.mark.parametrize("p", [None, 5, 2])
@@ -803,8 +1091,14 @@ def test_full_verification_runs_one_saturation_and_no_colon(name, p, monkeypatch
     assert all(ok for _, ok in report.checks)
     assert calls["colon"] == []
     ((I, x1, nu),) = calls["saturate"]
-    hull_size = len(saturate(I, x1, nu)[0].groebner(WeightedRevLex(nu, 0)))
-    assert [(tuple(divisors), order) for _, divisors, order in calls["normal_form"]] == [(J, j_order)] * hull_size
+    order = WeightedRevLex(nu, 0)
+    basis = saturate(I, x1, nu)[0].groebner(order)
+    expected = [(J, j_order)] * len(basis)
+    if p != 2:
+        # the good path also decides the mixedness witness, by one normal
+        # form against each of the cached nu-graded bases of S and I
+        expected += [(basis, order), (I.groebner(order), order)]
+    assert [(tuple(divisors), o) for _, divisors, o in calls["normal_form"]] == expected
     runs = calls["groebner_basis"]
     assert runs
     assert not any(frozenset(gens) == frozenset(J) or order == j_order for gens, order in runs)
