@@ -9,16 +9,17 @@ verified computation: candidates are produced by formula and then checked
 against the Groebner oracle. verify_full_decomposition is the one place
 that does so: it builds the ideal, its hull and the embedded component once
 and decides every verification question on them, each fact once. Every
-ideal here is homogeneous for deg x_i = nu_i, because nu L = 0, so every
-colon and saturation is by a monomial on the nu-graded path of the
-oracle: a weighted reverse-lex basis divided by powers of one variable
-at a time, with no auxiliary variable and no intersection (see
-oracle.colon). The hull S is computed once, as the saturation by x_1,
-and one division sweep into f_1, ..., f_{n-1}, which are already a
-Groebner basis, proves it equal to I : x^{b(n)} (see _hull_checks). S
-and the embedded component E meet in the ideal, and S is stable under
-the colon by x^{b(n)}, because S is saturated by x_1 (see
-embedded_checks); no fact is recomputed. Over
+ideal here is homogeneous for deg x_i = nu_i, because nu L = 0. The hull
+S has one route, the saturation I : x_1^∞ on the nu-graded path of the
+oracle: one Buchberger run under a weighted reverse-lex order, each basis
+element divided by its whole power of x_1, and one tail reduction, with
+no colon, no auxiliary variable and no intersection (see
+oracle.saturate). hull, unmixedness_test and verify_full_decomposition
+all read it (see _saturation). In verify, one division sweep into
+f_1, ..., f_{n-1}, which are already a Groebner basis, proves S equal to
+I : x^{b(n)} (see _hull_checks). S and the embedded component E meet in
+the ideal, and S is stable under the colon by x^{b(n)}, because S is
+saturated by x_1 (see embedded_checks); no fact is recomputed. Over
 F_p verify realizes no component: the hull's basis is lattice binomials,
 and that S is the meet of the d isolated components, each once, follows
 from integers and one Hilbert series (see _chain_checks). Only decompose
@@ -55,7 +56,6 @@ from .oracle import (
     Polynomial,
     PrimeField,
     WeightedRevLex,
-    colon,
     dimension_one_degree,
     normal_form,
     ring_map_kernel,
@@ -82,12 +82,9 @@ def binomial_to_polynomial(b: Binomial, field, nvars: int) -> Polynomial:
     return Polynomial.from_terms(field, nvars, [(1, b.plus), (-1, b.minus)])
 
 
-def pcb_ideal(P: PcbMatrix, field, omit_last: bool = False) -> Ideal:
-    """The ideal of column binomials; omit_last drops f_n for the hull sweep."""
-    gens = generators(P)
-    if omit_last:
-        gens = gens[:-1]
-    return Ideal(field, P.n, [binomial_to_polynomial(g, field, P.n) for g in gens])
+def pcb_ideal(P: PcbMatrix, field) -> Ideal:
+    """The ideal of the column binomials f_1, ..., f_n, generated in that order."""
+    return Ideal(field, P.n, [binomial_to_polynomial(g, field, P.n) for g in generators(P)])
 
 
 @dataclass(frozen=True)
@@ -118,25 +115,20 @@ class ComponentSpec:
 
 
 def enumerate_components(P: PcbMatrix) -> Tuple[ComponentSpec, ...]:
-    """All d isolated component specs, lambda_index in lexicographic order."""
+    """All d isolated component specs, lambda_index in lexicographic order.
+
+    The character of lambda_index k is e = sum_j k_j (r / d_j) row_j of the
+    normalized SNF's left transform, modulo r. That it kills every column
+    of L is checked where it is used (see _chain_checks)."""
     snf = normalized_snf(P)
     _, _, nu = associated_vector(P)
     factors = snf.invariant_factors
     r = factors[-1]
-    n = P.n
-    L = P.signed
-    rows = snf.P.data
-    specs = []
-    for k in itertools.product(*(range(di) for di in factors)):
-        e = tuple(
-            sum(kj * (r // dj) * rows[j][i] for j, (kj, dj) in enumerate(zip(k, factors))) % r
-            for i in range(n)
-        )
-        for col in range(n):
-            if sum(ei * L[i, col] for i, ei in enumerate(e)) % r:
-                raise AssertionError("character fails to kill a lattice column")
-        specs.append(ComponentSpec(k, e, nu, r))
-    return tuple(specs)
+    columns = list(zip(*([(r // dj) * v for v in row] for dj, row in zip(factors, snf.P.data))))
+    return tuple(
+        ComponentSpec(k, tuple(sum(map(mul, k, col)) % r for col in columns), nu, r)
+        for k in itertools.product(*(range(dj) for dj in factors))
+    )
 
 
 def hull_is_prime(P: PcbMatrix) -> bool:
@@ -177,10 +169,19 @@ def socle_monomial(P: PcbMatrix, field) -> Polynomial:
     return Polynomial.monomial(field, P.n, syzygy_vectors(P)[P.n - 1])
 
 
+def _saturation(P: PcbMatrix, I: Ideal) -> Tuple[Ideal, int]:
+    """saturate(I, x_1, nu): the hull S = I : x_1^∞, from one Buchberger
+    run whose basis is divided by powers of x_1 unless I : x_1 = I, and
+    steps, which is zero exactly when I : x_1 = I (see oracle.saturate)."""
+    return saturate(I, Polynomial.variable(I.field, P.n, 0), associated_vector(P)[2])
+
+
 def hull(P: PcbMatrix, field) -> Ideal:
-    """Intersection of the isolated components, computed as a colon ideal
-    graded by nu."""
-    return colon(pcb_ideal(P, field), socle_monomial(P, field), associated_vector(P)[2])
+    """Intersection of the isolated components, the saturation I : x_1^∞
+    graded by nu. No isolated component holds a variable, and the
+    embedded one, for n >= 4, holds a power of x_1 (see embedded_checks),
+    so this is also I : x^{b(n)}; verify_full_decomposition proves it."""
+    return _saturation(P, pcb_ideal(P, field))[0]
 
 
 def embedded_component(P: PcbMatrix, field) -> Ideal:
@@ -247,9 +248,9 @@ def embedded_checks(P: PcbMatrix, I: Ideal, S: Ideal, E: Ideal, saturated: bool)
 
 
 def unmixedness_test(P: PcbMatrix, field) -> bool:
-    """True when I : x_1 = I, which happens exactly for n <= 3."""
-    I = pcb_ideal(P, field)
-    return colon(I, Polynomial.variable(field, P.n, 0), associated_vector(P)[2]) == I
+    """True when I : x_1 = I, which happens exactly for n <= 3: the
+    saturation by x_1 that hull computes moves I by no step."""
+    return _saturation(P, pcb_ideal(P, field))[1] == 0
 
 
 def _prime_factors(n: int) -> Tuple[int, ...]:
@@ -411,7 +412,7 @@ def _hull_swept(P: PcbMatrix, S: Ideal, nu: Sequence[int]) -> bool:
     S ⊇ I homogeneous for nu proves S = I : x^{b(n)} = J : x^{b(n)} (see
     _hull_checks). No Groebner basis of J is computed."""
     basis = S.groebner(WeightedRevLex(nu, 0))
-    J, xb = pcb_ideal(P, S.field, omit_last=True).gens, socle_monomial(P, S.field)
+    J, xb = pcb_ideal(P, S.field).gens[:-1], socle_monomial(P, S.field)
     order = WeightedRevLex(nu, P.n - 1)
     stable = not any(min(e[0] for e in g.terms) for g in basis)
     return stable and not any(normal_form(xb * g, J, order).terms for g in basis)
@@ -422,9 +423,11 @@ def _hull_checks(P: PcbMatrix, I: Ideal, S: Ideal, steps: int, swept: bool) -> L
     sweep, the unmixedness dichotomy, the mixedness witness and the
     lattice shape of S's basis.
 
-    S is the saturation I : x_1^∞ that saturate(I, x_1, nu) returns after
-    `steps` colons that moved, graded by nu (see oracle.saturate), and
-    swept is _hull_swept(P, S, nu). No colon by x^{b(n)} is computed, from
+    S is the saturation I : x_1^∞ and steps the least N with I : x_1^N
+    saturated, both as _saturation returns them: one division of I's
+    reduced WeightedRevLex(nu, 0) basis by powers of x_1, with steps the
+    largest x_1-order in that basis (see oracle.saturate). swept is
+    _hull_swept(P, S, nu). No colon by x^{b(n)} is computed, from
     I or from J = (f_1, ..., f_{n-1}); the sweep proves
     S = I : x^{b(n)} = J : x^{b(n)}:
     1. The generators of J are a Groebner basis under
@@ -436,10 +439,10 @@ def _hull_checks(P: PcbMatrix, I: Ideal, S: Ideal, steps: int, swept: bool) -> L
        reduces to zero (Buchberger's first criterion), and a polynomial
        lies in J exactly when its normal form modulo f_1, ..., f_{n-1} is
        zero: one division, with no Buchberger run.
-    2. S contains I and S : x_1 = S. A saturation stops only there, and
-       _hull_swept reads it off S's reduced WeightedRevLex(nu, 0) basis:
-       by Bayer-Stillman (see oracle.colon) S : x_1 = S exactly when
-       x_1 divides no element of it. Lemma A of embedded_checks then
+    2. S contains I and S : x_1 = S. A saturation holds both, and
+       _hull_swept reads the second off S's reduced WeightedRevLex(nu, 0)
+       basis: by Bayer-Stillman (see oracle.colon) S : x_1 = S exactly
+       when x_1 divides no element of it. Lemma A of embedded_checks then
        gives S : x^{b(n)} = S.
     3. If x^{b(n)} g lies in J for every g in that basis, then
        S ⊆ J : x^{b(n)} ⊆ I : x^{b(n)} ⊆ S : x^{b(n)} = S, by J ⊆ I,
@@ -448,9 +451,9 @@ def _hull_checks(P: PcbMatrix, I: Ideal, S: Ideal, steps: int, swept: bool) -> L
     agrees from I and from J" and "saturation by x_1 agrees with the
     colon", and a failed sweep reports both False. It is also the
     `saturated` that embedded_checks and _chain_checks take, and the
-    char-2 check "hull saturated by x_1". The saturation stops after no
-    step exactly when I : x_1 = I, which decides the unmixedness
-    dichotomy.
+    char-2 check "hull saturated by x_1". steps is zero exactly when no
+    element of I's basis holds x_1, that is when I : x_1 = I, which
+    decides the unmixedness dichotomy.
 
     No Groebner basis is computed here either. The saturation leaves the
     reduced WeightedRevLex(nu, 0) bases of I and of S cached, and every
@@ -706,10 +709,10 @@ def verify_full_decomposition(P: PcbMatrix, p: Optional[int] = None) -> Decompos
     The ideal I, its hull S and, for n >= 4, the embedded component
     E = I + (x^{b(n)}) are built once here; every check below shares
     them. S is computed once, on every path, as the saturation
-    I : x_1^∞ graded by nu, and one division sweep of its basis into
-    f_1, ..., f_{n-1} proves S = I : x^{b(n)} (see _hull_checks); no
-    colon by x^{b(n)} and no Groebner basis of (f_1, ..., f_{n-1}) is
-    computed. That one boolean decides the embedded-component checks (see
+    I : x_1^∞ graded by nu (see _saturation), and one division sweep of
+    its basis into f_1, ..., f_{n-1} proves S = I : x^{b(n)} (see
+    _hull_checks); no colon by x^{b(n)} and no Groebner basis of
+    (f_1, ..., f_{n-1}) is computed. That one boolean decides the embedded-component checks (see
     embedded_checks). Over Q and over a good F_p (see prime_field_for)
     the hull checks run; over F_p the d isolated components are then
     certified, without realizing any of them, to meet in S by a degree
@@ -722,7 +725,7 @@ def verify_full_decomposition(P: PcbMatrix, p: Optional[int] = None) -> Decompos
     field, good = (QQ, True) if p is None else prime_field_for(P, p)
     nu = associated_vector(P)[2]
     I = pcb_ideal(P, field)
-    S, steps = saturate(I, Polynomial.variable(field, P.n, 0), nu)
+    S, steps = _saturation(P, I)
     swept = _hull_swept(P, S, nu)
     embedded = embedded_checks(P, I, S, embedded_component(P, field), swept) if P.n >= 4 else []
     count = None

@@ -8,9 +8,11 @@ covers every construction here.
 Colon and saturation have two paths. The general one, for any f, divides
 the intersection I ∩ (f) by f, and saturation iterates that colon until
 the chain stops moving. The graded one, for a monomial f and an ideal
-homogeneous for positive weights, needs no auxiliary variable: it divides
-the reduced basis under a weighted reverse-lex order by powers of one
-variable at a time (Bayer-Stillman; see colon).
+homogeneous for positive weights, needs no auxiliary variable: the colon
+divides the reduced basis under a weighted reverse-lex order by powers of
+one variable at a time (Bayer-Stillman; see colon), and the saturation by
+a power of one variable divides each element of that basis by its whole
+power of the variable, once (see saturate).
 
 A reduced Groebner basis restricted to the tail block of an elimination
 order is again reduced for the inherited order on the subring; every
@@ -180,6 +182,13 @@ def exact_divide(g: Polynomial, f: Polynomial, order: MonomialOrder = DEGREVLEX)
     return Polynomial(g.field, g.nvars, quotient)
 
 
+def _check_divisor(ideal: Ideal, f: Polynomial) -> None:
+    if f.field != ideal.field or f.nvars != ideal.nvars:
+        raise ValueError("polynomial lives in a different ring")
+    if not f.terms:
+        raise ZeroDivisionError("colon by the zero polynomial")
+
+
 def _graded_monomial(ideal: Ideal, f: Polynomial, weights: Sequence[int]) -> Tuple[int, ...]:
     """The exponents of f, once f is known to be a monomial and every
     generator of the ideal homogeneous for the weights; ValueError otherwise."""
@@ -234,10 +243,7 @@ def colon(ideal: Ideal, f: Polynomial, weights: Optional[Sequence[int]] = None) 
     divided basis is minimalized and tail-reduced, which is no further
     Groebner run, and the result keeps that reduced basis.
     """
-    if f.field != ideal.field or f.nvars != ideal.nvars:
-        raise ValueError("polynomial lives in a different ring")
-    if not f.terms:
-        raise ZeroDivisionError("colon by the zero polynomial")
+    _check_divisor(ideal, f)
     if weights is not None:
         current = ideal
         for j, b in enumerate(_graded_monomial(ideal, f, weights)):
@@ -264,22 +270,43 @@ def colon(ideal: Ideal, f: Polynomial, weights: Optional[Sequence[int]] = None) 
 
 
 def saturate(ideal: Ideal, f: Polynomial, weights: Optional[Sequence[int]] = None) -> Tuple[Ideal, int]:
-    """Iterate colon until stable; returns the saturation and the exponent N
-    with (I : f^N) already saturated, the number of colons that moved.
+    """The saturation I : f^∞ and the least N with I : f^N already
+    saturated, which is the number of colons by f that move I.
 
-    With weights, each colon takes the graded path, under its conditions.
-    For a power of one variable x_j, each step's result keeps the
-    WeightedRevLex(w, j) basis the next step needs, so after the first step
-    neither the next colon nor the comparison runs a Groebner computation.
+    Without weights, and with weights for a monomial f in two or more
+    variables, the colon by f is iterated until it stops moving. There N
+    cannot be read off the basis: for I = (x^5 y, y^2) and f = xy the
+    largest x-order is 5, but I : xy = (x^4, y) and I : (xy)^2 = (1), so
+    N = 2.
+
+    With weights and f = x_j^k (the conditions of the graded colon), one
+    Buchberger run gives the reduced WeightedRevLex(w, j) basis G of I,
+    each element is divided by its whole x_j-power, and the result is
+    minimalized and tail-reduced once. When top, the largest x_j-order
+    ord_{x_j} g over G, is zero, I is returned as it is and nothing is
+    reduced.
+    Then N = ⌈top / k⌉, because I : x_j^m = I : x_j^∞ exactly when
+    m >= top. Why (Bayer-Stillman; see colon for the notation): G_m is a
+    Groebner basis of I : x_j^m, and for m >= top it is G_∞. For m < top
+    take g in G of order top, lm(g) = x_j^top u with u free of x_j. If
+    g / x_j^top lay in I : x_j^m, the leading monomial u would be
+    divisible by lm(g') / x_j^{min(m, a')} for some g' in G with
+    lm(g') = x_j^{a'} u'. That needs a' <= m and u' | u, so lm(g')
+    divides lm(g) with g' != g, which a reduced basis forbids.
     """
-    current = ideal
-    steps = 0
-    while True:
-        bigger = colon(current, f, weights)
-        if bigger == current:
-            return current, steps
-        current = bigger
-        steps += 1
+    if weights is not None:
+        _check_divisor(ideal, f)
+        exps = _graded_monomial(ideal, f, weights)
+        support = [j for j, b in enumerate(exps) if b]
+        if len(support) == 1:
+            j = support[0]
+            basis = ideal.groebner(WeightedRevLex(weights, j))
+            top = max((min(e[j] for e in g.terms) for g in basis), default=0)
+            return (_divide_variable(ideal, weights, j, top) if top else ideal), -(-top // exps[j])
+    current, steps = ideal, 0
+    while (bigger := colon(current, f, weights)) != current:
+        current, steps = bigger, steps + 1
+    return current, steps
 
 
 def ring_map_kernel(images: Sequence[Polynomial]) -> Ideal:

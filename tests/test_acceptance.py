@@ -139,7 +139,7 @@ def test_criterion_04_triple_agreement():
     for P in matrices:
         n = P.n
         I = pcb_ideal(P, QQ)
-        J = pcb_ideal(P, QQ, omit_last=True)
+        J = Ideal(QQ, n, pcb_ideal(P, QQ).gens[:-1])
         xb = socle_monomial(P, QQ)
         x1 = Polynomial.variable(QQ, n, 0)
         from_i = colon(I, xb)

@@ -26,8 +26,11 @@ x_1, and proves it equal to I : x^{b(n)} and J : x^{b(n)} by one division
 sweep into J = (f_1, ..., f_{n-1}); _reference_hull_checks computes the
 colons I : x^{b(n)} and J : x^{b(n)} and the saturation and compares them.
 Every colon and saturation of the package is graded by nu and divides a
-weighted reverse-lex basis by powers of one variable; the colon and the
-saturation with an auxiliary variable are its references. The two sides
+weighted reverse-lex basis by powers of one variable; the saturation by
+a power of one variable does so once, and reads its steps off the
+variable's orders in that basis. hull is that saturation by x_1; the
+colon I : x^{b(n)}, and the colon and the saturation with an auxiliary
+variable, are its references. The two sides
 must agree, on real inputs and on altered component lists.
 """
 
@@ -40,8 +43,10 @@ from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pcbideal import decomp
+from pcbideal import decomp, validate
 from pcbideal.core import PcbMatrix, associated_vector, normalized_snf
 from pcbideal.decomp import (
     PrimeFieldRealization,
@@ -57,6 +62,7 @@ from pcbideal.decomp import (
     embedded_checks,
     embedded_component,
     enumerate_components,
+    hull,
     least_primitive_root,
     pcb_ideal,
     realize_over_prime_field,
@@ -740,6 +746,10 @@ def test_primary_to_origin_agrees_with_the_leading_ideal_on_random_inputs(n, cou
         _origin_agrees(P, GF(_least_good_prime(P)))
 
 
+# every golden over Q and over its good F_p, and simplest_n4 over F_2
+GOLDEN_FIELDS = [(name, f) for name, p in GOLDEN_CASES + [("diag_n5.json", 11)] for f in (QQ, GF(p))] + [
+    ("simplest_n4.json", GF(2))
+]
 N4_GOLDENS = [("onecomp_n4.json", 2), ("simplest_n4.json", 5), ("diag_n5.json", 11)]
 
 
@@ -810,7 +820,7 @@ def _graded_agrees(P, field) -> None:
     S = colon(pcb_ideal(P, field), xb)
     cases = [
         (lambda: pcb_ideal(P, field), xb),
-        (lambda: pcb_ideal(P, field, omit_last=True), xb),
+        (lambda: Ideal(field, P.n, pcb_ideal(P, field).gens[:-1]), xb),
         (lambda: Ideal(field, P.n, S.groebner()), x1),
     ]
     for build, f in cases:
@@ -822,12 +832,7 @@ def _graded_agrees(P, field) -> None:
     assert (steps == 0) == (P.n <= 3)
 
 
-@pytest.mark.parametrize(
-    "name,field",
-    [(name, f) for name, p in GOLDEN_CASES + [("diag_n5.json", 11)] for f in (QQ, GF(p))]
-    + [("simplest_n4.json", GF(2))],
-    ids=lambda v: getattr(v, "tag", v),
-)
+@pytest.mark.parametrize("name,field", GOLDEN_FIELDS, ids=lambda v: getattr(v, "tag", v))
 def test_graded_colon_and_saturation_match_the_auxiliary_variable_on_goldens(name, field):
     _graded_agrees(load_golden(name), field)
 
@@ -839,6 +844,59 @@ def test_graded_colon_and_saturation_match_the_auxiliary_variable_on_random_inpu
         P = random_pcb(rng, n, max_entry=2)
         _graded_agrees(P, QQ)
         _graded_agrees(P, GF(_least_good_prime(P)))
+
+
+@st.composite
+def _power_of_one_variable(draw):
+    """A PCB matrix with n = 3..5, a good F_p for it, and x_j^k with k <= 3."""
+    n = draw(st.integers(min_value=3, max_value=5))
+    rows = []
+    for i in range(n):
+        off = draw(st.lists(st.integers(min_value=1, max_value=2), min_size=n - 1, max_size=n - 1))
+        row = off[:i] + [sum(off)] + off[i:]
+        rows.append([v if c == i else -v for c, v in enumerate(row)])
+    P = validate(rows)
+    j, k = draw(st.integers(min_value=0, max_value=n - 1)), draw(st.integers(min_value=1, max_value=3))
+    field = GF(_least_good_prime(P))
+    return P, field, Polynomial.monomial(field, n, tuple(k if i == j else 0 for i in range(n)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_power_of_one_variable())
+def test_graded_saturation_by_a_power_of_one_variable_matches_the_auxiliary_variable(case):
+    # the graded path reads N off the x_j-orders of one basis; the lifted
+    # path iterates the colon until it stops moving
+    P, field, f = case
+    graded, steps = saturate(pcb_ideal(P, field), f, associated_vector(P)[2])
+    lifted, lifted_steps = saturate(pcb_ideal(P, field), f)
+    assert graded.groebner() == lifted.groebner()
+    assert steps == lifted_steps
+
+
+@pytest.mark.parametrize("name,field", GOLDEN_FIELDS, ids=lambda v: getattr(v, "tag", v))
+def test_graded_saturation_by_x1_divides_once_on_goldens(name, field, monkeypatch):
+    # one Buchberger run, then one tail reduction of the divided basis
+    # exactly when I : x_1 != I, that is for n >= 4; no colon
+    P = load_golden(name)
+    nu = associated_vector(P)[2]
+    calls = {"groebner_basis": [], "_reduce_basis": [], "colon": []}
+    for attr, seen in calls.items():
+        monkeypatch.setattr(oracle_ideal, attr, _counted(seen, getattr(oracle_ideal, attr)))
+    _, steps = saturate(pcb_ideal(P, field), Polynomial.variable(field, P.n, 0), nu)
+    assert [order for _, order in calls["groebner_basis"]] == [WeightedRevLex(nu, 0)]
+    assert len(calls["_reduce_basis"]) == (P.n >= 4) == (steps > 0)
+    assert calls["colon"] == []
+
+
+@pytest.mark.parametrize("name,field", GOLDEN_FIELDS, ids=lambda v: getattr(v, "tag", v))
+def test_hull_is_one_saturation_and_equals_the_lifted_colon_on_goldens(name, field, monkeypatch):
+    P = load_golden(name)
+    runs = []
+    with monkeypatch.context() as m:
+        m.setattr(oracle_ideal, "groebner_basis", _counted(runs, oracle_ideal.groebner_basis))
+        S = hull(P, field)
+    assert [order for _, order in runs] == [WeightedRevLex(associated_vector(P)[2], 0)]
+    assert S.groebner() == colon(pcb_ideal(P, field), socle_monomial(P, field)).groebner()
 
 
 def test_full_verification_checks_one_containment_and_intersects_nothing(monkeypatch):
@@ -907,7 +965,7 @@ def _reference_hull_checks(P, field):
     S = colon(pcb_ideal(P, field), xb, nu)
     sat, _ = saturate(pcb_ideal(P, field), Polynomial.variable(field, P.n, 0), nu)
     return S, [
-        ("colon by x^{b(n)} agrees from I and from J", colon(pcb_ideal(P, field, omit_last=True), xb, nu) == S),
+        ("colon by x^{b(n)} agrees from I and from J", colon(Ideal(field, P.n, pcb_ideal(P, field).gens[:-1]), xb, nu) == S),
         ("saturation by x_1 agrees with the colon", sat == S),
     ]
 
@@ -935,12 +993,7 @@ def _hull_agrees(P, field) -> None:
     assert swept
 
 
-@pytest.mark.parametrize(
-    "name,field",
-    [(name, f) for name, p in GOLDEN_CASES + [("diag_n5.json", 11)] for f in (QQ, GF(p))]
-    + [("simplest_n4.json", GF(2))],
-    ids=lambda v: getattr(v, "tag", v),
-)
+@pytest.mark.parametrize("name,field", GOLDEN_FIELDS, ids=lambda v: getattr(v, "tag", v))
 def test_hull_sweep_agrees_with_the_three_way_hull_on_goldens(name, field):
     _hull_agrees(load_golden(name), field)
 
@@ -959,7 +1012,7 @@ def _sweep_premise(P, field) -> None:
     WeightedRevLex(nu, n - 1): the leading monomials are the x_j^{a_jj}."""
     n = P.n
     order = WeightedRevLex(associated_vector(P)[2], n - 1)
-    basis = groebner_basis(pcb_ideal(P, field, omit_last=True).gens, order)
+    basis = groebner_basis(pcb_ideal(P, field).gens[:-1], order)
     leads = [g.leading_term(order)[0] for g in basis]
     assert sorted(leads) == sorted(tuple(P.a[j][j] if i == j else 0 for i in range(n)) for j in range(n - 1))
 
@@ -1076,20 +1129,21 @@ def _counted(calls, fn):
 
 @pytest.mark.parametrize("name,p", [("diag_n5.json", 11), ("simplest_n4.json", 2)])
 def test_full_verification_runs_one_saturation_and_no_colon(name, p, monkeypatch):
-    # the hull is one saturation by x_1; neither I : x^{b(n)} nor
-    # J : x^{b(n)} is computed, and J's generators are divided by as they
-    # stand, once per element of the hull's basis, with no Groebner run on
-    # them
+    # the hull is one saturation by x_1, which runs no colon; neither
+    # I : x^{b(n)} nor J : x^{b(n)} is computed, and J's generators are
+    # divided by as they stand, once per element of the hull's basis, with
+    # no Groebner run on them
     P = load_golden(name)
     field = GF(p)
-    J = pcb_ideal(P, field, omit_last=True).gens
+    J = pcb_ideal(P, field).gens[:-1]
     j_order = WeightedRevLex(associated_vector(P)[2], P.n - 1)
     calls = {"colon": [], "saturate": [], "groebner_basis": [], "normal_form": []}
-    for module, attr in [(decomp, "colon"), (decomp, "saturate"), (decomp, "normal_form"), (oracle_ideal, "groebner_basis")]:
+    for module, attr in [(oracle_ideal, "colon"), (decomp, "saturate"), (decomp, "normal_form"), (oracle_ideal, "groebner_basis")]:
         monkeypatch.setattr(module, attr, _counted(calls[attr], getattr(module, attr)))
     report = verify_full_decomposition(P, p)
     assert all(ok for _, ok in report.checks)
     assert calls["colon"] == []
+    assert not hasattr(decomp, "colon")
     ((I, x1, nu),) = calls["saturate"]
     order = WeightedRevLex(nu, 0)
     basis = saturate(I, x1, nu)[0].groebner(order)

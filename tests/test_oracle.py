@@ -300,6 +300,46 @@ class TestIdealOps:
         assert saturate(I, x * x, (1, 1)) == saturate(I, x * x)
         assert saturate(I, x * x, (1, 1))[1] == 2
 
+    def test_saturation_by_two_variables_is_not_read_off_the_orders(self):
+        # the largest x-order in the basis is 5, but I : xy = (x^4, y) and
+        # I : (xy)^2 = (1): two colons move I, on both paths
+        x, y = self.x, self.y
+        I = Ideal(QQ, 2, [Polynomial.monomial(QQ, 2, (5, 1)), y * y])
+        assert max(min(e[0] for e in g.terms) for g in I.groebner(WeightedRevLex((1, 1), 0))) == 5
+        assert colon(I, x * y) == Ideal(QQ, 2, [Polynomial.monomial(QQ, 2, (4, 0)), y])
+        for weights in ((1, 1), None):
+            S, steps = saturate(I, x * y, weights)
+            assert S == Ideal(QQ, 2, [Polynomial.constant(QQ, 2, 1)])
+            assert steps == 2
+
+    def test_graded_saturation_by_one_variable_divides_once(self, monkeypatch):
+        # one Buchberger run under WeightedRevLex(w, j), one tail reduction
+        # when some basis element holds x_j and none otherwise, and no colon;
+        # steps is the largest x_j-order over k, rounded up
+        from pcbideal.oracle import ideal as oracle_ideal
+
+        F = GF(7)
+        x, y, z = (Polynomial.variable(F, 3, i) for i in range(3))
+        # homogeneous for w = (2, 1, 3); the largest x-, y- and z-orders of
+        # the first ideal's bases are 17, 4 and 3, the second's z-order is 0
+        binomials = [poly(F, 3, (1, (3, 4, 0)), (-1, (2, 3, 1))), poly(F, 3, (1, (5, 0, 0)), (-1, (0, 1, 3)))]
+        w = (2, 1, 3)
+        calls = {"groebner_basis": [], "_reduce_basis": [], "colon": []}
+        for attr, seen in calls.items():
+            fn = getattr(oracle_ideal, attr)
+            monkeypatch.setattr(oracle_ideal, attr, lambda *args, fn=fn, seen=seen: seen.append(args) or fn(*args))
+        cases = [(binomials, y * y, 1, 2), (binomials, z * z * z, 2, 1), (binomials, x * x * x, 0, 6), ([x - y * y], z, 2, 0)]
+        for gens, f, j, expected in cases:
+            for seen in calls.values():
+                seen.clear()
+            I = Ideal(F, 3, gens)
+            S, steps = saturate(I, f, w)
+            assert [order for _, order in calls["groebner_basis"]] == [WeightedRevLex(w, j)]
+            assert len(calls["_reduce_basis"]) == (expected > 0)
+            assert calls["colon"] == []
+            assert steps == expected
+            assert (S is I) == (steps == 0)
+
     def test_equality_reads_a_shared_basis(self):
         x, y = self.x, self.y
         order = WeightedRevLex((1, 1), 0)
