@@ -260,11 +260,16 @@ def witness_identity_residual(P: PcbMatrix) -> Dict[Tuple[int, ...], int]:
 def identity_checks(P: PcbMatrix) -> List[Tuple[str, bool]]:
     """The checks of `pcb verify --level identities`, as (name, ok) pairs.
 
-    Every invariant is read off the normalized SNF, so the adjugate is
-    computed here, and only here, as an independent witness: the last
-    transform row must be the primitive part of the adjugate row, and
-    d * nu must be that row itself, which pins the torsion order d to the
-    weight gcd and catches a wrong orientation of the row as well.
+    Every invariant is read off the normalized SNF, so adj(L) is computed
+    here as an independent witness: the last transform row must be the
+    primitive part of the adjugate row, and d * nu must be that row
+    itself, which pins the torsion order d to the weight gcd and catches a
+    wrong orientation of the row as well. intmat.adjugate never reads the
+    Smith form: it is one fraction-free elimination of [L | I]. L has rank
+    n - 1, so adj(L) has rank one, every column a multiple of the kernel
+    vector of the echelon form, and one row of it is the last row of the
+    eliminated identity block. The whole level costs that elimination and
+    the two unimodularity determinants, O(n^3) integer operations.
 
     The minor gcds are proved by the Smith certificate, not by listing
     minors. By Cauchy-Binet each t-minor of P L Q is an integer combination

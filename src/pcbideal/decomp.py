@@ -476,6 +476,7 @@ def _hull_checks(P: PcbMatrix, I: Ideal, S: Ideal, steps: int, swept: bool) -> L
         inside = not normal_form(g, basis, order) and bool(normal_form(g, I.groebner(order), order))
         checks.append(("witness sits in the colon but not the ideal", inside))
     snf = normalized_snf(P)
+    L = P.signed
     lattice_ok = True
     for g in basis:
         terms = sorted(g.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
@@ -483,7 +484,7 @@ def _hull_checks(P: PcbMatrix, I: Ideal, S: Ideal, steps: int, swept: bool) -> L
             lattice_ok = False
             break
         u, v = terms[0][0], terms[1][0]
-        member, _ = lattice_contains(P.signed, [a - b for a, b in zip(u, v)], snf)
+        member, _ = lattice_contains(L, [a - b for a, b in zip(u, v)], snf)
         if not member or g.substitute_powers(m).terms:
             lattice_ok = False
             break

@@ -4,6 +4,12 @@ Dense arbitrary-precision integer matrices with the operations needed for
 lattice work: fraction-free determinants, adjugates, gcds of minors, Smith
 normal form with recorded unimodular transforms, and membership tests for
 column lattices. Everything is exact; there are no floats anywhere.
+
+A determinant and an adjugate each cost one Bareiss elimination, O(n^3)
+integer operations. The adjugate lists no minor: at full rank it is the
+right block of the eliminated [A | I], and at rank n - 1 it has rank one
+and is read off that block's last row and the kernel vector of the
+echelon form (see adjugate).
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Optional, Sequence, Tuple
 
 
@@ -31,6 +38,20 @@ class IntMatrix:
         self.data = data
 
     @classmethod
+    def _trusted(cls, data: Tuple[Tuple[int, ...], ...]) -> "IntMatrix":
+        """Wrap a nonempty tuple of equal-length int tuples as it stands.
+
+        For matrices this module builds from IntMatrix operands: the
+        coercion and shape checks of the public constructor would only
+        repeat what already holds.
+        """
+        out = object.__new__(cls)
+        out.rows = len(data)
+        out.cols = len(data[0])
+        out.data = data
+        return out
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -47,23 +68,23 @@ class IntMatrix:
         return tuple(row[j] for row in self.data)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(zip(*self.data))
+        return IntMatrix._trusted(tuple(zip(*self.data)))
 
     def __matmul__(self, other):
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in matrix product")
-            cols = other.transpose().data
-            return IntMatrix(
-                [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.data]
+            cols = tuple(zip(*other.data))
+            return IntMatrix._trusted(
+                tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.data)
             )
         vec = tuple(int(x) for x in other)
         if len(vec) != self.cols:
             raise ValueError("shape mismatch in matrix-vector product")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.data)
+        return tuple(sum(map(mul, row, vec)) for row in self.data)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-v for v in row] for row in self.data])
+        return IntMatrix._trusted(tuple(tuple(-v for v in row) for row in self.data))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMatrix) and self.data == other.data
@@ -106,29 +127,65 @@ def determinant(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _deleted(m: IntMatrix, drop_row: int, drop_col: int) -> IntMatrix:
-    return IntMatrix(
-        [
-            [v for j, v in enumerate(row) if j != drop_col]
-            for i, row in enumerate(m.data)
-            if i != drop_row
-        ]
-    )
-
-
 def adjugate(m: IntMatrix) -> IntMatrix:
-    """Adjugate: entry (i, j) is (-1)^(i+j) times the minor omitting row j, column i."""
+    """Adjugate: entry (i, j) is (-1)^(i+j) times the minor omitting row j, column i.
+
+    One fraction-free Gauss-Jordan elimination of [A | I] (Bareiss), so
+    O(n^3) integer operations and no minor is listed. A row update is
+    (p x - f y) // prev with p the pivot and prev the one before it; by
+    Sylvester's identity every entry after a step is a minor of [A | I],
+    so the division is exact. Pivots are taken column by column from the
+    rows not yet used, a swap flipping the sign s; a column with no pivot
+    is free. Every pivot row ends with the last pivot delta on its pivot
+    column and zero on the others, and M = the right block satisfies
+    M A = that echelon form.
+
+    - No free column: M A = delta I with delta = s det A, so M = s adj A.
+    - Two or more: every (n-1)-minor vanishes and adj A = 0.
+    - One, f: A has rank n - 1, and A adj A = adj A A = 0 makes adj A of
+      rank at most one, every column a multiple of the kernel vector v
+      with v_f = delta and v_c = -(entry of column f in the row pivoting
+      on c). The last row of M is the expansion of the minors omitting
+      column f along the identity, s (-1)^(n-1-f) times row f of adj A;
+      then (adj A)_ij = v_i (adj A)_fj / delta, exactly, since the
+      quotient is an entry of adj A.
+    """
     if m.rows != m.cols:
         raise ValueError("adjugate needs a square matrix")
     n = m.rows
     if n < 2:
         raise ValueError("adjugate needs size at least 2")
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = determinant(_deleted(m, j, i))
-            out[i][j] = minor if (i + j) % 2 == 0 else -minor
-    return IntMatrix(out)
+    a = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m.data)]
+    sign = 1
+    prev = 1
+    free = None
+    r = 0
+    for c in range(n):
+        k = next((i for i in range(r, n) if a[i][c]), None)
+        if k is None:
+            if free is not None:
+                return IntMatrix._trusted(((0,) * n,) * n)
+            free = c
+            continue
+        if k != r:
+            a[k], a[r] = a[r], a[k]
+            sign = -sign
+        pivot_row = a[r]
+        p = pivot_row[c]
+        for i in range(n):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+        r += 1
+    if free is None:
+        return IntMatrix._trusted(tuple(tuple(sign * v for v in row[n:]) for row in a))
+    if (n - 1 - free) % 2:
+        sign = -sign
+    adj_f = [sign * v for v in a[n - 1][n:]]
+    v = [-row[free] for row in a[: n - 1]]
+    v.insert(free, prev)
+    return IntMatrix._trusted(tuple(tuple(vi * w // prev for w in adj_f) for vi in v))
 
 
 def minors_gcd(m: IntMatrix, t: int) -> int:
@@ -288,7 +345,10 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
 
     factors = tuple(a[i][i] for i in range(rank))
     return SnfResult(
-        P=IntMatrix(p), D=IntMatrix(a), Q=IntMatrix(q), invariant_factors=factors
+        P=IntMatrix._trusted(tuple(map(tuple, p))),
+        D=IntMatrix._trusted(tuple(map(tuple, a))),
+        Q=IntMatrix._trusted(tuple(map(tuple, q))),
+        invariant_factors=factors,
     )
 
 

@@ -310,8 +310,9 @@ class TestIdentityChecks:
             assert checks[name] is (name not in failing)
 
     @pytest.mark.parametrize("n", range(4, 9))
-    def test_determinant_count_is_quadratic(self, monkeypatch, n):
-        # the adjugate's n^2 minors and the two unimodularity checks, no more
+    def test_determinants_are_the_two_unimodularity_checks(self, monkeypatch, n):
+        # the adjugate is one elimination and takes no determinant; only
+        # |det P| = |det Q| = 1 are asked for
         calls = []
 
         def counting(m):
@@ -322,7 +323,7 @@ class TestIdentityChecks:
         monkeypatch.setattr(core, "determinant", counting)
         checks = identity_checks(complete_graph(n))
         assert all(ok for _, ok in checks)
-        assert len(calls) <= n * n + 2
+        assert calls == [n, n]
 
 
 class TestSmallDim:

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from pcbideal import core, intmat
+from pcbideal.core import normalized_snf, validate
 from pcbideal.intmat import (
     IntMatrix,
     adjugate,
@@ -11,6 +13,8 @@ from pcbideal.intmat import (
     minors_gcd,
     smith_normal_form,
 )
+
+from conftest import GOLDEN, load_golden
 
 SIMPLEST = IntMatrix([[3, -1, -1, -1], [-1, 3, -1, -1], [-1, -1, 3, -1], [-1, -1, -1, 3]])
 
@@ -31,6 +35,50 @@ def cofactor_det(M):
 
 def random_matrix(rng, n, lo=-9, hi=9):
     return IntMatrix([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
+
+
+def _deleted(m, drop_row, drop_col):
+    return IntMatrix(
+        [
+            [v for j, v in enumerate(row) if j != drop_col]
+            for i, row in enumerate(m.data)
+            if i != drop_row
+        ]
+    )
+
+
+def cofactor_adjugate(m):
+    """The n^2 minors one Bareiss determinant each: the reference that
+    intmat.adjugate, one elimination, is held against."""
+    n = m.rows
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = determinant(_deleted(m, j, i))
+            out[i][j] = minor if (i + j) % 2 == 0 else -minor
+    return IntMatrix(out)
+
+
+def random_of_rank(rng, n, rank, bound=9):
+    """A square matrix of the given rank with entries in [-bound, bound]:
+    X Y for sparse X (n x rank) and Y (rank x n), where a random column of
+    Y may repeat a combination of earlier ones, so that a free column of
+    the elimination can sit anywhere. Draws are redone until both the
+    rank and the bound hold."""
+    if rank == 0:
+        return IntMatrix([[0] * n] * n)
+    while True:
+        x = [[rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(rank)] for _ in range(n)]
+        y = [[rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(n)] for _ in range(rank)]
+        if rng.random() < 0.5:
+            j = rng.randrange(n)
+            c = [rng.randint(-1, 1) for _ in range(j)]
+            for row in y:
+                row[j] = sum(ci * v for ci, v in zip(c, row))
+        rows = [[sum(a * b for a, b in zip(xr, col)) for col in zip(*y)] for xr in x]
+        M = IntMatrix(rows)
+        if all(abs(v) <= bound for row in rows for v in row) and smith_normal_form(M).rank == rank:
+            return M
 
 
 class TestDeterminant:
@@ -69,6 +117,53 @@ class TestAdjugate:
         adj = adjugate(SIMPLEST)
         assert adj.row(0) == (16, 16, 16, 16)
         assert all(adj.row(i) == adj.row(0) for i in range(4))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_agrees_with_cofactors_at_every_rank(self, n):
+        rng = random.Random(1000 + n)
+        for rank in range(n + 1):
+            for _ in range(6):
+                M = random_of_rank(rng, n, rank)
+                adj = adjugate(M)
+                assert adj == cofactor_adjugate(M), M.to_rows()
+                d = IntMatrix([[determinant(M) if i == j else 0 for j in range(n)] for i in range(n)])
+                assert M @ adj == adj @ M == d
+
+    def test_fixed_small(self):
+        assert adjugate(IntMatrix([[0, 0], [0, 0]])) == IntMatrix([[0, 0], [0, 0]])
+        assert adjugate(IntMatrix([[0] * 5] * 5)) == IntMatrix([[0] * 5] * 5)
+        assert adjugate(IntMatrix([[2, 3], [5, 7]])) == IntMatrix([[7, -3], [-5, 2]])
+        assert adjugate(IntMatrix([[0, 1], [0, 1]])) == IntMatrix([[1, -1], [0, 0]])
+        assert adjugate(IntMatrix([[0, 0], [1, 2]])) == IntMatrix([[2, 0], [-1, 0]])
+
+    def test_needs_square_of_size_two(self):
+        with pytest.raises(ValueError):
+            adjugate(IntMatrix([[3]]))
+        with pytest.raises(ValueError):
+            adjugate(IntMatrix([[1, 2, 3], [4, 5, 6]]))
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.json")))
+    def test_goldens(self, name):
+        P = load_golden(name)
+        for M in (P.signed, normalized_snf(P).P):
+            assert adjugate(M) == cofactor_adjugate(M)
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_complete_graphs(self, n):
+        # Kirchhoff: every cofactor of the Laplacian of K_n is n^(n-2)
+        L = validate([[n - 1 if i == j else -1 for j in range(n)] for i in range(n)]).signed
+        assert adjugate(L) == IntMatrix([[n ** (n - 2)] * n] * n)
+
+    def test_never_reads_the_smith_form(self, monkeypatch):
+        # the adjugate is the independent witness against the Smith form
+        def refuse(*args):
+            raise AssertionError("the adjugate read the Smith form")
+
+        P = load_golden("n3_doubled.json")
+        expected = cofactor_adjugate(P.signed)
+        monkeypatch.setattr(intmat, "smith_normal_form", refuse)
+        monkeypatch.setattr(core, "normalized_snf", refuse)
+        assert adjugate(P.signed) == expected
 
 
 class TestMinorsGcd:
