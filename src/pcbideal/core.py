@@ -16,8 +16,7 @@ identity checks expand monomials termwise over the integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .intmat import (
     IntMatrix,
@@ -71,26 +70,42 @@ class NegativeEntry(RuntimeError):
     """A syzygy exponent came out negative, which the row sums rule out."""
 
 
-@dataclass(frozen=True)
 class PcbMatrix:
-    """Entry magnitudes of a validated PCB matrix; a[i][i] is the diagonal."""
+    """Entry magnitudes of a validated PCB matrix; a[i][i] is the diagonal.
 
-    a: Tuple[Tuple[int, ...], ...]
-    # normalized_snf caches its answer here; every invariant is read off it
-    _snf: Optional[SnfResult] = field(default=None, init=False, repr=False, compare=False)
+    Immutable, and equal, hashed and shown by a alone. signed, the matrix L
+    itself, is built once here; normalized_snf caches its answer in _snf,
+    and every invariant is read off it.
+    """
+
+    __slots__ = ("a", "signed", "_snf")
+
+    def __init__(self, a: Tuple[Tuple[int, ...], ...]):
+        signed = tuple(tuple(v if i == j else -v for j, v in enumerate(row)) for i, row in enumerate(a))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "signed", IntMatrix._trusted(signed))
+        object.__setattr__(self, "_snf", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PcbMatrix is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PcbMatrix is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not PcbMatrix:
+            return NotImplemented
+        return self.a == other.a
+
+    def __hash__(self) -> int:
+        return hash(self.a)
+
+    def __repr__(self) -> str:
+        return f"PcbMatrix(a={self.a!r})"
 
     @property
     def n(self) -> int:
         return len(self.a)
-
-    @property
-    def signed(self) -> IntMatrix:
-        return IntMatrix(
-            [
-                [v if i == j else -v for j, v in enumerate(row)]
-                for i, row in enumerate(self.a)
-            ]
-        )
 
 
 def validate(rows: Sequence[Sequence[int]]) -> PcbMatrix:
@@ -115,8 +130,7 @@ def validate(rows: Sequence[Sequence[int]]) -> PcbMatrix:
     return PcbMatrix(tuple(tuple(abs(v) for v in row) for row in data))
 
 
-@dataclass(frozen=True)
-class Binomial:
+class Binomial(NamedTuple):
     """Difference of two monomials, kept as exponent vectors: x^plus - x^minus."""
 
     plus: Tuple[int, ...]
@@ -382,8 +396,7 @@ def small_dim_decomposition(P: PcbMatrix) -> Optional[SnfResult]:
     return result
 
 
-@dataclass(frozen=True)
-class TorsionProfile:
+class TorsionProfile(NamedTuple):
     """Cokernel shape of the signed matrix: Z^n / (column lattice)."""
 
     fitting_zero: int
@@ -409,8 +422,7 @@ def torsion_profile(P: PcbMatrix) -> TorsionProfile:
     )
 
 
-@dataclass(frozen=True)
-class PcbAnalysis:
+class PcbAnalysis(NamedTuple):
     """One-stop summary of the discrete invariants of a PCB matrix."""
 
     n: int

@@ -32,10 +32,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     Binomial,
@@ -87,8 +86,7 @@ def pcb_ideal(P: PcbMatrix, field) -> Ideal:
     return Ideal(field, P.n, [binomial_to_polynomial(g, field, P.n) for g in generators(P)])
 
 
-@dataclass(frozen=True)
-class ComponentSpec:
+class ComponentSpec(NamedTuple):
     """One isolated component, described before any field is chosen.
 
     lambda_index enumerates the character group factor by factor; the map
@@ -137,8 +135,7 @@ def hull_is_prime(P: PcbMatrix) -> bool:
     return d == 1
 
 
-@dataclass(frozen=True)
-class ComponentCount:
+class ComponentCount(NamedTuple):
     isolated: int
     embedded: int
     assumption: str
@@ -312,7 +309,6 @@ def prime_field_for(P: PcbMatrix, p: int) -> Tuple[PrimeField, bool]:
     raise BadPrime(p, r)
 
 
-@dataclass(frozen=True)
 class PrimeFieldRealization:
     """The isolated components over F_p: trivial is P_0, the kernel of the
     trivial-character map psi_0: x_i -> t^{nu_i}, and kernels[i] is its
@@ -326,13 +322,29 @@ class PrimeFieldRealization:
     every leading and every standard monomial: applied to the reduced basis
     of P_0 and made monic again, it gives the reduced basis of ker psi_e
     exactly.
+
+    Immutable and equal by its five fields; kernels is computed on first
+    use and kept.
     """
 
-    p: int
-    r: int
-    zeta: int
-    specs: Tuple[ComponentSpec, ...]
-    trivial: Ideal
+    def __init__(self, p: int, r: int, zeta: int, specs: Tuple[ComponentSpec, ...], trivial: Ideal):
+        self.__dict__.update(p=p, r=r, zeta=zeta, specs=specs, trivial=trivial)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PrimeFieldRealization is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PrimeFieldRealization is immutable: cannot delete {name!r}")
+
+    def _key(self):
+        return self.p, self.r, self.zeta, self.specs, self.trivial
+
+    def __eq__(self, other):
+        if other.__class__ is not PrimeFieldRealization:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None  # the trivial kernel, an Ideal, is unhashable
 
     @cached_property
     def kernels(self) -> Tuple[Ideal, ...]:
@@ -371,8 +383,7 @@ def realize_over_prime_field(P: PcbMatrix, p: int) -> PrimeFieldRealization:
     return PrimeFieldRealization(p, r, zeta, specs, trivial)
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     component_count: Optional[int]  # None over Q, where no component is realized
     checks: Tuple[Tuple[str, bool], ...]
 

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 
 class IntMatrix:
@@ -224,8 +223,7 @@ def bezout(x: int, y: int) -> Tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(NamedTuple):
     """P @ M @ Q == D with P, Q unimodular and D diagonal with a divisibility chain."""
 
     P: IntMatrix

@@ -1,8 +1,8 @@
 """Buchberger engine producing unique reduced Groebner bases.
 
 Pairs are taken by sugar degree and pruned by the Gebauer-Moeller update
-as each basis element arrives (see _buchberger). The final basis is
-minimalized, tail-reduced and sorted, so equal ideals always produce
+as each basis element arrives (see _buchberger), which returns a minimal
+basis. That basis is tail-reduced and sorted, so equal ideals always produce
 identical output under the same order.
 
 Exponent arithmetic stays in C: divisibility is all(map(le, a, b)), shifts,
@@ -121,6 +121,14 @@ def _buchberger(seeds: List[Terms], field, keyf) -> List[Entry]:
     as a reducer: remainders are taken modulo all of G, oldest first. On one
     t-lifted intersection over F_7, reducing by the minimal elements alone
     took 14 times as long.
+
+    The result is a minimal basis. A remainder is reduced modulo all of G,
+    so no earlier leading monomial divides its own; only a seed, which
+    arrives unreduced, can be a multiple of an earlier live one. A seed
+    of the same leading monomial takes the earlier one's place, as any
+    element does; a proper multiple is marked when it arrives and left
+    out at the end. It keeps its pairs, so the run does the same work
+    either way.
     """
     G: List[Entry] = []
     sugar: List[int] = []
@@ -167,7 +175,11 @@ def _buchberger(seeds: List[Terms], field, keyf) -> List[Entry]:
         live[:] = [g for g in live if not all(map(_le, lmh, G[g][0]))]
         live.append(h)
 
+    redundant = set()  # seeds whose leading monomial a live one properly divides
     for terms in seeds:
+        lm = max(terms, key=keyf)
+        if any(G[g][0] != lm and all(map(_le, G[g][0], lm)) for g in live):
+            redundant.add(len(G))
         add(terms, max(map(sum, terms)))
 
     while heap:
@@ -177,23 +189,17 @@ def _buchberger(seeds: List[Terms], field, keyf) -> List[Entry]:
         r = _nf_dict(_spoly_dict(G[i], G[j], field), G, field, keyf)
         if r:
             add(r, s)
-    return [G[g] for g in live]
+    return [G[g] for g in live if g not in redundant]
 
 
 def _reduce_basis(G: List[Entry], field, keyf) -> List[Entry]:
-    kept: List[Entry] = []
-    for idx in sorted(range(len(G)), key=lambda i: keyf(G[i][0])):
-        lm = G[idx][0]
-        if any(all(map(_le, klm, lm)) for klm, _ in kept):
-            continue
-        kept.append(G[idx])
-    out: List[Entry] = []
-    for i, (lm, terms) in enumerate(kept):
-        others = kept[:i] + kept[i + 1 :]
-        red = _nf_dict(dict(terms), others, field, keyf)
-        out.append((lm, red))
-    out.sort(key=lambda entry: keyf(entry[0]))
-    return out
+    """The reduced basis of a minimal Groebner basis G: each element's tail
+    reduced modulo the others, sorted by leading monomial in the order."""
+    kept = sorted(G, key=lambda entry: keyf(entry[0]))
+    return [
+        (lm, _nf_dict(dict(terms), kept[:i] + kept[i + 1 :], field, keyf))
+        for i, (lm, terms) in enumerate(kept)
+    ]
 
 
 def groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder) -> Tuple[Polynomial, ...]:

@@ -212,7 +212,13 @@ def _divide_variable(ideal: Ideal, weights: Sequence[int], j: int, k: int) -> Id
         s = min(k, min(e[j] for e in g.terms))
         terms = {e[:j] + (e[j] - s,) + e[j + 1 :]: c for e, c in g.terms.items()} if s else g.terms
         entries.append((max(terms, key=keyf), terms))
-    basis = tuple(Polynomial(field, nvars, terms) for _, terms in _reduce_basis(entries, field, keyf))
+    # a divided leading monomial can divide another one: keep the minimal ones
+    entries.sort(key=lambda entry: keyf(entry[0]))
+    minimal = []
+    for lm, terms in entries:
+        if not any(all(map(_le, m, lm)) for m, _ in minimal):
+            minimal.append((lm, terms))
+    basis = tuple(Polynomial(field, nvars, terms) for _, terms in _reduce_basis(minimal, field, keyf))
     return Ideal._with_basis(field, nvars, basis, order)
 
 

@@ -314,6 +314,14 @@ def _outcome(run) -> Tuple[Optional[str], Optional[int], Optional[int]]:
     return None, None, k
 
 
+def _rebuilt(real: PrimeFieldRealization, specs=None, trivial=None) -> PrimeFieldRealization:
+    """real with other specs or another trivial kernel; its kernels are
+    twisted afresh on first use."""
+    return PrimeFieldRealization(
+        real.p, real.r, real.zeta, real.specs if specs is None else specs, real.trivial if trivial is None else trivial
+    )
+
+
 @dataclasses.dataclass(frozen=True)
 class Chain:
     """The chain's arguments on one input over F_p, each computed by the
@@ -338,7 +346,7 @@ class Chain:
     def with_specs(self, specs) -> "Chain":
         """The same input with other characters: the realization's kernels
         are the twists of the same trivial-character kernel by them."""
-        return dataclasses.replace(self, real=dataclasses.replace(self.real, specs=tuple(specs)))
+        return dataclasses.replace(self, real=_rebuilt(self.real, specs=tuple(specs)))
 
 
 def _new(c: Chain):
@@ -382,7 +390,7 @@ def _non_character(spec):
     """x_1 -> zeta t^{nu_1}, x_i -> t^{nu_i} otherwise: no character of the
     torsion group when r does not divide every entry of the first row of L."""
     n = len(spec.coeff_exponents)
-    return dataclasses.replace(spec, coeff_exponents=(1,) + (0,) * (n - 1))
+    return spec._replace(coeff_exponents=(1,) + (0,) * (n - 1))
 
 
 def _shifted_by_nu(spec, nu):
@@ -390,7 +398,7 @@ def _shifted_by_nu(spec, nu):
     component, with other coefficient exponents whenever r does not
     divide every weight."""
     r = spec.root_order
-    return dataclasses.replace(spec, coeff_exponents=tuple((e + w) % r for e, w in zip(spec.coeff_exponents, nu)))
+    return spec._replace(coeff_exponents=tuple((e + w) % r for e, w in zip(spec.coeff_exponents, nu)))
 
 
 def _agree(c: Chain):
@@ -558,7 +566,7 @@ def test_wrong_trivial_kernel_leaves_the_hull_outside(case, request):
     c = request.getfixturevalue(case)
     field = c.I.field
     images = [Polynomial.monomial(field, 1, (1,), v) for v in [2] + [1] * (c.I.nvars - 1)]
-    wrong = dataclasses.replace(c, real=dataclasses.replace(c.real, trivial=ring_map_kernel(images)))
+    wrong = dataclasses.replace(c, real=_rebuilt(c.real, trivial=ring_map_kernel(images)))
     message = (
         "intersection of all components is not the ideal: "
         "a hull generator has a nonzero normal form modulo component 1"
@@ -638,7 +646,7 @@ def _theory_premises(P, p: int) -> None:
     assert product == IntMatrix([[sign if i == j else 0 for j in range(P.n - 1)] for i in range(P.n)])
     specs = real.specs + (_shifted_by_nu(real.specs[-1], nu),)
     classes = _residue_vectors(specs, kernel)
-    bases = [K.groebner() for K in dataclasses.replace(real, specs=specs).kernels]
+    bases = [K.groebner() for K in _rebuilt(real, specs=specs).kernels]
     assert classes[-1] == classes[-2] and bases[-1] == bases[-2]
     for (a, ka), (b, kb) in itertools.combinations(zip(classes, bases), 2):
         assert (a == b) == (ka == kb)

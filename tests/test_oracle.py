@@ -170,6 +170,21 @@ class TestGroebner:
         gb = groebner_basis([x + y, x - y], DEGREVLEX)
         assert [render(g, DEGREVLEX) for g in gb] == ["Q| +1 [0,1]", "Q| +1 [1,0]"]
 
+    def test_seeds_with_divisible_leads(self):
+        # only a seed can have a leading monomial that an earlier one
+        # divides: a proper multiple leaves the basis, an equal one replaces
+        x = Polynomial.variable(QQ, 2, 0)
+        y = Polynomial.variable(QQ, 2, 1)
+        cases = [
+            ([x, x * x + y], ["Q| +1 [0,1]", "Q| +1 [1,0]"]),
+            ([x * y, x * x * y + y, x * x * y * y], ["Q| +1 [0,1]"]),
+            ([x * x + y, x * x, x * y * y + y], ["Q| +1 [0,1]", "Q| +1 [2,0]"]),
+            ([x * x, x * x + y * y * y], ["Q| +1 [2,0]", "Q| +1 [0,3]"]),
+        ]
+        for gens, expected in cases:
+            gb = groebner_basis(gens, DEGREVLEX)
+            assert [render(g, DEGREVLEX) for g in gb] == expected
+
     def test_normal_form_is_canonical(self):
         x = Polynomial.variable(QQ, 2, 0)
         y = Polynomial.variable(QQ, 2, 1)
