@@ -20,18 +20,20 @@ f_1, ..., f_{n-1}, which are already a Groebner basis, proves S equal to
 I : x^{b(n)} (see _hull_checks). S and the embedded component E meet in
 the ideal, and S is stable under the colon by x^{b(n)}, because S is
 saturated by x_1 (see embedded_checks); no fact is recomputed. Over
-F_p verify realizes no component: the hull's basis is lattice binomials,
-and that S is the meet of the d isolated components, each once, follows
-from integers and one Hilbert series (see _chain_checks). Only decompose
-realizes them: one elimination gives the trivial-character component and
-torus twists give the others (see PrimeFieldRealization).
+F_p verify realizes no component and lists no character: the hull's
+basis is lattice binomials, and that S is the meet of the d isolated
+components, each once, follows from one Hilbert series and integer
+checks on the n - 1 generators of the character group, read off the
+normalized SNF (see _chain_checks). Only decompose lists the d
+characters and realizes their components: one elimination gives the
+trivial-character component and torus twists give the others (see
+PrimeFieldRealization).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from functools import cached_property
 from operator import mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -116,8 +118,10 @@ def enumerate_components(P: PcbMatrix) -> Tuple[ComponentSpec, ...]:
     """All d isolated component specs, lambda_index in lexicographic order.
 
     The character of lambda_index k is e = sum_j k_j (r / d_j) row_j of the
-    normalized SNF's left transform, modulo r. That it kills every column
-    of L is checked where it is used (see _chain_checks)."""
+    normalized SNF's left transform, modulo r. decompose lists them;
+    verify lists none: it proves that every one kills L and that their
+    components are distinct from the n - 1 generators (r / d_j) row_j
+    alone (see _chain_checks)."""
     snf = normalized_snf(P)
     _, _, nu = associated_vector(P)
     factors = snf.invariant_factors
@@ -417,13 +421,14 @@ def prime_power_in_hull(P: PcbMatrix, field, power: int) -> bool:
     return _power_inside(hull(P, field), diagonal_prime_gens(P, field), power)
 
 
-def _hull_swept(P: PcbMatrix, S: Ideal, nu: Sequence[int]) -> bool:
-    """Whether S : x_1 = S and x^{b(n)} g lies in J = (f_1, ..., f_{n-1})
-    for every g in S's reduced WeightedRevLex(nu, 0) basis, which for
-    S ⊇ I homogeneous for nu proves S = I : x^{b(n)} = J : x^{b(n)} (see
-    _hull_checks). No Groebner basis of J is computed."""
+def _hull_swept(P: PcbMatrix, I: Ideal, S: Ideal, nu: Sequence[int]) -> bool:
+    """Whether S : x_1 = S and x^{b(n)} g lies in J = (f_1, ..., f_{n-1}),
+    the generators of I but the last, for every g in S's reduced
+    WeightedRevLex(nu, 0) basis, which for S ⊇ I homogeneous for nu proves
+    S = I : x^{b(n)} = J : x^{b(n)} (see _hull_checks). No Groebner basis
+    of J is computed."""
     basis = S.groebner(WeightedRevLex(nu, 0))
-    J, xb = pcb_ideal(P, S.field).gens[:-1], socle_monomial(P, S.field)
+    J, xb = I.gens[:-1], socle_monomial(P, S.field)
     order = WeightedRevLex(nu, P.n - 1)
     stable = not any(min(e[0] for e in g.terms) for g in basis)
     return stable and not any(normal_form(xb * g, J, order).terms for g in basis)
@@ -438,7 +443,7 @@ def _hull_checks(P: PcbMatrix, I: Ideal, S: Ideal, steps: int, swept: bool) -> L
     saturated, both as _saturation returns them: one division of I's
     reduced WeightedRevLex(nu, 0) basis by powers of x_1, with steps the
     largest x_1-order in that basis (see oracle.saturate). swept is
-    _hull_swept(P, S, nu). No colon by x^{b(n)} is computed, from
+    _hull_swept(P, I, S, nu). No colon by x^{b(n)} is computed, from
     I or from J = (f_1, ..., f_{n-1}); the sweep proves
     S = I : x^{b(n)} = J : x^{b(n)}:
     1. The generators of J are a Groebner basis under
@@ -556,57 +561,45 @@ def _leading_monomials(basis: Sequence[Polynomial], order=DEGREVLEX) -> Tuple[Tu
 
 
 def _kernel_vectors(P: PcbMatrix) -> List[Tuple[int, ...]]:
-    """w_1, ..., w_{n-1}, a basis of ker nu ∩ Z^n: the first n - 1 columns
-    of the adjugate of the normalized SNF's left transform, which is ± its
-    inverse (see _chain_checks)."""
+    """w_1, ..., w_{n-1}: the first n - 1 columns of the adjugate of the
+    normalized SNF's left transform, a basis of ker nu ∩ Z^n when it is
+    unimodular (_chain_checks proves what it needs of them)."""
     adj = adjugate(normalized_snf(P).P)
     return [adj.column(j) for j in range(P.n - 1)]
 
 
-def _residue_vectors(specs: Sequence[ComponentSpec], kernel: Sequence[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
-    """(e.w_j mod r)_j for the character e of each spec and each kernel
-    vector w_j: equal exactly when the components are (see _chain_checks)."""
-    return [tuple(sum(map(mul, s.coeff_exponents, w)) % s.root_order for w in kernel) for s in specs]
-
-
-def _intersection_witness(
-    P: PcbMatrix,
-    specs: Sequence[ComponentSpec],
-    kernel: Sequence[Tuple[int, ...]],
-    distinct: int,
-    S: Ideal,
-    saturated: bool,
-    lattice: bool,
-) -> Optional[str]:
+def _intersection_witness(P: PcbMatrix, S: Ideal, saturated: bool, lattice: bool) -> Optional[str]:
     """None when the certificate proves S = P_1 ∩ ... ∩ P_d (see
-    _chain_checks), with `distinct` residue vectors among the specs, else
-    the first fact that fails."""
+    _chain_checks), else the first fact that fails."""
     if not saturated:
         return "hull not saturated by x_1"
     if not lattice:
         return "hull basis is not lattice binomials"
-    columns = P.signed.transpose().data
-    for i, s in enumerate(specs, start=1):
-        if any(sum(map(mul, s.coeff_exponents, col)) % s.root_order for col in columns):
-            return f"the character of component {i} does not kill the lattice"
-    nu = associated_vector(P)[2]
+    snf = normalized_snf(P)
+    left, factors = snf.P, snf.invariant_factors
+    r = factors[-1]
+    for j, (dj, row) in enumerate(zip(factors, (left @ P.signed).data), start=1):
+        if r % dj or any(v % dj for v in row):
+            return f"generator {j} of the character group does not kill the lattice"
+    kernel = _kernel_vectors(P)
+    product = [[sum(map(mul, row, w)) for w in kernel] for row in left.data]
+    sign = product[0][0]
+    if sign not in (1, -1) or product != [[sign if i == j else 0 for j in range(P.n - 1)] for i in range(P.n)]:
+        return "the SNF's left transform times the kernel vectors is not ±[I; 0]"
+    _, d, nu = associated_vector(P)
     if math.gcd(*nu) != 1:
         return "the weights have a common factor"
-    for j, w in enumerate(kernel, start=1):
-        if sum(map(mul, nu, w)):
-            return f"the weights do not kill kernel vector {j}"
     order = WeightedRevLex(nu, 0)
     hull_degree = dimension_one_degree(_leading_monomials(S.groebner(order), order), nu)
     if hull_degree is None:
         return "hull is not of dimension one"
-    if hull_degree != distinct:
-        return f"deg S = {hull_degree}, sum of component degrees = {distinct}"
+    if hull_degree != d:
+        return f"deg S = {hull_degree}, sum of component degrees = {d}"
     return None
 
 
 def _chain_checks(
     P: PcbMatrix,
-    specs: Sequence[ComponentSpec],
     I: Ideal,
     S: Ideal,
     meets: Optional[bool],
@@ -616,97 +609,93 @@ def _chain_checks(
     """Prove I = P_1 ∩ ... ∩ P_d (∩ E) and that no component is redundant;
     returns the checks and the number of components.
 
-    P_i is the kernel of x_j -> zeta^{e_j} t^{nu_j}, e the character of
-    specs[i - 1] and zeta a primitive r-th root of unity, r the last
-    invariant factor, which F_p holds because p = 1 (mod r) (see
-    prime_field_for). No P_i is realized: every fact about them below is
-    a fact about integers (Eisenbud-Sturmfels, "Binomial ideals", 1996).
-    S is the hull I : x^{b(n)}, and meets says whether S ∩ E = I
-    (embedded_checks decided it); it is None for n <= 3, where there is no
-    E. saturated is the hull sweep (S : x_1 = S, see _hull_checks), and
-    lattice is the hull check "hull basis is lattice binomials killed by
-    the weights": every element of S's reduced basis is x^u - x^v with
-    u - v in the column lattice L.
+    Write P L Q = D for the normalized SNF, d_1 | ... | d_{n-1} = r its
+    invariant factors, d their product, and nu its left transform's last
+    row (see associated_vector). The character group of the torsion group
+    of Z^n / L is generated by e^(j) = (r / d_j) row_j(P), j < n, and its
+    d elements are e_k = Σ_j k_j e^(j) mod r for 0 <= k_j < d_j, the
+    characters that enumerate_components lists for decompose. P_k is the
+    kernel of x_i -> zeta^{(e_k)_i} t^{nu_i}, zeta a primitive r-th root
+    of unity, which F_p holds because p = 1 (mod r) (see prime_field_for).
+    No P_k is realized and no character is listed: every fact about them
+    below is a fact about the n - 1 generators, in integers
+    (Eisenbud-Sturmfels, "Binomial ideals", 1996). S is the hull
+    I : x^{b(n)}, and meets says whether S ∩ E = I (embedded_checks
+    decided it); it is None for n <= 3, where there is no E. saturated is
+    the hull sweep (S : x_1 = S, see _hull_checks), and lattice is the
+    hull check "hull basis is lattice binomials killed by the weights":
+    every element of S's reduced basis is x^u - x^v with u - v in the
+    column lattice L.
 
-    Facts from integers. The left transform of the normalized SNF is
-    unimodular with last row nu, so the columns of its inverse, ± those of
-    its adjugate, are a basis of Z^n, and nu.w_j = 0 for the first n - 1,
-    w_1, ..., w_{n-1} (checked), which therefore span ker nu ∩ Z^n. The
-    residue vector of a character e is (e.w_j mod r)_{j < n}.
-    a. S ⊆ P_i when e_i kills every column of L modulo r (checked for
-       every i). A basis element x^u - x^v of S maps to
-       (zeta^{e.u} - zeta^{e.v}) t^{nu.u} = 0: nu.u = nu.v by nu L = 0,
-       and e.(u - v) = 0 (mod r) for u - v in L.
-    b. P_e != P_{e'} when (e - e').w != 0 (mod r) for some w in
-       ker nu ∩ Z^n: x^{w+} - zeta^{e.w} x^{w-} lies in P_e and not in
-       P_{e'}. So distinct residue vectors give distinct components.
-       Conversely P_e is spanned by the binomials x^u - zeta^{e.(u-v)} x^v
-       with u - v in ker nu (Sturmfels, "Groebner Bases and Convex
-       Polytopes", Lemma 4.1, twisted by e), so equal residue vectors give
-       equal components.
-    c. deg P_i = 1, because gcd(nu) = 1 (checked): F_p[x]/P_i is
+    Facts from integers, each checked here on one matrix product; none
+    needs Q or the unimodularity of P:
+    a. Kill. d_j divides r, and row_j(P) L = 0 (mod d_j) for every
+       j < n, read off the rows of P L. Then e^(j) is an integer vector
+       and e^(j) L = (r / d_j) row_j(P) L = 0 (mod r), so every e_k kills
+       every column of L modulo r, and S ⊆ P_k: a basis element x^u - x^v
+       of S maps to (zeta^{e.u} - zeta^{e.v}) t^{nu.u} = 0, because
+       nu.u = nu.v by nu L = 0 and e.(u - v) = 0 (mod r) for u - v in L.
+    b. Distinct. P W = ε[I_{n-1}; 0] with ε = ±1, for W the columns
+       w_1, ..., w_{n-1} of _kernel_vectors. The last row, nu, gives
+       nu.w_l = 0, and the others give e_k.w_l = ε (r / d_l) k_l, so the
+       residue vector (e_k.w_l mod r)_l of e_k is ε((r / d_l) k_l mod r)_l,
+       which differs for distinct k, because 0 <= (r / d_l) k_l < r. And
+       P_k != P_k' when (e_k - e_k').w != 0 (mod r) for some w in
+       ker nu ∩ Z^n: x^{w+} - zeta^{e_k.w} x^{w-} lies in P_k and not in
+       P_k'. So the d components are pairwise distinct.
+    c. Count. deg P_k = 1, because gcd(nu) = 1 (checked): F_p[x]/P_k is
        isomorphic to F_p[t^{nu_1}, ..., t^{nu_n}], which is
-       one-dimensional in every large degree.
+       one-dimensional in every large degree. So d distinct components of
+       degree one hold S.
 
     Intersection. No ideal is intersected. Grade by deg x_i = nu_i: I is
-    homogeneous because nu L = 0, hence so is S, and each P_i is a
+    homogeneous because nu L = 0, hence so is S, and each P_k is a
     homogeneous prime of dimension one, the kernel of a graded map into
     the domain F_p[t]. S = P_1 ∩ ... ∩ P_d follows from:
     1. S : x_1 = S, because S is a saturation by x_1. So x_1 is a
        nonzerodivisor modulo S, and the irrelevant ideal (x_1, ..., x_n)
        is not associated to S.
-    2. S ⊆ P_i for every i (a).
-    3. dim S = 1, and deg S equals the number of distinct residue
-       vectors. deg S comes from the nu-graded Hilbert series of the
-       leading ideal of S's reduced WeightedRevLex(nu, 0) basis, the one
-       the saturation left cached (oracle.dimension_one_degree, after
-       Bayer-Stillman), which for a homogeneous ideal equals the ideal's
-       own under any order.
-    By 2 each P_i, of dimension one like S, is a minimal prime of S, and
-    by b the distinct P_i are at least as many as the distinct residue
-    vectors. The associativity formula gives deg S = Σ_P length(S_P) deg P
-    over all minimal primes P of S of dimension one, every deg P > 0, so
-    by c and 3 every length at a P_i is one and S has no other minimal
-    prime of dimension one. A homogeneous ideal of dimension one has no
-    further associated prime but the irrelevant ideal, which 1 excludes.
-    Hence S is unmixed and its P_i-primary component is S_{P_i} ∩ R = P_i,
-    so S = P_1 ∩ ... ∩ P_d. Then for n >= 4, S ∩ E = I gives the whole
+    2. S ⊆ P_k for every k (a).
+    3. dim S = 1, and deg S = d. deg S comes from the nu-graded Hilbert
+       series of the leading ideal of S's reduced WeightedRevLex(nu, 0)
+       basis, the one the saturation left cached
+       (oracle.dimension_one_degree, after Bayer-Stillman), which for a
+       homogeneous ideal equals the ideal's own under any order.
+    By 2 each P_k, of dimension one like S, is a minimal prime of S, and
+    by b they are d distinct primes. The associativity formula gives
+    deg S = Σ_P length(S_P) deg P over all minimal primes P of S of
+    dimension one, every deg P > 0, so by c and 3 every length at a P_k
+    is one and S has no other minimal prime of dimension one. A
+    homogeneous ideal of dimension one has no further associated prime
+    but the irrelevant ideal, which 1 excludes. Hence S is unmixed and
+    its P_k-primary component is S_{P_k} ∩ R = P_k, so
+    S = P_1 ∩ ... ∩ P_d. Then for n >= 4, S ∩ E = I gives the whole
     intersection; for n <= 3, S = I does. A failure raises
     VerificationFailed with one witness after the message: S ∩ E != I (or
     S != I), an unsaturated hull, a hull basis of other than lattice
-    binomials, the first component whose character does not kill the
-    lattice, weights with a common factor or a kernel vector they do not
-    kill, a hull of dimension other than one, or the two degrees that
-    differ.
+    binomials, the first generator that does not kill the lattice, a W
+    with P W != ±[I; 0], weights with a common factor, a hull of
+    dimension other than one, or the two degrees that differ.
 
-    Irredundancy. Each P_i has dimension one and holds no monomial (a
+    Irredundancy. Each P_k has dimension one and holds no monomial (a
     monomial maps to a nonzero term). Suppose P_j is redundant: the meet
     of the other components lies in P_j. A prime that holds a finite
-    intersection of ideals holds one of them, so some P_i lies in P_j with
-    i != j, or E does. P_i in P_j makes them equal, because both primes
-    have dimension one, and by b that happens exactly when their residue
-    vectors are equal, so the residue vectors are checked pairwise
-    distinct. E in P_j is impossible: E holds the monomial x^{b(n)}. E
-    itself is redundant exactly when the P_i meet in I, that is when
-    S = I, so S != I is checked. A failure raises VerificationFailed
-    naming the first redundant component: the first index of a repeated
-    residue vector, or E.
+    intersection of ideals holds one of them, so some P_k lies in P_j with
+    k != j, or E does. P_k in P_j makes them equal, because both primes
+    have dimension one, which b excludes. E in P_j is impossible: E holds
+    the monomial x^{b(n)}. E itself is redundant exactly when the P_k
+    meet in I, that is when S = I, so S != I is checked, and a failure
+    raises VerificationFailed naming E, the last component.
     """
-    kernel = _kernel_vectors(P)
-    classes = _residue_vectors(specs, kernel)
     if meets is None:
         witness = None if S == I else "hull differs from the ideal"
     else:
         witness = None if meets else "hull meets the embedded component outside the ideal"
-    witness = witness or _intersection_witness(P, specs, kernel, len(set(classes)), S, saturated, lattice)
+    witness = witness or _intersection_witness(P, S, saturated, lattice)
     if witness:
         raise VerificationFailed(f"intersection of all components is not the ideal: {witness}")
     checks = [("intersection of all components equals the ideal", True)]
-    repeats = Counter(classes)
-    for j, c in enumerate(classes):
-        if repeats[c] > 1:
-            raise VerificationFailed(f"component {j + 1} is redundant", index=j)
-    k = len(specs)
+    k = associated_vector(P)[1]
     if meets is not None:
         k += 1
         if S == I:
@@ -727,18 +716,18 @@ def verify_full_decomposition(P: PcbMatrix, p: Optional[int] = None) -> Decompos
     (f_1, ..., f_{n-1}) is computed. That one boolean decides the embedded-component checks (see
     embedded_checks). Over Q and over a good F_p (see prime_field_for)
     the hull checks run; over F_p the d isolated components are then
-    certified, without realizing any of them, to meet in S by a degree
-    count and to be irredundant, from their characters (see
-    _chain_checks). On this path the saturation's is the only Groebner
-    run. In the char-2 case the collapse checks run instead, on the same
-    boolean. A failed chain or char-2 check raises VerificationFailed;
+    certified, without realizing or listing any of them, to meet in S by
+    a degree count and to be irredundant, from the n - 1 generators of
+    the character group (see _chain_checks). On this path the
+    saturation's is the only Groebner run. In the char-2 case the
+    collapse checks run instead, on the same boolean. A failed chain or char-2 check raises VerificationFailed;
     the others report False.
     """
     field, good = (QQ, True) if p is None else prime_field_for(P, p)
     nu = associated_vector(P)[2]
     I = pcb_ideal(P, field)
     S, steps = _saturation(P, I)
-    swept = _hull_swept(P, S, nu)
+    swept = _hull_swept(P, I, S, nu)
     embedded = embedded_checks(P, I, S, embedded_component(P, field), swept) if P.n >= 4 else []
     count = None
     if not good:
@@ -749,7 +738,7 @@ def verify_full_decomposition(P: PcbMatrix, p: Optional[int] = None) -> Decompos
         if p is not None:
             meets = embedded[1][1] if embedded else None
             lattice = hull_checks[-1][1]
-            chain, count = _chain_checks(P, enumerate_components(P), I, S, meets, swept, lattice)
+            chain, count = _chain_checks(P, I, S, meets, swept, lattice)
             checks += chain
     if count is not None:
         checks.append((f"component count is {count}", True))

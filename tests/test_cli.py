@@ -265,3 +265,26 @@ class TestOneProcess:
                 assert got == want
             else:
                 assert code == 2 and out.out == alone.stdout == ""
+
+
+def test_cli_imports_only_the_standard_library():
+    # the package stays stdlib-only: every module that importing the CLI
+    # adds to a bare interpreter's start-up is the standard library's or
+    # the package's own. The diff is taken against the modules present
+    # before the import, since start-up alone may import site-packages
+    # (a .pth file can import certifi, say)
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import pcbideal.cli\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(pcbideal.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    added = done.stdout.split()
+    assert "pcbideal.cli" in added
+    foreign = [
+        name for name in added
+        if name.partition(".")[0] not in sys.stdlib_module_names and name.partition(".")[0] != "pcbideal"
+    ]
+    assert foreign == []

@@ -2,11 +2,15 @@
 
 _chain_checks proves that the isolated components meet in the hull, and
 that none is redundant, from integers and one Hilbert series, and
-realizes no component: the hull's basis is lattice binomials, every
-character kills the lattice, characters with distinct residue vectors on
-a basis of ker nu have distinct components of degree one, and deg S
-counts them. Three proofs it replaced stay here as references, each on
-the realized components: _reference_degree_chain twists the
+realizes and lists no component: the hull's basis is lattice binomials,
+the n - 1 generators of the character group kill the lattice, the SNF's
+left transform inverts the basis of ker nu up to sign, so the d
+characters have distinct residue vectors and distinct components of
+degree one, and deg S counts them. _reference_character_chain is the
+per-character certificate it replaced: it lists the d characters, checks
+each against every column of L and compares their residue vectors
+pairwise. Three older proofs stay here as references, each on the
+realized components: _reference_degree_chain twists the
 trivial-character kernel into every component, divides the hull by the
 first one and compares deg S with the degrees and the reduced bases of
 the kernels; _reference_kernel_chain intersects the kernels in one chain
@@ -37,6 +41,7 @@ must agree, on real inputs and on altered component lists.
 import dataclasses
 import functools
 import itertools
+import math
 import random
 from collections import Counter
 from operator import mul
@@ -58,7 +63,6 @@ from pcbideal.decomp import (
     _kernel_vectors,
     _leading_monomials,
     _primary_to_origin,
-    _residue_vectors,
     embedded_checks,
     embedded_component,
     enumerate_components,
@@ -297,6 +301,69 @@ def _reference_lattice(P: PcbMatrix, S: Ideal) -> bool:
     return True
 
 
+def _reference_residue_vectors(specs, kernel) -> List[Tuple[int, ...]]:
+    """(e.w_j mod r)_j for the character e of each spec and each kernel
+    vector w_j: equal exactly when the components are."""
+    return [tuple(sum(map(mul, s.coeff_exponents, w)) % s.root_order for w in kernel) for s in specs]
+
+
+def _reference_character_witness(P, specs, kernel, distinct: int, S: Ideal, saturated: bool, lattice: bool) -> Optional[str]:
+    """The witness of the per-character certificate: every listed
+    character against every column of L, every kernel vector against nu,
+    and deg S against the number of distinct residue vectors."""
+    if not saturated:
+        return "hull not saturated by x_1"
+    if not lattice:
+        return "hull basis is not lattice binomials"
+    columns = P.signed.transpose().data
+    for i, s in enumerate(specs, start=1):
+        if any(sum(map(mul, s.coeff_exponents, col)) % s.root_order for col in columns):
+            return f"the character of component {i} does not kill the lattice"
+    nu = decomp.associated_vector(P)[2]
+    if math.gcd(*nu) != 1:
+        return "the weights have a common factor"
+    for j, w in enumerate(kernel, start=1):
+        if sum(map(mul, nu, w)):
+            return f"the weights do not kill kernel vector {j}"
+    order = WeightedRevLex(nu, 0)
+    hull_degree = dimension_one_degree(_leading_monomials(S.groebner(order), order), nu)
+    if hull_degree is None:
+        return "hull is not of dimension one"
+    if hull_degree != distinct:
+        return f"deg S = {hull_degree}, sum of component degrees = {distinct}"
+    return None
+
+
+def _reference_character_chain(P, specs, I: Ideal, S: Ideal, meets: Optional[bool], saturated: bool, lattice: bool):
+    """The chain certificate on a list of characters, one loop over the
+    list per fact: the components meet in S when every character kills
+    the lattice and deg S is the number of distinct residue vectors, and
+    a repeated residue vector names the first redundant component. Reads
+    the kernel vectors and the weights through decomp, so a patch there
+    reaches it. Returns the checks and the count."""
+    kernel = decomp._kernel_vectors(P)
+    classes = _reference_residue_vectors(specs, kernel)
+    if meets is None:
+        witness = None if S == I else "hull differs from the ideal"
+    else:
+        witness = None if meets else "hull meets the embedded component outside the ideal"
+    witness = witness or _reference_character_witness(P, specs, kernel, len(set(classes)), S, saturated, lattice)
+    if witness:
+        raise VerificationFailed(f"intersection of all components is not the ideal: {witness}")
+    checks = [("intersection of all components equals the ideal", True)]
+    repeats = Counter(classes)
+    for j, c in enumerate(classes):
+        if repeats[c] > 1:
+            raise VerificationFailed(f"component {j + 1} is redundant", index=j)
+    k = len(specs)
+    if meets is not None:
+        k += 1
+        if S == I:
+            raise VerificationFailed(f"component {k} is redundant", index=k - 1)
+    checks.append(("every component is irredundant", True))
+    return checks, k
+
+
 CHECKS = [
     ("intersection of all components equals the ideal", True),
     ("every component is irredundant", True),
@@ -325,10 +392,11 @@ def _rebuilt(real: PrimeFieldRealization, specs=None, trivial=None) -> PrimeFiel
 @dataclasses.dataclass(frozen=True)
 class Chain:
     """The chain's arguments on one input over F_p, each computed by the
-    brute-force route: the realization, whose specs _chain_checks takes,
-    I, the hull S as the colon I : x^{b(n)}, E (None for n <= 3), whether
-    S ∩ E = I, nu, whether the saturation of I by x_1 is S, and whether
-    S's reduced degrevlex basis is lattice binomials."""
+    brute-force route: the realization, whose specs the per-character
+    reference takes, I, the hull S as the colon I : x^{b(n)}, E (None
+    for n <= 3), whether S ∩ E = I, nu, whether the saturation of I by
+    x_1 is S, and whether S's reduced degrevlex basis is lattice
+    binomials."""
 
     P: PcbMatrix
     real: PrimeFieldRealization
@@ -341,7 +409,14 @@ class Chain:
     lattice: bool
 
     def run(self):
-        return _chain_checks(self.P, self.real.specs, self.I, self.S, self.meets, self.saturated, self.lattice)
+        """The per-character reference on the realization's specs."""
+        return _reference_character_chain(
+            self.P, self.real.specs, self.I, self.S, self.meets, self.saturated, self.lattice
+        )
+
+    def certify(self):
+        """The generator certificate of decomp, which takes no specs."""
+        return _chain_checks(self.P, self.I, self.S, self.meets, self.saturated, self.lattice)
 
     def with_specs(self, specs) -> "Chain":
         """The same input with other characters: the realization's kernels
@@ -401,7 +476,15 @@ def _shifted_by_nu(spec, nu):
     return spec._replace(coeff_exponents=tuple((e + w) % r for e, w in zip(spec.coeff_exponents, nu)))
 
 
+def _certified(c: Chain):
+    checks, k = c.certify()
+    assert checks == CHECKS
+    return k
+
+
 def _agree(c: Chain):
+    """The per-character reference against the three realized ones, on
+    c's specs, which may be corrupted; returns the common outcome."""
     kernels = list(c.real.kernels)
     parts = kernels + ([c.E] if c.E is not None else [])
     new = _outcome(lambda: _new(c))
@@ -425,7 +508,7 @@ GOLDEN_CASES = [
 def test_chain_agrees_with_the_reference_on_goldens(name, p):
     c = _setup(load_golden(name), p)
     expected = len(c.real.kernels) + (c.E is not None)
-    assert _agree(c) == (None, None, expected)
+    assert _agree(c) == _outcome(lambda: _certified(c)) == (None, None, expected)
 
 
 def test_chain_agrees_with_the_reference_on_random_n3():
@@ -433,7 +516,79 @@ def test_chain_agrees_with_the_reference_on_random_n3():
     for _ in range(12):
         P = random_pcb(rng, 3, max_entry=2)
         c = _setup(P, _least_good_prime(P))
-        assert _agree(c) == (None, None, len(c.real.kernels))
+        assert _agree(c) == _outcome(lambda: _certified(c)) == (None, None, len(c.real.kernels))
+
+
+def _complete_graph(n: int) -> PcbMatrix:
+    return validate([[n - 1 if i == j else -1 for j in range(n)] for i in range(n)])
+
+
+def _verify_inputs(P, p: int):
+    """I, S, meets, the sweep and the lattice check over F_p, computed as
+    verify_full_decomposition computes them."""
+    field = GF(p)
+    nu = associated_vector(P)[2]
+    I = pcb_ideal(P, field)
+    S, steps = saturate(I, Polynomial.variable(field, P.n, 0), nu)
+    swept = _hull_swept(P, I, S, nu)
+    meets = embedded_checks(P, I, S, embedded_component(P, field), swept)[1][1] if P.n >= 4 else None
+    lattice = _hull_checks(P, I, S, steps, swept)[-1][1]
+    return I, S, meets, swept, lattice
+
+
+def _whole_outcome(run):
+    """(message, index) when run raises VerificationFailed, witness
+    included, else (checks, count)."""
+    try:
+        return run()
+    except VerificationFailed as err:
+        return str(err), err.index
+
+
+def _certificate_matches_the_character_chain(P, p: int) -> int:
+    """The generator certificate and the per-character reference give the
+    same witness (or none) and the same count, on verify's own arguments
+    and with each of the meet, the sweep and the lattice check failed;
+    and the closed-form residue vectors ε((r / d_l) k_l mod r)_l equal the
+    reference's, element for element. Returns d."""
+    I, S, meets, swept, lattice = _verify_inputs(P, p)
+    specs = enumerate_components(P)
+    cases = [(meets, swept, lattice), (meets, False, lattice), (meets, swept, False)]
+    if meets is not None:
+        cases.append((False, swept, lattice))
+    outcomes = []
+    for args in cases:
+        new = _whole_outcome(lambda: _chain_checks(P, I, S, *args))
+        assert new == _whole_outcome(lambda: _reference_character_chain(P, specs, I, S, *args))
+        outcomes.append(new)
+    assert outcomes[0] == (CHECKS, len(specs) + (meets is not None))
+    snf = normalized_snf(P)
+    factors, kernel = snf.invariant_factors, _kernel_vectors(P)
+    sign = sum(map(mul, snf.P.row(0), kernel[0]))
+    r = factors[-1]
+    closed = [tuple(sign * (r // dl) * kl % r for dl, kl in zip(factors, s.lambda_index)) for s in specs]
+    assert closed == _reference_residue_vectors(specs, kernel)
+    assert len(set(closed)) == len(specs) == associated_vector(P)[1]
+    return len(specs)
+
+
+@pytest.mark.parametrize("name,p", GOLDEN_CASES + [("diag_n5.json", 11)])
+def test_certificate_matches_the_character_chain_on_goldens(name, p):
+    _certificate_matches_the_character_chain(load_golden(name), p)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_certificate_matches_the_character_chain_on_complete_graphs(n):
+    P = _complete_graph(n)
+    assert _certificate_matches_the_character_chain(P, _least_good_prime(P)) == n ** (n - 2)
+
+
+@pytest.mark.parametrize("n,count", [(3, 32), (4, 32), (5, 20), (6, 8)])
+def test_certificate_matches_the_character_chain_on_random_inputs(n, count):
+    rng = random.Random(131 + n)
+    for _ in range(count):
+        P = random_pcb(rng, n, max_entry=2)
+        _certificate_matches_the_character_chain(P, _least_good_prime(P))
 
 
 @pytest.fixture(scope="module")
@@ -459,9 +614,10 @@ def test_embedded_component_over_its_hull_is_redundant(diag_n3_f7):
     E = Ideal(field, 3, list(c.I.gens) + [Polynomial.variable(field, 3, i) for i in range(3)])
     over = dataclasses.replace(c, E=E, meets=True)
     k = len(c.real.kernels) + 1
-    with pytest.raises(VerificationFailed, match=f"component {k} is redundant") as err:
-        over.run()
-    assert err.value.index == k - 1
+    for run in (over.run, over.certify):
+        with pytest.raises(VerificationFailed, match=f"component {k} is redundant") as err:
+            run()
+        assert err.value.index == k - 1
     assert _agree(over)[:2] == (f"component {k} is redundant", k - 1)
 
 
@@ -484,8 +640,10 @@ def test_wrong_kernel_breaks_the_intersection(diag_n3_f7):
 
 def test_chain_takes_the_embedded_meet_as_given(diag_n3_f7):
     # n >= 4 reads S ∩ E = I from embedded_checks; a False there fails the chain
-    with pytest.raises(VerificationFailed, match="intersection of all components is not the ideal"):
-        dataclasses.replace(diag_n3_f7, meets=False).run()
+    failed = dataclasses.replace(diag_n3_f7, meets=False)
+    for run in (failed.run, failed.certify):
+        with pytest.raises(VerificationFailed, match="intersection of all components is not the ideal"):
+            run()
 
 
 @pytest.fixture(scope="module")
@@ -493,10 +651,18 @@ def simplest_n4_f5():
     return _setup(load_golden("simplest_n4.json"), 5)
 
 
-def _fails_with(message, c: Chain):
+def _fails_with(message, c: Chain, certified: bool = False):
+    """The index the per-character reference names when it raises
+    message on c; with certified, the generator certificate must raise
+    the same message too."""
     with pytest.raises(VerificationFailed) as err:
         c.run()
     assert str(err.value) == message
+    if certified:
+        with pytest.raises(VerificationFailed) as new:
+            c.certify()
+        assert str(new.value) == message
+        assert new.value.index == err.value.index
     return err.value.index
 
 
@@ -512,6 +678,16 @@ def test_dropped_kernel_fails_the_degree_count(case, request):
         rest = c.with_specs(c.real.specs[:dropped] + c.real.specs[dropped + 1 :])
         assert _fails_with(message, rest) is None
         assert _agree(rest)[0] == message.split(": ")[0]
+
+
+def test_hull_of_the_wrong_degree_fails_the_degree_count(simplest_n4_f5):
+    # the trivial-character component in place of the hull, with the meet,
+    # the sweep and the lattice check taken as given: it lies in every
+    # component and has dimension one, but degree one, not d
+    c = simplest_n4_f5
+    d = len(c.real.kernels)
+    message = f"intersection of all components is not the ideal: deg S = 1, sum of component degrees = {d}"
+    assert _fails_with(message, dataclasses.replace(c, S=c.real.trivial), certified=True) is None
 
 
 @pytest.mark.parametrize("case", ["diag_n3_f7", "simplest_n4_f5"])
@@ -583,7 +759,7 @@ def test_unsaturated_hull_fails_the_certificate(case, request):
     c = request.getfixturevalue(case)
     assert c.saturated
     message = "intersection of all components is not the ideal: hull not saturated by x_1"
-    assert _fails_with(message, dataclasses.replace(c, saturated=False)) is None
+    assert _fails_with(message, dataclasses.replace(c, saturated=False), certified=True) is None
 
 
 @pytest.mark.parametrize("case", ["diag_n3_f7", "simplest_n4_f5"])
@@ -591,7 +767,7 @@ def test_hull_of_other_than_lattice_binomials_fails_the_certificate(case, reques
     c = request.getfixturevalue(case)
     assert c.lattice
     message = "intersection of all components is not the ideal: hull basis is not lattice binomials"
-    assert _fails_with(message, dataclasses.replace(c, lattice=False)) is None
+    assert _fails_with(message, dataclasses.replace(c, lattice=False), certified=True) is None
 
 
 def test_kernel_vector_outside_ker_nu_fails_the_certificate(diag_n3_f7, monkeypatch):
@@ -599,6 +775,102 @@ def test_kernel_vector_outside_ker_nu_fails_the_certificate(diag_n3_f7, monkeypa
     monkeypatch.setattr(decomp, "_kernel_vectors", lambda P: [(1, 0, 0), (0, 1, -1)])
     message = "intersection of all components is not the ideal: the weights do not kill kernel vector 1"
     assert _fails_with(message, c) is None
+    with pytest.raises(VerificationFailed) as err:
+        c.certify()
+    assert str(err.value) == NOT_INVERSE
+    assert err.value.index is None
+
+
+NOT_INVERSE = (
+    "intersection of all components is not the ideal: "
+    "the SNF's left transform times the kernel vectors is not ±[I; 0]"
+)
+
+
+@pytest.mark.parametrize("case", ["diag_n3_f7", "simplest_n4_f5"])
+def test_kernel_vectors_that_do_not_invert_the_transform_fail_the_certificate(case, request, monkeypatch):
+    # W with P W != ±[I; 0]: every column doubled, the first column
+    # doubled, the first two swapped, or the first negated alone; each
+    # still lies in ker nu, so the last row of P W stays zero
+    c = request.getfixturevalue(case)
+    W = _kernel_vectors(c.P)
+    assert len(W) >= 2
+    for wrong in (
+        [tuple(2 * v for v in w) for w in W],
+        [tuple(2 * v for v in W[0])] + W[1:],
+        [W[1], W[0]] + W[2:],
+        [tuple(-v for v in W[0])] + W[1:],
+    ):
+        monkeypatch.setattr(decomp, "_kernel_vectors", lambda P, wrong=wrong: wrong)
+        with pytest.raises(VerificationFailed) as err:
+            c.certify()
+        assert str(err.value) == NOT_INVERSE
+        assert err.value.index is None
+
+
+def _with_left_row(snf, j: int, row):
+    """snf with row j of its left transform replaced."""
+    rows = snf.P.to_rows()
+    rows[j] = list(row)
+    return snf._replace(P=IntMatrix(rows))
+
+
+@pytest.mark.parametrize("case", ["diag_n3_f7", "simplest_n4_f5"])
+def test_generator_that_does_not_kill_the_lattice_fails_the_certificate(case, request, monkeypatch):
+    # row_j(P) + row_1 of the identity: its product with L gains row 1 of
+    # L, which no invariant factor d_j > 1 divides on these inputs, so the
+    # generator (r / d_j) row_j(P) no longer kills L modulo r; the
+    # characters the reference lists from it fail the lattice too
+    c = request.getfixturevalue(case)
+    snf = normalized_snf(c.P)
+    j = next(j for j, dj in enumerate(snf.invariant_factors) if dj > 1)
+    row = [v + (i == 0) for i, v in enumerate(snf.P.row(j))]
+    wrong = _with_left_row(snf, j, row)
+    assert any(v % snf.invariant_factors[j] for v in (wrong.P @ c.P.signed).row(j))
+    monkeypatch.setattr(decomp, "normalized_snf", lambda P: wrong)
+    message = (
+        "intersection of all components is not the ideal: "
+        f"generator {j + 1} of the character group does not kill the lattice"
+    )
+    with pytest.raises(VerificationFailed) as err:
+        c.certify()
+    assert str(err.value) == message
+    assert err.value.index is None
+    listed = c.with_specs(enumerate_components(c.P))
+    with pytest.raises(VerificationFailed, match="does not kill the lattice$"):
+        listed.run()
+
+
+def test_invariant_factor_that_does_not_divide_r_fails_the_certificate(diag_n3_f7, monkeypatch):
+    # (1, 3) read as (3, 1), with row_1(P) tripled so that 3 divides
+    # row_1(P) L: r = 1, and (r / d_1) row_1(P) is no integer vector
+    c = diag_n3_f7
+    snf = normalized_snf(c.P)
+    assert snf.invariant_factors == (1, 3)
+    wrong = _with_left_row(snf, 0, [3 * v for v in snf.P.row(0)])._replace(invariant_factors=(3, 1))
+    assert not any(v % 3 for v in (wrong.P @ c.P.signed).row(0))
+    monkeypatch.setattr(decomp, "normalized_snf", lambda P: wrong)
+    message = (
+        "intersection of all components is not the ideal: "
+        "generator 1 of the character group does not kill the lattice"
+    )
+    with pytest.raises(VerificationFailed) as err:
+        c.certify()
+    assert str(err.value) == message
+
+
+def test_full_verification_lists_no_character(monkeypatch):
+    # the certificate reads the n - 1 generators; the d characters are
+    # listed only for decompose
+    P = load_golden("simplest_n4.json")
+
+    def forbidden(P):
+        raise AssertionError("verify_full_decomposition listed the characters")
+
+    monkeypatch.setattr(decomp, "enumerate_components", forbidden)
+    report = verify_full_decomposition(P, 5)
+    assert report.component_count == 17
+    assert all(ok for _, ok in report.checks)
 
 
 def test_weights_with_a_common_factor_fail_the_certificate(diag_n3_f7, monkeypatch):
@@ -606,7 +878,7 @@ def test_weights_with_a_common_factor_fail_the_certificate(diag_n3_f7, monkeypat
     m, d, nu = associated_vector(c.P)
     monkeypatch.setattr(decomp, "associated_vector", lambda P: (m, d, tuple(2 * v for v in nu)))
     message = "intersection of all components is not the ideal: the weights have a common factor"
-    assert _fails_with(message, c) is None
+    assert _fails_with(message, c, certified=True) is None
 
 
 def test_failed_meet_is_the_witness(diag_n3_f7, simplest_n4_f5):
@@ -614,16 +886,16 @@ def test_failed_meet_is_the_witness(diag_n3_f7, simplest_n4_f5):
         "intersection of all components is not the ideal: "
         "hull meets the embedded component outside the ideal"
     )
-    assert _fails_with(message, dataclasses.replace(simplest_n4_f5, meets=False)) is None
+    assert _fails_with(message, dataclasses.replace(simplest_n4_f5, meets=False), certified=True) is None
     c = diag_n3_f7
     S = Ideal(c.I.field, 3, c.I.gens[:-1])
     message = "intersection of all components is not the ideal: hull differs from the ideal"
-    assert _fails_with(message, dataclasses.replace(c, S=S, meets=None)) is None
+    assert _fails_with(message, dataclasses.replace(c, S=S, meets=None), certified=True) is None
 
 
 def _theory_premises(P, p: int) -> None:
-    """The facts _chain_checks takes from theory, on the realized
-    components: P_0 has degree one and holds S; the kernel vectors lie in
+    """The facts the per-character reference takes from theory, on the
+    realized components: P_0 has degree one and holds S; the kernel vectors lie in
     ker nu and are ± the first n - 1 columns of the inverse of the SNF's
     left transform; and two specs, one of them a character repeated
     modulo ker nu, have equal residue vectors exactly when their twisted
@@ -645,7 +917,7 @@ def _theory_premises(P, p: int) -> None:
     assert sign in (1, -1)
     assert product == IntMatrix([[sign if i == j else 0 for j in range(P.n - 1)] for i in range(P.n)])
     specs = real.specs + (_shifted_by_nu(real.specs[-1], nu),)
-    classes = _residue_vectors(specs, kernel)
+    classes = _reference_residue_vectors(specs, kernel)
     bases = [K.groebner() for K in _rebuilt(real, specs=specs).kernels]
     assert classes[-1] == classes[-2] and bases[-1] == bases[-2]
     for (a, ka), (b, kb) in itertools.combinations(zip(classes, bases), 2):
@@ -991,7 +1263,7 @@ def _hull_agrees(P, field) -> None:
     """The sweep's booleans against the three-way reference, and the
     saturation's reduced degrevlex basis against the colon's."""
     I, S, steps, nu = _hull(P, field)
-    swept = _hull_swept(P, S, nu)
+    swept = _hull_swept(P, I, S, nu)
     colon_hull, reference = _reference_hull_checks(P, field)
     checks = _hull_checks(P, I, S, steps, swept)
     assert checks[:2] == reference
@@ -1066,7 +1338,7 @@ def test_failed_sweep_reports_false(name, field):
     P = load_golden(name)
     I, steps, nu, wrong = _wrong_hulls(P, field)
     for S in wrong:
-        swept = _hull_swept(P, S, nu)
+        swept = _hull_swept(P, I, S, nu)
         assert not swept
         checks = _hull_checks(P, I, S, steps, swept)
         assert [ok for _, ok in checks[:2]] == [False, False]
@@ -1084,12 +1356,16 @@ def test_failed_sweep_fails_the_chain(name, p):
     specs = enumerate_components(P)
     message = "intersection of all components is not the ideal: hull not saturated by x_1"
     for S in wrong:
-        swept = _hull_swept(P, S, nu)
+        swept = _hull_swept(P, I, S, nu)
         lattice = _hull_checks(P, I, S, 1, swept)[-1][1]
-        with pytest.raises(VerificationFailed) as err:
-            _chain_checks(P, specs, I, S, True, swept, lattice)
-        assert str(err.value) == message
-        assert err.value.index is None
+        for run in (
+            lambda: _chain_checks(P, I, S, True, swept, lattice),
+            lambda: _reference_character_chain(P, specs, I, S, True, swept, lattice),
+        ):
+            with pytest.raises(VerificationFailed) as err:
+                run()
+            assert str(err.value) == message
+            assert err.value.index is None
 
 
 def test_failed_sweep_fails_the_char2_collapse():
@@ -1101,7 +1377,7 @@ def test_failed_sweep_fails_the_char2_collapse():
     wrong = Ideal(field, P.n, S.gens + (_outside_the_hull(S, field, nu),))
     E = embedded_component(P, field)
     with pytest.raises(VerificationFailed, match="^char-2 check failed: hull saturated by x_1$"):
-        _char2_checks(P, I, wrong, embedded_checks(P, I, S, E, True), _hull_swept(P, wrong, nu))
+        _char2_checks(P, I, wrong, embedded_checks(P, I, S, E, True), _hull_swept(P, I, wrong, nu))
 
 
 @pytest.mark.parametrize("p", [None, 5, 2])
