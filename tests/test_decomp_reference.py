@@ -770,6 +770,12 @@ def test_hull_of_other_than_lattice_binomials_fails_the_certificate(case, reques
     assert _fails_with(message, dataclasses.replace(c, lattice=False), certified=True) is None
 
 
+NOT_INVERSE = (
+    "intersection of all components is not the ideal: "
+    "the SNF's left transform times the kernel vectors is not ±[I; 0]"
+)
+
+
 def test_kernel_vector_outside_ker_nu_fails_the_certificate(diag_n3_f7, monkeypatch):
     c = diag_n3_f7
     monkeypatch.setattr(decomp, "_kernel_vectors", lambda P: [(1, 0, 0), (0, 1, -1)])
@@ -779,12 +785,6 @@ def test_kernel_vector_outside_ker_nu_fails_the_certificate(diag_n3_f7, monkeypa
         c.certify()
     assert str(err.value) == NOT_INVERSE
     assert err.value.index is None
-
-
-NOT_INVERSE = (
-    "intersection of all components is not the ideal: "
-    "the SNF's left transform times the kernel vectors is not ±[I; 0]"
-)
 
 
 @pytest.mark.parametrize("case", ["diag_n3_f7", "simplest_n4_f5"])
