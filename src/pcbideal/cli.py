@@ -78,17 +78,16 @@ def _load_matrix(path: str) -> Tuple[PcbMatrix, str]:
     return validate(rows), digest
 
 
-def _parse_field(text: str, allow_symbolic: bool) -> Tuple[str, Optional[int]]:
-    if allow_symbolic and text == "symbolic":
-        return "symbolic", None
-    if not allow_symbolic and text == "q":
-        return "q", None
+def _parse_field(text: str, allow_symbolic: bool) -> Optional[int]:
+    """p for "fp:<p>"; None for "symbolic" (decompose) or "q" (verify)."""
+    if text == ("symbolic" if allow_symbolic else "q"):
+        return None
     digits = text[3:].removeprefix("-")
     # int() alone would also read "1_1", "+7", " 7" and non-ASCII digits
     if text.startswith("fp:") and digits.isascii() and digits.isdigit():
         p = int(text[3:])
         prime_field(p)  # a non-prime p is BadPrime at every level, not only where F_p is used
-        return "fp", p
+        return p
     raise SchemaError(f"bad field spec {text!r}")
 
 
@@ -142,11 +141,12 @@ def _cmd_snf(P: PcbMatrix) -> Dict:
     return payload
 
 
-def _cmd_decompose(P: PcbMatrix, field_kind: str, p: Optional[int]) -> Dict:
-    specs = enumerate_components(P)
+def _cmd_decompose(P: PcbMatrix, p: Optional[int]) -> Dict:
+    realization = None if p is None else realize_over_prime_field(P, p)
+    specs = enumerate_components(P) if realization is None else realization.specs
     counts = component_count(P)
     payload: Dict = {
-        "field": "symbolic" if field_kind == "symbolic" else f"fp:{p}",
+        "field": "symbolic" if p is None else f"fp:{p}",
         "root_order": specs[0].root_order,
         "counts": {
             "isolated": counts.isolated,
@@ -154,9 +154,7 @@ def _cmd_decompose(P: PcbMatrix, field_kind: str, p: Optional[int]) -> Dict:
             "at_most": counts.at_most,
         },
     }
-    realization = None
-    if field_kind != "symbolic":
-        realization = realize_over_prime_field(P, p)
+    if realization is not None:
         payload["p"] = realization.p
         payload["zeta"] = realization.zeta
     components: List[Dict] = []
@@ -180,12 +178,12 @@ def _cmd_decompose(P: PcbMatrix, field_kind: str, p: Optional[int]) -> Dict:
     return payload
 
 
-def _cmd_verify(P: PcbMatrix, field_kind: str, p: Optional[int], level: str) -> Dict:
+def _cmd_verify(P: PcbMatrix, p: Optional[int], level: str) -> Dict:
     checks = identity_checks(P)
     if level == "full":
         checks.extend(verify_full_decomposition(P, p).checks)
     return {
-        "field": "q" if field_kind == "q" else ("fp:%d" % p if field_kind == "fp" else field_kind),
+        "field": "q" if p is None else f"fp:{p}",
         "level": level,
         "checks": [{"name": name, "ok": ok} for name, ok in checks],
         "ok": all(ok for _, ok in checks),
@@ -262,11 +260,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         elif args.command == "snf":
             payload = _cmd_snf(P)
         elif args.command == "decompose":
-            kind, p = _parse_field(args.field, allow_symbolic=True)
-            payload = _cmd_decompose(P, kind, p)
+            payload = _cmd_decompose(P, _parse_field(args.field, allow_symbolic=True))
         else:
-            kind, p = _parse_field(args.field, allow_symbolic=False)
-            payload = _cmd_verify(P, kind, p, args.level)
+            payload = _cmd_verify(P, _parse_field(args.field, allow_symbolic=False), args.level)
     except json.JSONDecodeError as err:
         print(f"parse error: line {err.lineno}, column {err.colno}: {err.msg}", file=sys.stderr)
         return 2

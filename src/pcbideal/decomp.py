@@ -7,8 +7,9 @@ one extra component primary to the irrelevant maximal ideal appears, and it
 is the ideal plus the single syzygy monomial x^{b(n)}. Everything here is
 verified computation: candidates are produced by formula and then checked
 against the Groebner oracle. verify_full_decomposition is the one place
-that does so: it builds the ideal, its hull and the embedded component once
-and decides every verification question on them, each fact once. Every
+that does so: it builds the ideal and its hull once and decides every
+verification question on them, each fact once; the embedded component
+E = I + (x^{b(n)}) is a definition, and verify builds no E. Every
 ideal here is homogeneous for deg x_i = nu_i, because nu L = 0. The hull
 S has one route, the saturation I : x_1^∞ on the nu-graded path of the
 oracle: one Buchberger run under a weighted reverse-lex order, each basis
@@ -17,24 +18,24 @@ no colon, no auxiliary variable and no intersection (see
 oracle.saturate). hull, unmixedness_test and verify_full_decomposition
 all read it (see _saturation). In verify, one division sweep into
 f_1, ..., f_{n-1}, which are already a Groebner basis, proves S equal to
-I : x^{b(n)} (see _hull_checks). S and the embedded component E meet in
-the ideal, and S is stable under the colon by x^{b(n)}, because S is
-saturated by x_1 (see embedded_checks); no fact is recomputed. Over
-F_p verify realizes no component and lists no character: the hull's
-basis is lattice binomials, and that S is the meet of the d isolated
-components, each once, follows from one Hilbert series and integer
-checks on the n - 1 generators of the character group, read off the
-normalized SNF (see _chain_checks). Only decompose lists the d
-characters and realizes their components: one elimination gives the
-trivial-character component and torus twists give the others (see
-PrimeFieldRealization).
+I : x^{b(n)} (see _hull_checks). S and E meet in the ideal, and S is
+stable under the colon by x^{b(n)}, because S is saturated by x_1 (see
+embedded_checks); that one boolean, saturated, is also the meet the
+chain takes, and no fact is recomputed. Over F_p verify realizes no
+component and lists no character: the hull's basis is lattice
+binomials, and that S is the meet of the d isolated components, each
+once, follows from one Hilbert series and integer checks on the n - 1
+generators of the character group, read off the normalized SNF (see
+_chain_checks). Only decompose lists the d characters and realizes
+their components, once each: one elimination gives the trivial-character
+component and one loop of torus twists gives all d (see
+realize_over_prime_field).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
 from operator import mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -188,32 +189,32 @@ def hull(P: PcbMatrix, field) -> Ideal:
 def embedded_component(P: PcbMatrix, field) -> Ideal:
     """The component primary to (x_1, ..., x_n): the ideal plus x^{b(n)}.
 
-    embedded_checks proves the claim; verify_full_decomposition runs it.
+    decompose prints its basis. embedded_checks proves the claim from P,
+    I and S, and verify_full_decomposition builds no E.
     """
     n = P.n
     if n < 4:
         raise DimensionTooSmall(f"embedded component needs n >= 4, got n = {n}")
-    I = pcb_ideal(P, field)
-    return Ideal(field, n, I.gens + (socle_monomial(P, field),))
+    return Ideal(field, n, pcb_ideal(P, field).gens + (socle_monomial(P, field),))
 
 
-def _primary_to_origin(P: PcbMatrix, I: Ideal, E: Ideal) -> bool:
-    """Whether the premises hold that make E primary to (x_1, ..., x_n)
-    with no Groebner basis of E: every a_ij > 0, b(n) != 0, and E is
-    generated by the generators of I and x^{b(n)} (see embedded_checks)."""
-    positive = all(v > 0 for row in P.a for v in row)
-    xb = socle_monomial(P, I.field)
-    return positive and xb.total_degree() > 0 and E.gens == I.gens + (xb,)
+def _primary_to_origin(P: PcbMatrix) -> bool:
+    """Whether the premises hold that make E = I + (x^{b(n)}) primary to
+    (x_1, ..., x_n) with no Groebner basis of E: every a_ij > 0 and
+    b(n) != 0 (see embedded_checks)."""
+    return all(v > 0 for row in P.a for v in row) and any(syzygy_vectors(P)[P.n - 1])
 
 
-def embedded_checks(P: PcbMatrix, I: Ideal, S: Ideal, E: Ideal, saturated: bool) -> List[Tuple[str, bool]]:
+def embedded_checks(P: PcbMatrix, I: Ideal, S: Ideal, saturated: bool) -> List[Tuple[str, bool]]:
     """Prove E = I + (x^{b(n)}) the embedded component of I, with hull
-    S = I : x^{b(n)}. saturated is the hull sweep, already computed, that
-    when True proves S = I : x^{b(n)} and S : x_1 = S for S the saturation
-    I : x_1^∞ (see _hull_checks), on the good and the char-2 path alike.
-    No colon, no intersection and no Groebner basis is computed here: the
-    colon and the meet are read off saturated, and a False reports both
-    checks False.
+    S = I : x^{b(n)}. E is that sum by definition (embedded_component
+    builds it for decompose), so no ideal E is built or taken here: its
+    facts are facts about P, I and S. saturated is the hull sweep,
+    already computed, that when True proves S = I : x^{b(n)} and
+    S : x_1 = S for S the saturation I : x_1^∞ (see _hull_checks), on
+    the good and the char-2 path alike. No colon, no intersection and no
+    Groebner basis is computed here: the colon and the meet are read off
+    saturated, and a False reports both checks False.
 
     Lemma A (positivity). Each generator is f_j = x_j^{a_jj} minus the
     product of x_i^{a_ij} over i != j, and every a_ij is positive. A prime
@@ -243,7 +244,7 @@ def embedded_checks(P: PcbMatrix, I: Ideal, S: Ideal, E: Ideal, saturated: bool)
     ideal": S ∩ E = I (Lemma B).
     """
     return [
-        ("embedded component verified", saturated and S != I and _primary_to_origin(P, I, E)),
+        ("embedded component verified", saturated and S != I and _primary_to_origin(P)),
         ("hull meets embedded component in the ideal", saturated),
     ]
 
@@ -313,11 +314,27 @@ def prime_field_for(P: PcbMatrix, p: int) -> Tuple[PrimeField, bool]:
     raise BadPrime(p, r)
 
 
-class PrimeFieldRealization:
-    """The isolated components over F_p: trivial is P_0, the kernel of the
-    trivial-character map psi_0: x_i -> t^{nu_i}, and kernels[i] is its
-    twist D_{-e}(P_0) by the character e of specs[i], so no component is
-    stored apart from P_0 and its character.
+class PrimeFieldRealization(NamedTuple):
+    """The d isolated components over F_p: kernels[i] is the component of
+    the character of specs[i], as an ideal with its reduced degrevlex
+    basis, and zeta the primitive r-th root of unity the maps use, for
+    r = specs[0].root_order. kernels[0] is the trivial-character
+    component P_0."""
+
+    p: int
+    zeta: int
+    specs: Tuple[ComponentSpec, ...]
+    kernels: Tuple[Ideal, ...]
+
+
+def realize_over_prime_field(P: PcbMatrix, p: int) -> PrimeFieldRealization:
+    """Instantiate every isolated component over F_p, p = 1 (mod r).
+
+    zeta is g^((p-1)/r) for the least primitive root g, so the realization
+    is reproducible. One elimination computes P_0, the kernel of the
+    trivial-character map psi_0: x_i -> t^{nu_i}, and one loop twists its
+    reduced basis into every component, P_0 itself first: the character
+    of lambda_index (0, ..., 0) is 0, and its twist changes no term.
 
     Write psi_e for x_i -> zeta^{e_i} t^{nu_i} and D_e for the substitution
     x_i -> zeta^{e_i} x_i (Eisenbud-Sturmfels, "Binomial ideals"). Then
@@ -326,56 +343,6 @@ class PrimeFieldRealization:
     every leading and every standard monomial: applied to the reduced basis
     of P_0 and made monic again, it gives the reduced basis of ker psi_e
     exactly.
-
-    Immutable and equal by its five fields; kernels is computed on first
-    use and kept.
-    """
-
-    def __init__(self, p: int, r: int, zeta: int, specs: Tuple[ComponentSpec, ...], trivial: Ideal):
-        self.__dict__.update(p=p, r=r, zeta=zeta, specs=specs, trivial=trivial)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"PrimeFieldRealization is immutable: cannot assign {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"PrimeFieldRealization is immutable: cannot delete {name!r}")
-
-    def _key(self):
-        return self.p, self.r, self.zeta, self.specs, self.trivial
-
-    def __eq__(self, other):
-        if other.__class__ is not PrimeFieldRealization:
-            return NotImplemented
-        return self._key() == other._key()
-
-    __hash__ = None  # the trivial kernel, an Ideal, is unhashable
-
-    @cached_property
-    def kernels(self) -> Tuple[Ideal, ...]:
-        field, n = self.trivial.field, self.trivial.nvars
-        powers = [pow(self.zeta, k, self.p) for k in range(self.r)]
-        basis = self.trivial.groebner()
-        kernels = []
-        for s in self.specs:
-            e = s.coeff_exponents
-            twisted = []
-            for g, lm in zip(basis, _leading_monomials(basis)):
-                lead = sum(map(mul, e, lm))
-                # c x^a -> c zeta^{-e.a} x^a, divided by the new leading coefficient
-                twisted.append(Polynomial(field, n, {
-                    a: field.mul(c, powers[(lead - sum(map(mul, e, a))) % self.r])
-                    for a, c in g.terms.items()
-                }))
-            kernels.append(Ideal._with_basis(field, n, twisted, DEGREVLEX))
-        return tuple(kernels)
-
-
-def realize_over_prime_field(P: PcbMatrix, p: int) -> PrimeFieldRealization:
-    """Instantiate every isolated component over F_p, p = 1 (mod r).
-
-    zeta is g^((p-1)/r) for the least primitive root g, so the realization
-    is reproducible. One elimination computes P_0; the realization twists
-    it into every other component (see PrimeFieldRealization).
     """
     field, good = prime_field_for(P, p)
     specs = enumerate_components(P)
@@ -383,8 +350,21 @@ def realize_over_prime_field(P: PcbMatrix, p: int) -> PrimeFieldRealization:
     if not good:
         raise BadPrime(p, r)  # the components collapse; none is realized apart
     zeta = pow(least_primitive_root(p), (p - 1) // r, p) if r > 1 else 1
-    trivial = ring_map_kernel([Polynomial.monomial(field, 1, (w,)) for w in specs[0].weights])
-    return PrimeFieldRealization(p, r, zeta, specs, trivial)
+    powers = [pow(zeta, k, p) for k in range(r)]
+    basis = ring_map_kernel([Polynomial.monomial(field, 1, (w,)) for w in specs[0].weights]).groebner()
+    leads = _leading_monomials(basis)
+    kernels = []
+    for s in specs:
+        e = s.coeff_exponents
+        twisted = []
+        for g, lm in zip(basis, leads):
+            lead = sum(map(mul, e, lm))
+            # c x^a -> c zeta^{-e.a} x^a, divided by the new leading coefficient
+            twisted.append(Polynomial(field, P.n, {
+                a: field.mul(c, powers[(lead - sum(map(mul, e, a))) % r]) for a, c in g.terms.items()
+            }))
+        kernels.append(Ideal._with_basis(field, P.n, twisted, DEGREVLEX))
+    return PrimeFieldRealization(p, zeta, specs, tuple(kernels))
 
 
 class DecompositionReport(NamedTuple):
@@ -412,13 +392,6 @@ def _power_inside(S: Ideal, gens: Sequence[Polynomial], power: int) -> bool:
         if not S.contains(product):
             return False
     return True
-
-
-def prime_power_in_hull(P: PcbMatrix, field, power: int) -> bool:
-    """Whether every product of `power` generators of the diagonal prime
-    lands in the hull. Checking generator products suffices because they
-    generate the ordinary power."""
-    return _power_inside(hull(P, field), diagonal_prime_gens(P, field), power)
 
 
 def _hull_swept(P: PcbMatrix, I: Ideal, S: Ideal, nu: Sequence[int]) -> bool:
@@ -598,14 +571,7 @@ def _intersection_witness(P: PcbMatrix, S: Ideal, saturated: bool, lattice: bool
     return None
 
 
-def _chain_checks(
-    P: PcbMatrix,
-    I: Ideal,
-    S: Ideal,
-    meets: Optional[bool],
-    saturated: bool,
-    lattice: bool,
-) -> Tuple[List[Tuple[str, bool]], int]:
+def _chain_checks(P: PcbMatrix, I: Ideal, S: Ideal, saturated: bool, lattice: bool) -> Tuple[List[Tuple[str, bool]], int]:
     """Prove I = P_1 ∩ ... ∩ P_d (∩ E) and that no component is redundant;
     returns the checks and the number of components.
 
@@ -620,12 +586,11 @@ def _chain_checks(
     No P_k is realized and no character is listed: every fact about them
     below is a fact about the n - 1 generators, in integers
     (Eisenbud-Sturmfels, "Binomial ideals", 1996). S is the hull
-    I : x^{b(n)}, and meets says whether S ∩ E = I (embedded_checks
-    decided it); it is None for n <= 3, where there is no E. saturated is
-    the hull sweep (S : x_1 = S, see _hull_checks), and lattice is the
-    hull check "hull basis is lattice binomials killed by the weights":
-    every element of S's reduced basis is x^u - x^v with u - v in the
-    column lattice L.
+    I : x^{b(n)}. saturated is the hull sweep (S : x_1 = S, see
+    _hull_checks), which for n >= 4 also proves S ∩ E = I (Lemma B of
+    embedded_checks), and lattice is the hull check "hull basis is
+    lattice binomials killed by the weights": every element of S's
+    reduced basis is x^u - x^v with u - v in the column lattice L.
 
     Facts from integers, each checked here on one matrix product; none
     needs Q or the unimodularity of P:
@@ -671,11 +636,12 @@ def _chain_checks(
     its P_k-primary component is S_{P_k} ∩ R = P_k, so
     S = P_1 ∩ ... ∩ P_d. Then for n >= 4, S ∩ E = I gives the whole
     intersection; for n <= 3, S = I does. A failure raises
-    VerificationFailed with one witness after the message: S ∩ E != I (or
-    S != I), an unsaturated hull, a hull basis of other than lattice
-    binomials, the first generator that does not kill the lattice, a W
-    with P W != ±[I; 0], weights with a common factor, a hull of
-    dimension other than one, or the two degrees that differ.
+    VerificationFailed with one witness after the message: S ∩ E != I
+    (a failed sweep, for n >= 4) or S != I (for n <= 3), an unsaturated
+    hull, a hull basis of other than lattice binomials, the first
+    generator that does not kill the lattice, a W with P W != ±[I; 0],
+    weights with a common factor, a hull of dimension other than one, or
+    the two degrees that differ.
 
     Irredundancy. Each P_k has dimension one and holds no monomial (a
     monomial maps to a nonzero term). Suppose P_j is redundant: the meet
@@ -687,16 +653,16 @@ def _chain_checks(
     meet in I, that is when S = I, so S != I is checked, and a failure
     raises VerificationFailed naming E, the last component.
     """
-    if meets is None:
+    if P.n <= 3:
         witness = None if S == I else "hull differs from the ideal"
     else:
-        witness = None if meets else "hull meets the embedded component outside the ideal"
+        witness = None if saturated else "hull meets the embedded component outside the ideal"
     witness = witness or _intersection_witness(P, S, saturated, lattice)
     if witness:
         raise VerificationFailed(f"intersection of all components is not the ideal: {witness}")
     checks = [("intersection of all components equals the ideal", True)]
     k = associated_vector(P)[1]
-    if meets is not None:
+    if P.n >= 4:
         k += 1
         if S == I:
             raise VerificationFailed(f"component {k} is redundant", index=k - 1)
@@ -707,28 +673,30 @@ def _chain_checks(
 def verify_full_decomposition(P: PcbMatrix, p: Optional[int] = None) -> DecompositionReport:
     """Every check of `pcb verify --level full`, over F_p, or over Q when p is None.
 
-    The ideal I, its hull S and, for n >= 4, the embedded component
-    E = I + (x^{b(n)}) are built once here; every check below shares
-    them. S is computed once, on every path, as the saturation
-    I : x_1^∞ graded by nu (see _saturation), and one division sweep of
-    its basis into f_1, ..., f_{n-1} proves S = I : x^{b(n)} (see
-    _hull_checks); no colon by x^{b(n)} and no Groebner basis of
-    (f_1, ..., f_{n-1}) is computed. That one boolean decides the embedded-component checks (see
-    embedded_checks). Over Q and over a good F_p (see prime_field_for)
-    the hull checks run; over F_p the d isolated components are then
-    certified, without realizing or listing any of them, to meet in S by
-    a degree count and to be irredundant, from the n - 1 generators of
-    the character group (see _chain_checks). On this path the
-    saturation's is the only Groebner run. In the char-2 case the
-    collapse checks run instead, on the same boolean. A failed chain or char-2 check raises VerificationFailed;
-    the others report False.
+    The ideal I and its hull S are built once here, and every check
+    below shares them. The embedded component E = I + (x^{b(n)}) is a
+    definition, so no ideal E is built: its checks read P, I and S (see
+    embedded_checks). S is computed once, on every path, as the
+    saturation I : x_1^∞ graded by nu (see _saturation), and one
+    division sweep of its basis into f_1, ..., f_{n-1} proves
+    S = I : x^{b(n)} (see _hull_checks); no colon by x^{b(n)} and no
+    Groebner basis of (f_1, ..., f_{n-1}) is computed. That one boolean,
+    saturated, decides the embedded-component checks and the meet
+    S ∩ E = I that the chain takes. Over Q and over a good F_p (see
+    prime_field_for) the hull checks run; over F_p the d isolated
+    components are then certified, without realizing or listing any of
+    them, to meet in S by a degree count and to be irredundant, from the
+    n - 1 generators of the character group (see _chain_checks). On this
+    path the saturation's is the only Groebner run. In the char-2 case
+    the collapse checks run instead, on the same boolean. A failed chain
+    or char-2 check raises VerificationFailed; the others report False.
     """
     field, good = (QQ, True) if p is None else prime_field_for(P, p)
     nu = associated_vector(P)[2]
     I = pcb_ideal(P, field)
     S, steps = _saturation(P, I)
     swept = _hull_swept(P, I, S, nu)
-    embedded = embedded_checks(P, I, S, embedded_component(P, field), swept) if P.n >= 4 else []
+    embedded = embedded_checks(P, I, S, swept) if P.n >= 4 else []
     count = None
     if not good:
         checks, count = _char2_checks(P, I, S, embedded, swept), 2
@@ -736,9 +704,7 @@ def verify_full_decomposition(P: PcbMatrix, p: Optional[int] = None) -> Decompos
         hull_checks = _hull_checks(P, I, S, steps, swept)
         checks = hull_checks + embedded
         if p is not None:
-            meets = embedded[1][1] if embedded else None
-            lattice = hull_checks[-1][1]
-            chain, count = _chain_checks(P, I, S, meets, swept, lattice)
+            chain, count = _chain_checks(P, I, S, swept, hull_checks[-1][1])
             checks += chain
     if count is not None:
         checks.append((f"component count is {count}", True))

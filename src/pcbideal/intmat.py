@@ -1,9 +1,9 @@
 """Exact integer matrix algebra.
 
 Dense arbitrary-precision integer matrices with the operations needed for
-lattice work: fraction-free determinants, adjugates, gcds of minors, Smith
-normal form with recorded unimodular transforms, and membership tests for
-column lattices. Everything is exact; there are no floats anywhere.
+lattice work: fraction-free determinants, adjugates, Smith normal form with
+recorded unimodular transforms, and membership tests for column lattices.
+Everything is exact; there are no floats anywhere.
 
 A determinant and an adjugate each cost one Bareiss elimination, O(n^3)
 integer operations. The adjugate lists no minor: at full rank it is the
@@ -14,8 +14,6 @@ echelon form (see adjugate).
 
 from __future__ import annotations
 
-import itertools
-import math
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
@@ -185,27 +183,6 @@ def adjugate(m: IntMatrix) -> IntMatrix:
     v = [-row[free] for row in a[: n - 1]]
     v.insert(free, prev)
     return IntMatrix._trusted(tuple(tuple(vi * w // prev for w in adj_f) for vi in v))
-
-
-def minors_gcd(m: IntMatrix, t: int) -> int:
-    """Gcd of all t-by-t minors; 1 for t <= 0, 0 when t exceeds both dimensions.
-
-    Costs C(rows, t) * C(cols, t) determinants. No package code calls it:
-    it is the brute-force reference that the tests hold the Smith form
-    against (core.identity_checks proves the same gcds from the certificate).
-    """
-    if t <= 0:
-        return 1
-    if t > min(m.rows, m.cols):
-        return 0
-    g = 0
-    for rows in itertools.combinations(range(m.rows), t):
-        for cols in itertools.combinations(range(m.cols), t):
-            sub = IntMatrix([[m.data[i][j] for j in cols] for i in rows])
-            g = math.gcd(g, determinant(sub))
-            if g == 1:
-                return 1
-    return g
 
 
 def bezout(x: int, y: int) -> Tuple[int, int, int]:

@@ -11,11 +11,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; the base set {2, 3, 5, 7} is exact below 3.2e18."""
+    """Miller-Rabin to the first 13 prime bases, exact below 3.3e24:
+    3317044064679887385961981 is the least strong pseudoprime to all of them."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7):
+    for q in _BASES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -23,7 +27,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7):
+    for a in _BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

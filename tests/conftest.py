@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from pcbideal import PcbMatrix, validate
+from pcbideal import PcbMatrix, hull, validate
+from pcbideal.decomp import _power_inside, diagonal_prime_gens
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -31,6 +32,13 @@ def random_pcb(rng: random.Random, n: int, max_entry: int = 4) -> PcbMatrix:
         row = off[:i] + [sum(off)] + off[i:]
         rows.append([v if j == i else -v for j, v in enumerate(row)])
     return validate(rows)
+
+
+def prime_power_in_hull(P: PcbMatrix, field, power: int) -> bool:
+    """Whether every product of `power` generators of the diagonal prime
+    lands in the hull. Checking generator products suffices because they
+    generate the ordinary power."""
+    return _power_inside(hull(P, field), diagonal_prime_gens(P, field), power)
 
 
 @pytest.fixture

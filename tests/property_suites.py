@@ -9,9 +9,10 @@ import random
 
 from pcbideal.core import associated_vector, normalized_snf, syzygy_identity_residual
 from pcbideal.decomp import enumerate_components
-from pcbideal.intmat import IntMatrix, adjugate, determinant, lattice_contains, minors_gcd, smith_normal_form
+from pcbideal.intmat import IntMatrix, adjugate, determinant, lattice_contains, smith_normal_form
 
 from conftest import random_pcb
+from test_core import minors_gcd
 
 
 def _random_matrix(rng, n, lo=-9, hi=9):

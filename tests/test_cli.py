@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import pcbideal
+from pcbideal import cli, decomp
 from pcbideal.cli import main
 
 from conftest import LARGE_WEIGHTS, golden_path
@@ -98,6 +99,22 @@ class TestDecompose:
     def test_embedded_block(self, capsys):
         r = run_json(capsys, "decompose", golden_path("simplest_n4.json"))["result"]
         assert r["embedded"] == {"monomial": [0, 1, 2, 0]}
+
+    @pytest.mark.parametrize("field", ["symbolic", "fp:5"])
+    def test_characters_listed_once(self, capsys, monkeypatch, field):
+        # over F_p the realization's specs are the ones printed
+        calls = []
+        enumerate_components = decomp.enumerate_components
+
+        def counted(P):
+            calls.append(P)
+            return enumerate_components(P)
+
+        monkeypatch.setattr(decomp, "enumerate_components", counted)
+        monkeypatch.setattr(cli, "enumerate_components", counted)
+        r = run_json(capsys, "decompose", golden_path("simplest_n4.json"), "--field", field)["result"]
+        assert len(r["components"]) == 16
+        assert len(calls) == 1
 
 
 class TestVerify:

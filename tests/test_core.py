@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -23,12 +24,32 @@ from pcbideal import (
 )
 from pcbideal import core, intmat
 from pcbideal.core import identity_checks, syzygy_identity_residual, witness_identity_residual
-from pcbideal.intmat import IntMatrix, SnfResult, determinant, minors_gcd
+from pcbideal.intmat import IntMatrix, SnfResult, determinant
 
 from conftest import GOLDEN, load_golden, random_pcb
 
 MINOR_GCDS = "minor gcds match the invariant factors"
 CERTIFICATE = ("transforms reproduce the diagonal", "transforms unimodular", "divisibility chain")
+
+
+def minors_gcd(m: IntMatrix, t: int) -> int:
+    """Gcd of all t-by-t minors; 1 for t <= 0, 0 when t exceeds both dimensions.
+
+    Costs C(rows, t) * C(cols, t) determinants: the brute-force reference
+    that the tests hold the Smith form against (core.identity_checks
+    proves the same gcds from the certificate).
+    """
+    if t <= 0:
+        return 1
+    if t > min(m.rows, m.cols):
+        return 0
+    g = 0
+    for rows in itertools.combinations(range(m.rows), t):
+        for cols in itertools.combinations(range(m.cols), t):
+            g = math.gcd(g, determinant(IntMatrix([[m.data[i][j] for j in cols] for i in rows])))
+            if g == 1:
+                return 1
+    return g
 
 
 def minor_gcd_ladder(P):

@@ -14,7 +14,6 @@ from pcbideal.decomp import (
     hull,
     hull_is_prime,
     pcb_ideal,
-    prime_power_in_hull,
     realize_over_prime_field,
     socle_monomial,
     unmixedness_test,
@@ -32,7 +31,7 @@ from pcbideal.oracle import (
     ring_map_kernel,
 )
 
-from conftest import LARGE_WEIGHTS, load_golden, random_pcb
+from conftest import LARGE_WEIGHTS, load_golden, prime_power_in_hull, random_pcb
 
 # the sixteen coefficient tuples for the all-ones n=4 matrix, written as
 # powers of a primitive fourth root: t -> 0, i*t -> 1, -t -> 2, -i*t -> 3
@@ -159,23 +158,13 @@ class TestEmbedded:
         comp = embedded_component(simplest, QQ)
         assert comp.contains(socle_monomial(simplest, QQ))
 
-    def test_candidate_not_primary_to_the_maximal_ideal_fails(self, simplest):
-        # I itself contains no power of x1 and lacks x^{b(n)}, so it is no
-        # embedded component
-        I = pcb_ideal(simplest, QQ)
-        S = hull(simplest, QQ)
-        saturated = colon(S, Polynomial.variable(QQ, 4, 0)) == S
-        checks = dict(embedded_checks(simplest, I, S, I, saturated))
-        assert checks["embedded component verified"] is False
-        comp = embedded_component(simplest, QQ)
-        assert all(ok for _, ok in embedded_checks(simplest, I, S, comp, saturated))
-
     def test_unsaturated_hull_verifies_nothing(self, simplest):
         # both embedded facts are read off S : x_1 = S; without it neither holds
         I = pcb_ideal(simplest, QQ)
         S = hull(simplest, QQ)
-        comp = embedded_component(simplest, QQ)
-        assert not any(ok for _, ok in embedded_checks(simplest, I, S, comp, False))
+        saturated = colon(S, Polynomial.variable(QQ, 4, 0)) == S
+        assert all(ok for _, ok in embedded_checks(simplest, I, S, saturated))
+        assert not any(ok for _, ok in embedded_checks(simplest, I, S, False))
 
     def test_simplest_alternative_presentation(self, simplest):
         # adding x1 instead of the socle monomial also lands m-primary:

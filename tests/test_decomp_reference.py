@@ -94,20 +94,23 @@ from pcbideal.oracle import ideal as oracle_ideal
 from conftest import load_golden, random_pcb
 
 
+def _eliminated(p: int, zeta: int, spec, scale: Optional[Sequence[int]] = None) -> Ideal:
+    """One elimination: the kernel of x_i -> scale_i zeta^{e_i} t^{nu_i}
+    over F_p, for e the character of spec and scale all ones by default."""
+    field = GF(p)
+    scale = scale or [1] * len(spec.weights)
+    return ring_map_kernel([
+        Polynomial.monomial(field, 1, (w,), c * pow(zeta, e, p))
+        for c, e, w in zip(scale, spec.coeff_exponents, spec.weights)
+    ])
+
+
 def _reference_kernels(P, p: int) -> List[Ideal]:
     """One elimination per character: the kernel of x_i -> zeta^{e_i} t^{nu_i}."""
-    field = GF(p)
     specs = enumerate_components(P)
     r = specs[0].root_order
     zeta = pow(least_primitive_root(p), (p - 1) // r, p) if r > 1 else 1
-    kernels = []
-    for s in specs:
-        images = [
-            Polynomial.monomial(field, 1, (s.weights[i],), pow(zeta, s.coeff_exponents[i], p))
-            for i in range(P.n)
-        ]
-        kernels.append(ring_map_kernel(images))
-    return kernels
+    return [_eliminated(p, zeta, s) for s in specs]
 
 
 def _reference_kernel_chain(kernels: Sequence[Ideal], I: Ideal, S: Ideal, meets: Optional[bool]):
@@ -247,7 +250,7 @@ def _reference_degree_witness(
     e1 = real.specs[0].coeff_exponents
     for i, s in enumerate(real.specs[1:], start=2):
         e = [a - b for a, b in zip(s.coeff_exponents, e1)]
-        if any(len({sum(map(mul, e, a)) % real.r for a in g.terms}) > 1 for g in hull_basis):
+        if any(len({sum(map(mul, e, a)) % s.root_order for a in g.terms}) > 1 for g in hull_basis):
             return f"the twist to component {i} moves a hull generator"
     degree = dimension_one_degree(_leading_monomials(P1.groebner()), nu)
     if degree is None:
@@ -381,12 +384,16 @@ def _outcome(run) -> Tuple[Optional[str], Optional[int], Optional[int]]:
     return None, None, k
 
 
-def _rebuilt(real: PrimeFieldRealization, specs=None, trivial=None) -> PrimeFieldRealization:
-    """real with other specs or another trivial kernel; its kernels are
-    twisted afresh on first use."""
-    return PrimeFieldRealization(
-        real.p, real.r, real.zeta, real.specs if specs is None else specs, real.trivial if trivial is None else trivial
-    )
+def _rebuilt(real: PrimeFieldRealization, specs, scale: Optional[Sequence[int]] = None) -> PrimeFieldRealization:
+    """real with other specs, or with every map scaled by x_i -> scale_i x_i:
+    a kernel real already holds is reused, and any other is eliminated
+    afresh."""
+    known = {} if scale else {s.coeff_exponents: K for s, K in zip(real.specs, real.kernels)}
+    kernels = [
+        known[s.coeff_exponents] if s.coeff_exponents in known else _eliminated(real.p, real.zeta, s, scale)
+        for s in specs
+    ]
+    return real._replace(specs=tuple(specs), kernels=tuple(kernels))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -396,7 +403,8 @@ class Chain:
     reference takes, I, the hull S as the colon I : x^{b(n)}, E (None
     for n <= 3), whether S ∩ E = I, nu, whether the saturation of I by
     x_1 is S, and whether S's reduced degrevlex basis is lattice
-    binomials."""
+    binomials. The references read meets; the certificate reads
+    saturated alone, which for n >= 4 also decides the meet."""
 
     P: PcbMatrix
     real: PrimeFieldRealization
@@ -416,12 +424,11 @@ class Chain:
 
     def certify(self):
         """The generator certificate of decomp, which takes no specs."""
-        return _chain_checks(self.P, self.I, self.S, self.meets, self.saturated, self.lattice)
+        return _chain_checks(self.P, self.I, self.S, self.saturated, self.lattice)
 
     def with_specs(self, specs) -> "Chain":
-        """The same input with other characters: the realization's kernels
-        are the twists of the same trivial-character kernel by them."""
-        return dataclasses.replace(self, real=_rebuilt(self.real, specs=tuple(specs)))
+        """The same input with other characters and their kernels."""
+        return dataclasses.replace(self, real=_rebuilt(self.real, specs))
 
 
 def _new(c: Chain):
@@ -457,6 +464,7 @@ def _setup(P, p: int) -> Chain:
     E = embedded_component(P, field) if P.n >= 4 else None
     meets = None if E is None else intersect(S, E) == I
     saturated = saturate(I, Polynomial.variable(field, P.n, 0))[0] == S
+    assert meets in (None, saturated)
     nu = associated_vector(P)[2]
     return Chain(P, realize_over_prime_field(P, p), I, S, E, meets, nu, saturated, _reference_lattice(P, S))
 
@@ -524,16 +532,15 @@ def _complete_graph(n: int) -> PcbMatrix:
 
 
 def _verify_inputs(P, p: int):
-    """I, S, meets, the sweep and the lattice check over F_p, computed as
+    """I, S, the sweep and the lattice check over F_p, computed as
     verify_full_decomposition computes them."""
     field = GF(p)
     nu = associated_vector(P)[2]
     I = pcb_ideal(P, field)
     S, steps = saturate(I, Polynomial.variable(field, P.n, 0), nu)
     swept = _hull_swept(P, I, S, nu)
-    meets = embedded_checks(P, I, S, embedded_component(P, field), swept)[1][1] if P.n >= 4 else None
     lattice = _hull_checks(P, I, S, steps, swept)[-1][1]
-    return I, S, meets, swept, lattice
+    return I, S, swept, lattice
 
 
 def _whole_outcome(run):
@@ -548,20 +555,19 @@ def _whole_outcome(run):
 def _certificate_matches_the_character_chain(P, p: int) -> int:
     """The generator certificate and the per-character reference give the
     same witness (or none) and the same count, on verify's own arguments
-    and with each of the meet, the sweep and the lattice check failed;
-    and the closed-form residue vectors ε((r / d_l) k_l mod r)_l equal the
+    and with each of the sweep and the lattice check failed; the
+    reference takes the sweep as the meet for n >= 4, as verify does; and
+    the closed-form residue vectors ε((r / d_l) k_l mod r)_l equal the
     reference's, element for element. Returns d."""
-    I, S, meets, swept, lattice = _verify_inputs(P, p)
+    I, S, swept, lattice = _verify_inputs(P, p)
     specs = enumerate_components(P)
-    cases = [(meets, swept, lattice), (meets, False, lattice), (meets, swept, False)]
-    if meets is not None:
-        cases.append((False, swept, lattice))
     outcomes = []
-    for args in cases:
+    for args in [(swept, lattice), (False, lattice), (swept, False)]:
+        meets = args[0] if P.n >= 4 else None
         new = _whole_outcome(lambda: _chain_checks(P, I, S, *args))
-        assert new == _whole_outcome(lambda: _reference_character_chain(P, specs, I, S, *args))
+        assert new == _whole_outcome(lambda: _reference_character_chain(P, specs, I, S, meets, *args))
         outcomes.append(new)
-    assert outcomes[0] == (CHECKS, len(specs) + (meets is not None))
+    assert outcomes[0] == (CHECKS, len(specs) + (P.n >= 4))
     snf = normalized_snf(P)
     factors, kernel = snf.invariant_factors, _kernel_vectors(P)
     sign = sum(map(mul, snf.P.row(0), kernel[0]))
@@ -612,13 +618,14 @@ def test_embedded_component_over_its_hull_is_redundant(diag_n3_f7):
     assert c.S == c.I
     field = c.I.field
     E = Ideal(field, 3, list(c.I.gens) + [Polynomial.variable(field, 3, i) for i in range(3)])
+    # the references take it; the certificate reads n from P and takes no E
     over = dataclasses.replace(c, E=E, meets=True)
     k = len(c.real.kernels) + 1
-    for run in (over.run, over.certify):
-        with pytest.raises(VerificationFailed, match=f"component {k} is redundant") as err:
-            run()
-        assert err.value.index == k - 1
+    with pytest.raises(VerificationFailed, match=f"component {k} is redundant") as err:
+        over.run()
+    assert err.value.index == k - 1
     assert _agree(over)[:2] == (f"component {k} is redundant", k - 1)
+    assert _certified(over) == k - 1
 
 
 def test_wrong_kernel_breaks_the_intersection(diag_n3_f7):
@@ -636,14 +643,6 @@ def test_wrong_kernel_breaks_the_intersection(diag_n3_f7):
     assert _agree(swapped)[0] == "intersection of all components is not the ideal"
     dropped = c.with_specs(c.real.specs[1:])
     assert _agree(dropped)[0] == "intersection of all components is not the ideal"
-
-
-def test_chain_takes_the_embedded_meet_as_given(diag_n3_f7):
-    # n >= 4 reads S ∩ E = I from embedded_checks; a False there fails the chain
-    failed = dataclasses.replace(diag_n3_f7, meets=False)
-    for run in (failed.run, failed.certify):
-        with pytest.raises(VerificationFailed, match="intersection of all components is not the ideal"):
-            run()
 
 
 @pytest.fixture(scope="module")
@@ -687,7 +686,7 @@ def test_hull_of_the_wrong_degree_fails_the_degree_count(simplest_n4_f5):
     c = simplest_n4_f5
     d = len(c.real.kernels)
     message = f"intersection of all components is not the ideal: deg S = 1, sum of component degrees = {d}"
-    assert _fails_with(message, dataclasses.replace(c, S=c.real.trivial), certified=True) is None
+    assert _fails_with(message, dataclasses.replace(c, S=c.real.kernels[0]), certified=True) is None
 
 
 @pytest.mark.parametrize("case", ["diag_n3_f7", "simplest_n4_f5"])
@@ -737,12 +736,12 @@ def test_non_character_kernel_leaves_the_hull_outside(diag_n3_f7):
 @pytest.mark.parametrize("case", ["diag_n3_f7", "simplest_n4_f5"])
 def test_wrong_trivial_kernel_leaves_the_hull_outside(case, request):
     # the realized certificate: every component is a twist of the trivial
-    # kernel, so a wrong one moves them all; the one containment, modulo
-    # component 1, names it, and the kernel chain agrees
+    # kernel, so a wrong one, from x_1 -> 2 t^{nu_1}, moves them all; the
+    # one containment, modulo component 1, names it, and the kernel chain
+    # agrees
     c = request.getfixturevalue(case)
-    field = c.I.field
-    images = [Polynomial.monomial(field, 1, (1,), v) for v in [2] + [1] * (c.I.nvars - 1)]
-    wrong = dataclasses.replace(c, real=_rebuilt(c.real, trivial=ring_map_kernel(images)))
+    scale = [2] + [1] * (c.I.nvars - 1)
+    wrong = dataclasses.replace(c, real=_rebuilt(c.real, c.real.specs, scale))
     message = (
         "intersection of all components is not the ideal: "
         "a hull generator has a nonzero normal form modulo component 1"
@@ -756,10 +755,16 @@ def test_wrong_trivial_kernel_leaves_the_hull_outside(case, request):
 
 @pytest.mark.parametrize("case", ["diag_n3_f7", "simplest_n4_f5"])
 def test_unsaturated_hull_fails_the_certificate(case, request):
+    # for n >= 4 the sweep also proves S ∩ E = I, so a failed one is a
+    # failed meet, and that is the witness
     c = request.getfixturevalue(case)
     assert c.saturated
-    message = "intersection of all components is not the ideal: hull not saturated by x_1"
-    assert _fails_with(message, dataclasses.replace(c, saturated=False), certified=True) is None
+    if c.meets is None:
+        failed, witness = dataclasses.replace(c, saturated=False), "hull not saturated by x_1"
+    else:
+        failed, witness = dataclasses.replace(c, saturated=False, meets=False), "hull meets the embedded component outside the ideal"
+    message = f"intersection of all components is not the ideal: {witness}"
+    assert _fails_with(message, failed, certified=True) is None
 
 
 @pytest.mark.parametrize("case", ["diag_n3_f7", "simplest_n4_f5"])
@@ -886,7 +891,8 @@ def test_failed_meet_is_the_witness(diag_n3_f7, simplest_n4_f5):
         "intersection of all components is not the ideal: "
         "hull meets the embedded component outside the ideal"
     )
-    assert _fails_with(message, dataclasses.replace(simplest_n4_f5, meets=False), certified=True) is None
+    failed = dataclasses.replace(simplest_n4_f5, meets=False, saturated=False)
+    assert _fails_with(message, failed, certified=True) is None
     c = diag_n3_f7
     S = Ideal(c.I.field, 3, c.I.gens[:-1])
     message = "intersection of all components is not the ideal: hull differs from the ideal"
@@ -903,7 +909,7 @@ def _theory_premises(P, p: int) -> None:
     field = GF(p)
     nu = associated_vector(P)[2]
     real = realize_over_prime_field(P, p)
-    P0 = real.trivial.groebner()
+    P0 = real.kernels[0].groebner()
     assert dimension_one_degree(_leading_monomials(P0), nu) == 1
     order = WeightedRevLex(nu, 0)
     S, _ = saturate(pcb_ideal(P, field), Polynomial.variable(field, P.n, 0), nu)
@@ -918,7 +924,7 @@ def _theory_premises(P, p: int) -> None:
     assert product == IntMatrix([[sign if i == j else 0 for j in range(P.n - 1)] for i in range(P.n)])
     specs = real.specs + (_shifted_by_nu(real.specs[-1], nu),)
     classes = _reference_residue_vectors(specs, kernel)
-    bases = [K.groebner() for K in _rebuilt(real, specs=specs).kernels]
+    bases = [K.groebner() for K in _rebuilt(real, specs).kernels]
     assert classes[-1] == classes[-2] and bases[-1] == bases[-2]
     for (a, ka), (b, kb) in itertools.combinations(zip(classes, bases), 2):
         assert (a == b) == (ka == kb)
@@ -950,6 +956,17 @@ def _assert_twists_match(P, p):
     for K, R in zip(twisted, reference):
         assert [g.terms for g in K.groebner()] == [g.terms for g in R.groebner()]
     return len(twisted)
+
+
+@pytest.mark.parametrize("name,p", GOLDEN_CASES + [("diag_n5.json", 11)])
+def test_first_kernel_is_the_trivial_character_kernel(name, p):
+    # lambda_index (0, ..., 0) is the character 0, whose twist changes no term
+    P = load_golden(name)
+    real = realize_over_prime_field(P, p)
+    assert real.specs[0].coeff_exponents == (0,) * P.n
+    nu = associated_vector(P)[2]
+    trivial = ring_map_kernel([Polynomial.monomial(GF(p), 1, (w,)) for w in nu])
+    assert [g.terms for g in real.kernels[0].groebner()] == [g.terms for g in trivial.groebner()]
 
 
 @pytest.mark.parametrize("name,p", GOLDEN_CASES + [("diag_n5.json", 11)])
@@ -998,14 +1015,14 @@ def test_primary_to_maximal_agrees_on_random_n4():
 
 
 def _origin_agrees(P, field) -> None:
-    """_primary_to_origin against the leading-ideal test on E = I + (x^{b(n)})
-    and on I, for any n. E is (x)-primary for n >= 3 too, where it is no
-    component; for n = 2, b(n) = 0 and E is the whole ring."""
+    """_primary_to_origin against the leading-ideal test on E = I + (x^{b(n)}),
+    for any n, and I, which is never (x)-primary. E is (x)-primary for
+    n >= 3 too, where it is no component; for n = 2, b(n) = 0 and E is the
+    whole ring."""
     I = pcb_ideal(P, field)
     E = Ideal(field, P.n, I.gens + (socle_monomial(P, field),))
-    for J in (E, I):
-        assert _primary_to_origin(P, I, J) == _primary_to_maximal(J)
-    assert _primary_to_origin(P, I, E) == (P.n >= 3)
+    assert _primary_to_origin(P) == _primary_to_maximal(E) == (P.n >= 3)
+    assert not _primary_to_maximal(I)
 
 
 ALL_GOLDENS = ["diag_n3.json", "diag_n5.json", "n2_64.json", "n3_doubled.json", "n3_mixed.json", "onecomp_n4.json", "simplest_n4.json"]
@@ -1043,7 +1060,7 @@ def _embedded_agree(P, field, good: bool = True) -> bool:
     x1 = Polynomial.variable(field, P.n, 0)
     saturated = saturate(I, x1)[0] == S if good else colon(S, x1) == S
     reference = _reference_embedded_checks(I, S, E, xb)
-    assert embedded_checks(P, I, S, E, saturated) == reference
+    assert embedded_checks(P, I, S, saturated) == reference
     assert saturated == (colon(S, xb) == S) == (intersect(S, E) == I)
     return saturated
 
@@ -1235,6 +1252,24 @@ def test_full_verification_realizes_nothing_and_runs_one_groebner_basis(name, p,
     assert [order for _, order in calls["groebner_basis"]] == [WeightedRevLex(associated_vector(P)[2], 0)]
 
 
+@pytest.mark.parametrize(
+    "name,p", [("simplest_n4.json", 5), ("simplest_n4.json", 2), ("onecomp_n4.json", 2), ("diag_n3.json", 7)]
+)
+def test_full_verification_builds_the_ideal_once_and_no_embedded_component(name, p, monkeypatch):
+    # E = I + (x^{b(n)}) is a definition: its checks read P, I and S
+    P = load_golden(name)
+    built = []
+
+    def forbidden(*args):
+        raise AssertionError("verify_full_decomposition built the embedded component")
+
+    monkeypatch.setattr(decomp, "pcb_ideal", _counted(built, decomp.pcb_ideal))
+    monkeypatch.setattr(decomp, "embedded_component", forbidden)
+    report = verify_full_decomposition(P, p)
+    assert all(ok for _, ok in report.checks)
+    assert len(built) == 1
+
+
 def _reference_hull_checks(P, field):
     """The three-way hull the division sweep replaced: the colons
     I : x^{b(n)} and J : x^{b(n)} and the saturation I : x_1^∞, each graded
@@ -1344,23 +1379,23 @@ def test_failed_sweep_reports_false(name, field):
         assert [ok for _, ok in checks[:2]] == [False, False]
         assert checks[-1][1] == _reference_lattice(P, S)
         if P.n >= 4:
-            E = embedded_component(P, field)
-            assert [ok for _, ok in embedded_checks(P, I, S, E, swept)] == [False, False]
+            assert [ok for _, ok in embedded_checks(P, I, S, swept)] == [False, False]
 
 
 @pytest.mark.parametrize("name,p", [("simplest_n4.json", 5), ("diag_n5.json", 11)])
 def test_failed_sweep_fails_the_chain(name, p):
-    # with the embedded meet taken as given, the sweep alone stops the chain
+    # for n >= 4 the sweep also proves S ∩ E = I, so a failed sweep stops
+    # the chain with the meet as its witness
     P = load_golden(name)
     I, _, nu, wrong = _wrong_hulls(P, GF(p))
     specs = enumerate_components(P)
-    message = "intersection of all components is not the ideal: hull not saturated by x_1"
+    message = "intersection of all components is not the ideal: hull meets the embedded component outside the ideal"
     for S in wrong:
         swept = _hull_swept(P, I, S, nu)
         lattice = _hull_checks(P, I, S, 1, swept)[-1][1]
         for run in (
-            lambda: _chain_checks(P, I, S, True, swept, lattice),
-            lambda: _reference_character_chain(P, specs, I, S, True, swept, lattice),
+            lambda: _chain_checks(P, I, S, swept, lattice),
+            lambda: _reference_character_chain(P, specs, I, S, swept, swept, lattice),
         ):
             with pytest.raises(VerificationFailed) as err:
                 run()
@@ -1375,9 +1410,8 @@ def test_failed_sweep_fails_the_char2_collapse():
     field = GF(2)
     I, S, _, nu = _hull(P, field)
     wrong = Ideal(field, P.n, S.gens + (_outside_the_hull(S, field, nu),))
-    E = embedded_component(P, field)
     with pytest.raises(VerificationFailed, match="^char-2 check failed: hull saturated by x_1$"):
-        _char2_checks(P, I, wrong, embedded_checks(P, I, S, E, True), _hull_swept(P, I, wrong, nu))
+        _char2_checks(P, I, wrong, embedded_checks(P, I, S, True), _hull_swept(P, I, wrong, nu))
 
 
 @pytest.mark.parametrize("p", [None, 5, 2])

@@ -10,11 +10,11 @@ from pcbideal.intmat import (
     bezout,
     determinant,
     lattice_contains,
-    minors_gcd,
     smith_normal_form,
 )
 
 from conftest import GOLDEN, load_golden
+from test_core import minors_gcd
 
 SIMPLEST = IntMatrix([[3, -1, -1, -1], [-1, 3, -1, -1], [-1, -1, 3, -1], [-1, -1, -1, 3]])
 

@@ -39,6 +39,27 @@ class TestFields:
         for c in (0, 1, 4, 9, 561, 2147483647 * 3):
             assert not is_prime(c)
 
+    def test_is_prime_refuses_strong_pseudoprimes_to_the_first_four_bases(self):
+        # each is a strong pseudoprime to 2, 3, 5 and 7; 3215031751 = 151 * 751 * 28351
+        for c in (
+            3215031751,
+            2152302898747,
+            3474749660383,
+            341550071728321,
+            3825123056546413051,
+            318665857834031151167461,
+        ):
+            assert not is_prime(c)
+
+    def test_is_prime_agrees_with_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        assert all(is_prime(n) == sympy.isprime(n) for n in range(10**4))
+        rng = random.Random(20)
+        sample = [rng.getrandbits(64) | 1 for _ in range(2000)]
+        assert [is_prime(n) for n in sample] == [sympy.isprime(n) for n in sample]
+        # the bound is sharp: the least strong pseudoprime to all 13 bases
+        assert is_prime(3317044064679887385961981) and not sympy.isprime(3317044064679887385961981)
+
     def test_gf_ops(self):
         F = GF(13)
         assert F.add(9, 9) == 5

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from pcbideal import validate
 from pcbideal.core import associated_vector, generators, grading_degree, torsion_profile
-from pcbideal.intmat import IntMatrix, adjugate, bezout, determinant, minors_gcd
+from pcbideal.intmat import IntMatrix, adjugate, bezout, determinant
 from pcbideal.oracle import DEGREVLEX, GF, Polynomial, groebner_basis, normal_form
 
 import property_suites
+from test_core import minors_gcd
 
 
 @st.composite

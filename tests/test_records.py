@@ -1,10 +1,10 @@
 """The package's records: immutable values, built without `dataclasses`.
 
 SnfResult, Binomial, TorsionProfile, PcbAnalysis, ComponentSpec,
-ComponentCount and DecompositionReport are NamedTuples; PcbMatrix and
-PrimeFieldRealization are small classes that refuse assignment. Importing
-the CLI must load neither `dataclasses` nor `inspect`, whose import and
-per-class code generation cost every `pcb` process ~17 ms.
+ComponentCount, PrimeFieldRealization and DecompositionReport are
+NamedTuples; PcbMatrix is the one small class that refuses assignment.
+Importing the CLI must load neither `dataclasses` nor `inspect`, whose
+import and per-class code generation cost every `pcb` process ~17 ms.
 """
 
 import os
@@ -16,7 +16,6 @@ import pytest
 
 import pcbideal
 from pcbideal import (
-    PrimeFieldRealization,
     analyze,
     component_count,
     generators,
@@ -26,7 +25,6 @@ from pcbideal import (
     validate,
     verify_full_decomposition,
 )
-from pcbideal.oracle import DEGREVLEX
 
 from conftest import load_golden
 
@@ -63,7 +61,7 @@ RECORDS = _records()
 def test_records_refuse_assignment(name):
     record = RECORDS[name]
     assert type(record).__name__ == name
-    field = "a" if name == "PcbMatrix" else "p" if name == "PrimeFieldRealization" else record._fields[0]
+    field = "a" if name == "PcbMatrix" else record._fields[0]
     before = getattr(record, field)
     with pytest.raises(AttributeError):
         setattr(record, field, before)
@@ -85,14 +83,3 @@ def test_pcb_matrix_is_its_entries():
     assert cached.signed is cached.signed
     assert cached.signed.to_rows() == rows
 
-
-def test_realization_rebuilt_with_other_specs_twists_the_same_kernel():
-    P = load_golden("diag_n3.json")
-    real = realize_over_prime_field(P, 7)
-    assert real.kernels is real.kernels  # computed once, then kept
-    flipped = PrimeFieldRealization(real.p, real.r, real.zeta, real.specs[::-1], real.trivial)
-    assert flipped != real and flipped.trivial is real.trivial
-    assert [K.groebner(DEGREVLEX) for K in flipped.kernels] == [
-        K.groebner(DEGREVLEX) for K in real.kernels[::-1]
-    ]
-    assert PrimeFieldRealization(real.p, real.r, real.zeta, real.specs, real.trivial) == real
