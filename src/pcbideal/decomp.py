@@ -26,10 +26,12 @@ component and lists no character: the hull's basis is lattice
 binomials, and that S is the meet of the d isolated components, each
 once, follows from one Hilbert series and integer checks on the n - 1
 generators of the character group, read off the normalized SNF (see
-_chain_checks). Only decompose lists the d characters and realizes
-their components, once each: one elimination gives the trivial-character
-component and one loop of torus twists gives all d (see
-realize_over_prime_field).
+_chain_checks). When r is a power of p the same checks, and n - 1
+normal forms of Frobenius powers, prove S primary to the one toric
+prime instead; every accepted p runs that one path. Only decompose
+lists the d characters and realizes their components, once each: one
+elimination gives the trivial-character component and one loop of torus
+twists gives all d (see realize_over_prime_field).
 """
 
 from __future__ import annotations
@@ -211,8 +213,8 @@ def embedded_checks(P: PcbMatrix, I: Ideal, S: Ideal, saturated: bool) -> List[T
     builds it for decompose), so no ideal E is built or taken here: its
     facts are facts about P, I and S. saturated is the hull sweep,
     already computed, that when True proves S = I : x^{b(n)} and
-    S : x_1 = S for S the saturation I : x_1^∞ (see _hull_checks), on
-    the good and the char-2 path alike. No colon, no intersection and no
+    S : x_1 = S for S the saturation I : x_1^∞ (see _hull_checks), in
+    every characteristic. No colon, no intersection and no
     Groebner basis is computed here: the colon and the meet are read off
     saturated, and a False reports both checks False.
 
@@ -280,12 +282,6 @@ def least_primitive_root(p: int) -> int:
         g += 1
 
 
-def _is_all_ones_n4(P: PcbMatrix) -> bool:
-    return P.n == 4 and all(
-        P.a[i][j] == 1 for i in range(4) for j in range(4) if i != j
-    )
-
-
 def prime_field(p: int) -> PrimeField:
     """GF(p) for any `--field fp:<p>` request; BadPrime unless p is a prime
     below 2**31. Every command asks this first, whatever it does with F_p."""
@@ -295,23 +291,30 @@ def prime_field(p: int) -> PrimeField:
         raise BadPrime(p, 0, str(err)) from None
 
 
-def prime_field_for(P: PcbMatrix, p: int) -> Tuple[PrimeField, bool]:
-    """GF(p) for a `--field fp:<p>` request, and whether p is a good characteristic.
+def prime_field_for(P: PcbMatrix, p: int) -> Tuple[PrimeField, int]:
+    """GF(p) for a `--field fp:<p>` request, and the Frobenius exponent q.
 
-    The rule is decided here and nowhere else. With p = 1 (mod r), r the
-    last invariant factor, F_p holds the r-th roots of unity and the d
-    isolated components are realized apart: the answer is (GF(p), True).
-    Otherwise only the worked char-2 case is covered, the all-ones 4x4
-    matrix over F_2, whose components collapse into one hull: (GF(2),
-    False). Anything else, a p that is not prime included, is BadPrime.
+    The rule is decided here and nowhere else; r is the last invariant
+    factor, the exponent of the torsion group. With p = 1 (mod r), F_p
+    holds the r-th roots of unity and the d isolated components are apart:
+    q = 1. With r a power of p the torsion group is a p-group, and over
+    F_p the hull is primary to the one toric prime (Eisenbud-Sturmfels,
+    "Binomial ideals", Cor. 2.2): q = r, the power whose Frobenius maps
+    that prime into the hull (see _chain_checks). Anything else, a p that
+    is not prime included, is BadPrime; when p divides r together with
+    another prime, the reason names that prime.
     """
     field = prime_field(p)
     r = normalized_snf(P).invariant_factors[-1]
     if (p - 1) % r == 0:
-        return field, True
-    if p == 2 and _is_all_ones_n4(P):
-        return field, False
-    raise BadPrime(p, r)
+        return field, 1
+    if r % p:
+        raise BadPrime(p, r)
+    others = [f for f in _prime_factors(r) if f != p]
+    if others:
+        reason = f"r = {r} has the prime factor {others[0]} besides p; need p = 1 (mod r) or r a power of p"
+        raise BadPrime(p, r, reason)
+    return field, r
 
 
 class PrimeFieldRealization(NamedTuple):
@@ -344,11 +347,11 @@ def realize_over_prime_field(P: PcbMatrix, p: int) -> PrimeFieldRealization:
     of P_0 and made monic again, it gives the reduced basis of ker psi_e
     exactly.
     """
-    field, good = prime_field_for(P, p)
+    field, q = prime_field_for(P, p)
+    if q > 1:
+        raise BadPrime(p, q)  # q = r: the components collapse into the hull; none is realized apart
     specs = enumerate_components(P)
     r = specs[0].root_order
-    if not good:
-        raise BadPrime(p, r)  # the components collapse; none is realized apart
     zeta = pow(least_primitive_root(p), (p - 1) // r, p) if r > 1 else 1
     powers = [pow(zeta, k, p) for k in range(r)]
     basis = ring_map_kernel([Polynomial.monomial(field, 1, (w,)) for w in specs[0].weights]).groebner()
@@ -370,28 +373,6 @@ def realize_over_prime_field(P: PcbMatrix, p: int) -> PrimeFieldRealization:
 class DecompositionReport(NamedTuple):
     component_count: Optional[int]  # None over Q, where no component is realized
     checks: Tuple[Tuple[str, bool], ...]
-
-
-def diagonal_prime_gens(P: PcbMatrix, field) -> List[Polynomial]:
-    """Generators x_i - x_n of the prime fixing the all-ones point."""
-    n = P.n
-    last = tuple(1 if i == n - 1 else 0 for i in range(n))
-    return [
-        Polynomial.from_terms(
-            field, n, [(1, tuple(1 if j == i else 0 for j in range(n))), (-1, last)]
-        )
-        for i in range(n - 1)
-    ]
-
-
-def _power_inside(S: Ideal, gens: Sequence[Polynomial], power: int) -> bool:
-    for combo in itertools.combinations_with_replacement(gens, power):
-        product = combo[0]
-        for f in combo[1:]:
-            product = product * f
-        if not S.contains(product):
-            return False
-    return True
 
 
 def _hull_swept(P: PcbMatrix, I: Ideal, S: Ideal, nu: Sequence[int]) -> bool:
@@ -439,10 +420,9 @@ def _hull_checks(P: PcbMatrix, I: Ideal, S: Ideal, steps: int, swept: bool) -> L
     The one boolean swept therefore answers both "colon by x^{b(n)}
     agrees from I and from J" and "saturation by x_1 agrees with the
     colon", and a failed sweep reports both False. It is also the
-    `saturated` that embedded_checks and _chain_checks take, and the
-    char-2 check "hull saturated by x_1". steps is zero exactly when no
-    element of I's basis holds x_1, that is when I : x_1 = I, which
-    decides the unmixedness dichotomy.
+    `saturated` that embedded_checks and _chain_checks take. steps is
+    zero exactly when no element of I's basis holds x_1, that is when
+    I : x_1 = I, which decides the unmixedness dichotomy.
 
     No Groebner basis is computed here either. The saturation leaves the
     reduced WeightedRevLex(nu, 0) bases of I and of S cached, and every
@@ -481,69 +461,22 @@ def _hull_checks(P: PcbMatrix, I: Ideal, S: Ideal, steps: int, swept: bool) -> L
     return checks
 
 
-def _char2_checks(
-    P: PcbMatrix, I: Ideal, S: Ideal, embedded: List[Tuple[str, bool]], saturated: bool
-) -> List[Tuple[str, bool]]:
-    """Verification for the one worked char-2 case, p | d.
-
-    Roots of unity collapse over F_2, so instead of separate isolated
-    components the hull S = I : x^{b(n)} is proved primary to the diagonal
-    prime a = (x1 - x4, x2 - x4, x3 - x4), and S together with the embedded
-    component E are proved to be the only two primary components.
-
-    The checks: the fourth power of each generator of a lies in S (over
-    F_2, (x_i - x_4)^4 = x_i^4 - x_4^4, so these generate the Frobenius
-    power a^[4]); the seventh ordinary power a^7 lies in S (seventh is
-    sharp: a^6 is not inside, and neither is (x1-x4)^2(x2-x4)^2 in a^4);
-    S sits inside a; S differs from I; S : x1 = S (saturated, the hull
-    sweep of the caller: S is the saturation I : x1^∞, proved equal to
-    I : x^{b(n)} by one division into f_1, f_2, f_3, see _hull_checks);
-    and S meets E in I, which embedded_checks reads off the same sweep
-    (its Lemma B).
-
-    Why they suffice. a^7 <= S <= a with a prime gives rad S = a, so every
-    associated prime of S contains a. S is homogeneous, so its associated
-    primes are homogeneous, and the only homogeneous prime strictly above
-    the height-three prime a is the irrelevant ideal, which contains x1.
-    S : x1 = S makes x1 a nonzerodivisor modulo S, so the irrelevant ideal
-    is not associated and S is a-primary. E is primary to the irrelevant
-    ideal (embedded_checks proves this; a failure raises here too), so S
-    meets E in I is a primary decomposition with distinct radicals.
-    Neither part is redundant: dropping E leaves S, which differs from I,
-    and dropping S leaves E, which contains a power of x1 and so is not
-    inside a, while I is.
-    """
-    a_gens = diagonal_prime_gens(P, I.field)
-    verified, meets = embedded
-    checks = [
-        ("fourth power of each prime generator inside the hull", all(S.contains(g * g * g * g) for g in a_gens)),
-        ("seventh power of the diagonal prime inside the hull", _power_inside(S, a_gens, 7)),
-        ("hull inside the diagonal prime", Ideal(I.field, P.n, a_gens).includes(S)),
-        ("hull differs from the ideal", S != I),
-        ("hull saturated by x_1", saturated),
-        meets,
-    ]
-    for name, ok in [verified] + checks:
-        if not ok:
-            raise VerificationFailed(f"char-2 check failed: {name}")
-    return checks
-
-
 def _leading_monomials(basis: Sequence[Polynomial], order=DEGREVLEX) -> Tuple[Tuple[int, ...], ...]:
     return tuple(g.leading_term(order)[0] for g in basis)
 
 
 def _kernel_vectors(P: PcbMatrix) -> List[Tuple[int, ...]]:
     """w_1, ..., w_{n-1}: the first n - 1 columns of the adjugate of the
-    normalized SNF's left transform, a basis of ker nu ∩ Z^n when it is
-    unimodular (_chain_checks proves what it needs of them)."""
+    normalized SNF's left transform, a Z-basis of ker nu ∩ Z^n once
+    P W = ±[I; 0] is checked (_chain_checks proves what it needs of them)."""
     adj = adjugate(normalized_snf(P).P)
     return [adj.column(j) for j in range(P.n - 1)]
 
 
-def _intersection_witness(P: PcbMatrix, S: Ideal, saturated: bool, lattice: bool) -> Optional[str]:
-    """None when the certificate proves S = P_1 ∩ ... ∩ P_d (see
-    _chain_checks), else the first fact that fails."""
+def _intersection_witness(P: PcbMatrix, S: Ideal, saturated: bool, lattice: bool, q: int) -> Optional[str]:
+    """None when the certificate proves S = P_1 ∩ ... ∩ P_d, or for
+    q > 1 S primary to P_0 (see _chain_checks), else the first fact that
+    fails."""
     if not saturated:
         return "hull not saturated by x_1"
     if not lattice:
@@ -563,17 +496,26 @@ def _intersection_witness(P: PcbMatrix, S: Ideal, saturated: bool, lattice: bool
     if math.gcd(*nu) != 1:
         return "the weights have a common factor"
     order = WeightedRevLex(nu, 0)
-    hull_degree = dimension_one_degree(_leading_monomials(S.groebner(order), order), nu)
+    basis = S.groebner(order)
+    hull_degree = dimension_one_degree(_leading_monomials(basis, order), nu)
     if hull_degree is None:
         return "hull is not of dimension one"
     if hull_degree != d:
         return f"deg S = {hull_degree}, sum of component degrees = {d}"
+    for l, w in enumerate(kernel if q > 1 else [], start=1):
+        frobenius = Binomial(tuple(q * max(v, 0) for v in w), tuple(q * max(-v, 0) for v in w))
+        if normal_form(binomial_to_polynomial(frobenius, S.field, P.n), basis, order):
+            return f"kernel binomial {l} to the power {q} is not in the hull"
     return None
 
 
-def _chain_checks(P: PcbMatrix, I: Ideal, S: Ideal, saturated: bool, lattice: bool) -> Tuple[List[Tuple[str, bool]], int]:
-    """Prove I = P_1 ∩ ... ∩ P_d (∩ E) and that no component is redundant;
-    returns the checks and the number of components.
+def _chain_checks(
+    P: PcbMatrix, I: Ideal, S: Ideal, saturated: bool, lattice: bool, q: int
+) -> Tuple[List[Tuple[str, bool]], int]:
+    """Prove I = P_1 ∩ ... ∩ P_d (∩ E), or for q > 1 I = S (∩ E) with S
+    primary to P_0, and that no component is redundant; returns the
+    checks and the number of components. q is the Frobenius exponent of
+    prime_field_for: 1 when p = 1 (mod r), r when r is a power of p.
 
     Write P L Q = D for the normalized SNF, d_1 | ... | d_{n-1} = r its
     invariant factors, d their product, and nu its left transform's last
@@ -582,7 +524,7 @@ def _chain_checks(P: PcbMatrix, I: Ideal, S: Ideal, saturated: bool, lattice: bo
     d elements are e_k = Σ_j k_j e^(j) mod r for 0 <= k_j < d_j, the
     characters that enumerate_components lists for decompose. P_k is the
     kernel of x_i -> zeta^{(e_k)_i} t^{nu_i}, zeta a primitive r-th root
-    of unity, which F_p holds because p = 1 (mod r) (see prime_field_for).
+    of unity, which F_p holds when q = 1, because p = 1 (mod r).
     No P_k is realized and no character is listed: every fact about them
     below is a fact about the n - 1 generators, in integers
     (Eisenbud-Sturmfels, "Binomial ideals", 1996). S is the hull
@@ -640,8 +582,9 @@ def _chain_checks(P: PcbMatrix, I: Ideal, S: Ideal, saturated: bool, lattice: bo
     (a failed sweep, for n >= 4) or S != I (for n <= 3), an unsaturated
     hull, a hull basis of other than lattice binomials, the first
     generator that does not kill the lattice, a W with P W != ±[I; 0],
-    weights with a common factor, a hull of dimension other than one, or
-    the two degrees that differ.
+    weights with a common factor, a hull of dimension other than one, the
+    two degrees that differ, or, for q > 1, the first w_l whose Frobenius
+    binomial below is not in S.
 
     Irredundancy. Each P_k has dimension one and holds no monomial (a
     monomial maps to a nonzero term). Suppose P_j is redundant: the meet
@@ -652,16 +595,51 @@ def _chain_checks(P: PcbMatrix, I: Ideal, S: Ideal, saturated: bool, lattice: bo
     the monomial x^{b(n)}. E itself is redundant exactly when the P_k
     meet in I, that is when S = I, so S != I is checked, and a failure
     raises VerificationFailed naming E, the last component.
+
+    p-groups, q > 1. r is a power q of p, and F_p holds no primitive
+    r-th root of unity. The torsion group Λ / L, Λ = ker nu ∩ Z^n, is a
+    p-group, and over F_p the d characters collapse into one isolated
+    component: the hull is primary, of length d, to the trivial-character
+    prime P_0, the kernel of x_i -> t^{nu_i} (Eisenbud-Sturmfels,
+    Cor. 2.2). Facts a, b and c are checked as above, and one more: for
+    each column w_l of W, x^{q w_l+} - x^{q w_l-} reduces to zero modulo
+    S's cached reduced WeightedRevLex(nu, 0) basis, n - 1 normal forms
+    and no Groebner run. Then:
+    - W is a Z-basis of Λ. P W = ε[I; 0] with nu != 0 makes the columns
+      of W independent in ker nu, so they span it over Q. For v in Λ and
+      P' the first n - 1 rows of P, the vector v - εW P'v is orthogonal
+      to every row of P (P εW P'v = [P'v; 0] = P v) and lies in the
+      Q-span of W, so it is 0: v = εW (P'v) has integer coordinates.
+      This needs neither Q nor det P = ±1.
+    - In characteristic p with q a power of p,
+      (x^{w+} - x^{w-})^q = x^{qw+} - x^{qw-}. So every basis binomial
+      x^{w_l+} - x^{w_l-} lies in rad S.
+    - S : x_1 = S and Lemma A of embedded_checks make every monomial a
+      nonzerodivisor modulo S, so no minimal prime of S holds a monomial,
+      and every monomial is a nonzerodivisor modulo rad S. So rad S
+      contains (basis binomials) : (x_1 ... x_n)^∞, which is the lattice
+      ideal I_Λ = P_0 (Sturmfels, "Gröbner Bases and Convex Polytopes",
+      Lemma 12.2). The lattice check, or a for k = 0, gives S ⊆ P_0, so
+      rad S = P_0.
+    - Every associated prime of S holds P_0 and is homogeneous, and the
+      only homogeneous prime above P_0 besides P_0 is the irrelevant
+      ideal, which holds x_1. No associated prime of S holds x_1, so S
+      is P_0-primary. gcd(nu) = 1 and deg S = d give its length d.
+    - E is redundant only if S = I, which is checked as above. S is
+      never redundant: dropping it leaves E, which holds x^{b(n)}, while
+      I ⊆ P_0 holds no monomial.
+    So I = S for n <= 3 and I = S ∩ E for n >= 4, with 1 isolated
+    component in place of d.
     """
     if P.n <= 3:
         witness = None if S == I else "hull differs from the ideal"
     else:
         witness = None if saturated else "hull meets the embedded component outside the ideal"
-    witness = witness or _intersection_witness(P, S, saturated, lattice)
+    witness = witness or _intersection_witness(P, S, saturated, lattice, q)
     if witness:
         raise VerificationFailed(f"intersection of all components is not the ideal: {witness}")
     checks = [("intersection of all components equals the ideal", True)]
-    k = associated_vector(P)[1]
+    k = 1 if q > 1 else associated_vector(P)[1]
     if P.n >= 4:
         k += 1
         if S == I:
@@ -682,30 +660,25 @@ def verify_full_decomposition(P: PcbMatrix, p: Optional[int] = None) -> Decompos
     S = I : x^{b(n)} (see _hull_checks); no colon by x^{b(n)} and no
     Groebner basis of (f_1, ..., f_{n-1}) is computed. That one boolean,
     saturated, decides the embedded-component checks and the meet
-    S ∩ E = I that the chain takes. Over Q and over a good F_p (see
-    prime_field_for) the hull checks run; over F_p the d isolated
+    S ∩ E = I that the chain takes. The hull checks run over Q and over
+    every F_p that prime_field_for accepts; over F_p the isolated
     components are then certified, without realizing or listing any of
     them, to meet in S by a degree count and to be irredundant, from the
-    n - 1 generators of the character group (see _chain_checks). On this
-    path the saturation's is the only Groebner run. In the char-2 case
-    the collapse checks run instead, on the same boolean. A failed chain
-    or char-2 check raises VerificationFailed; the others report False.
+    n - 1 generators of the character group (see _chain_checks). When r
+    is a power of p, the same chain also proves S primary to the one
+    toric prime, from n - 1 normal forms of Frobenius powers. The
+    saturation's is the only Groebner run. A failed chain check raises
+    VerificationFailed; the others report False.
     """
-    field, good = (QQ, True) if p is None else prime_field_for(P, p)
+    field, q = (QQ, 1) if p is None else prime_field_for(P, p)
     nu = associated_vector(P)[2]
     I = pcb_ideal(P, field)
     S, steps = _saturation(P, I)
     swept = _hull_swept(P, I, S, nu)
-    embedded = embedded_checks(P, I, S, swept) if P.n >= 4 else []
+    hull_checks = _hull_checks(P, I, S, steps, swept)
+    checks = hull_checks + (embedded_checks(P, I, S, swept) if P.n >= 4 else [])
     count = None
-    if not good:
-        checks, count = _char2_checks(P, I, S, embedded, swept), 2
-    else:
-        hull_checks = _hull_checks(P, I, S, steps, swept)
-        checks = hull_checks + embedded
-        if p is not None:
-            chain, count = _chain_checks(P, I, S, swept, hull_checks[-1][1])
-            checks += chain
-    if count is not None:
-        checks.append((f"component count is {count}", True))
+    if p is not None:
+        chain, count = _chain_checks(P, I, S, swept, hull_checks[-1][1], q)
+        checks += chain + [(f"component count is {count}", True)]
     return DecompositionReport(component_count=count, checks=tuple(checks))

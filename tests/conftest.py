@@ -1,11 +1,13 @@
+import itertools
 import json
 import random
 from pathlib import Path
+from typing import List, Sequence
 
 import pytest
 
 from pcbideal import PcbMatrix, hull, validate
-from pcbideal.decomp import _power_inside, diagonal_prime_gens
+from pcbideal.oracle import Ideal, Polynomial
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -32,6 +34,28 @@ def random_pcb(rng: random.Random, n: int, max_entry: int = 4) -> PcbMatrix:
         row = off[:i] + [sum(off)] + off[i:]
         rows.append([v if j == i else -v for j, v in enumerate(row)])
     return validate(rows)
+
+
+def diagonal_prime_gens(P: PcbMatrix, field) -> List[Polynomial]:
+    """Generators x_i - x_n of the prime fixing the all-ones point."""
+    n = P.n
+    last = tuple(1 if i == n - 1 else 0 for i in range(n))
+    return [
+        Polynomial.from_terms(
+            field, n, [(1, tuple(1 if j == i else 0 for j in range(n))), (-1, last)]
+        )
+        for i in range(n - 1)
+    ]
+
+
+def _power_inside(S: Ideal, gens: Sequence[Polynomial], power: int) -> bool:
+    for combo in itertools.combinations_with_replacement(gens, power):
+        product = combo[0]
+        for f in combo[1:]:
+            product = product * f
+        if not S.contains(product):
+            return False
+    return True
 
 
 def prime_power_in_hull(P: PcbMatrix, field, power: int) -> bool:

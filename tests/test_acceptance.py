@@ -28,7 +28,6 @@ from pcbideal.core import (
     witness_identity_residual,
 )
 from pcbideal.decomp import (
-    diagonal_prime_gens,
     embedded_checks,
     embedded_component,
     hull,
@@ -42,7 +41,7 @@ from pcbideal.decomp import (
 from pcbideal.oracle import GF, QQ, Ideal, Polynomial, colon, intersect, saturate
 
 import property_suites
-from conftest import golden_path, load_golden, prime_power_in_hull
+from conftest import diagonal_prime_gens, golden_path, load_golden, prime_power_in_hull
 
 
 def _report(num: int, ok: bool, detail: str = "") -> None:

@@ -151,9 +151,20 @@ class TestVerify:
         )
         assert doc["result"]["ok"] is True
         names = {c["name"] for c in doc["result"]["checks"]}
-        assert "hull saturated by x_1" in names
+        assert "intersection of all components equals the ideal" in names
         assert "hull meets embedded component in the ideal" in names
         assert "component count is 2" in names
+
+    @pytest.mark.parametrize(
+        "name, field, count",
+        [("diag_n3.json", "fp:3", 1), ("n2_64.json", "fp:2", 1), ("diag_n5.json", "fp:5", 2)],
+    )
+    def test_full_p_group(self, capsys, name, field, count):
+        # r is a power of p: the hull is the one isolated component
+        doc = run_json(capsys, "verify", golden_path(name), "--field", field, "--level", "full")
+        assert doc["result"]["ok"] is True
+        assert all(c["ok"] for c in doc["result"]["checks"])
+        assert f"component count is {count}" in {c["name"] for c in doc["result"]["checks"]}
 
     def test_full_large_weights(self, capsys, tmp_path):
         path = tmp_path / "large_weights.json"
@@ -238,6 +249,33 @@ class TestErrors:
         doc = run_json(capsys, "verify", golden_path("simplest_n4.json"), "--field", "fp:7")
         assert doc["result"]["field"] == "fp:7"
         assert doc["result"]["ok"]
+
+    @pytest.mark.parametrize(
+        "name, field, other", [("n3_doubled.json", "fp:2", 3), ("n3_doubled.json", "fp:3", 2), ("K_6", "fp:2", 3)]
+    )
+    def test_mixed_characteristic_is_refused(self, capsys, tmp_path, name, field, other):
+        # r = 6 has a prime factor besides p: neither the roots of unity
+        # nor the p-group certificate is available, nothing prints ok, and
+        # the message names the other prime; the identity checks run over Z
+        # and accept p
+        if name == "K_6":
+            path = tmp_path / "k6.json"
+            path.write_text(json.dumps({"L": [[5 if i == j else -1 for j in range(6)] for i in range(6)]}))
+            path = str(path)
+        else:
+            path = golden_path(name)
+        for argv in (("verify", path, "--level", "full"), ("decompose", path)):
+            code, out, err = run(capsys, *argv, "--field", field)
+            assert (code, out) == (4, ""), argv
+            assert "BadPrime" in err and f"prime factor {other} besides p" in err
+        assert run_json(capsys, "verify", path, "--field", field)["result"]["ok"]
+
+    def test_p_group_is_not_decomposed(self, capsys):
+        # over F_2 the components of simplest_n4 collapse; decompose lists
+        # none apart
+        code, out, err = run(capsys, "decompose", golden_path("simplest_n4.json"), "--field", "fp:2")
+        assert (code, out) == (4, "")
+        assert "BadPrime" in err
 
     def test_bad_field_spec(self, capsys):
         # only ASCII digits, after an optional minus sign, name a field:

@@ -264,12 +264,14 @@ class TestFullVerification:
         assert report.component_count == 2
 
     def test_char2_collapse(self, simplest):
+        # r = 4 is a power of 2: the sixteen components collapse into the
+        # hull, primary to one prime, and F_2 runs the checks of F_5
         report = verify_full_decomposition(simplest, 2)
         assert report.component_count == 2
         names = [name for name, _ in report.checks]
-        assert "hull differs from the ideal" in names
-        assert "hull saturated by x_1" in names
         assert "hull meets embedded component in the ideal" in names
+        assert "every component is irredundant" in names
+        assert names[:-1] == [name for name, _ in verify_full_decomposition(simplest, 5).checks][:-1]
         assert all(ok for _, ok in report.checks)
 
     def test_char2_power_chain_is_sharp(self, simplest):

@@ -34,8 +34,12 @@ weighted reverse-lex basis by powers of one variable; the saturation by
 a power of one variable does so once, and reads its steps off the
 variable's orders in that basis. hull is that saturation by x_1; the
 colon I : x^{b(n)}, and the colon and the saturation with an auxiliary
-variable, are its references. The two sides
-must agree, on real inputs and on altered component lists.
+variable, are its references. When r is a power of p, _chain_checks
+proves the hull primary to the trivial-character prime P_0 from n - 1
+normal forms of Frobenius powers x^{r w+} - x^{r w-};
+_reference_p_group_hull realizes P_0 by one elimination and checks that
+it holds S and that the image of its basis under x_i -> x_i^r lies in S.
+The two sides must agree, on real inputs and on altered component lists.
 """
 
 import dataclasses
@@ -57,7 +61,6 @@ from pcbideal.decomp import (
     PrimeFieldRealization,
     VerificationFailed,
     _chain_checks,
-    _char2_checks,
     _hull_checks,
     _hull_swept,
     _kernel_vectors,
@@ -424,7 +427,7 @@ class Chain:
 
     def certify(self):
         """The generator certificate of decomp, which takes no specs."""
-        return _chain_checks(self.P, self.I, self.S, self.saturated, self.lattice)
+        return _chain_checks(self.P, self.I, self.S, self.saturated, self.lattice, 1)
 
     def with_specs(self, specs) -> "Chain":
         """The same input with other characters and their kernels."""
@@ -564,7 +567,7 @@ def _certificate_matches_the_character_chain(P, p: int) -> int:
     outcomes = []
     for args in [(swept, lattice), (False, lattice), (swept, False)]:
         meets = args[0] if P.n >= 4 else None
-        new = _whole_outcome(lambda: _chain_checks(P, I, S, *args))
+        new = _whole_outcome(lambda: _chain_checks(P, I, S, *args, 1))
         assert new == _whole_outcome(lambda: _reference_character_chain(P, specs, I, S, meets, *args))
         outcomes.append(new)
     assert outcomes[0] == (CHECKS, len(specs) + (P.n >= 4))
@@ -595,6 +598,77 @@ def test_certificate_matches_the_character_chain_on_random_inputs(n, count):
     for _ in range(count):
         P = random_pcb(rng, n, max_entry=2)
         _certificate_matches_the_character_chain(P, _least_good_prime(P))
+
+
+def _reference_p_group_hull(P, p: int, q: int) -> bool:
+    """Whether the hull over F_p is P_0-primary up to the exponent q, from
+    the realized trivial-character prime P_0 = ker(x_i -> t^{nu_i}): P_0
+    holds S, and the image g^[q] of every element g of P_0's reduced
+    basis, x_i -> x_i^q, lies in S. For q a power of p, g^[q] = g^q, so
+    then P_0^[q] ⊆ S ⊆ P_0 and rad S = P_0."""
+    field = GF(p)
+    S = hull(P, field)
+    P0 = ring_map_kernel([Polynomial.monomial(field, 1, (w,)) for w in associated_vector(P)[2]])
+    images = [Polynomial(field, P.n, {tuple(q * e for e in a): c for a, c in g.terms.items()}) for g in P0.groebner()]
+    return P0.includes(S) and all(S.contains(g) for g in images)
+
+
+def _p_group_certificate_agrees(P, p: int) -> None:
+    """verify over F_p, r a power of p, accepts with one isolated component,
+    and the reference holds; with the exponent r / p in place of r (when
+    it is above 1) the chain raises the Frobenius witness and the
+    reference fails: the exponent is sharp."""
+    r = normalized_snf(P).invariant_factors[-1]
+    report = verify_full_decomposition(P, p)
+    assert report.component_count == 1 + (P.n >= 4)
+    assert all(ok for _, ok in report.checks)
+    assert _reference_p_group_hull(P, p, r)
+    if r > p:
+        I, S, swept, lattice = _verify_inputs(P, p)
+        with pytest.raises(VerificationFailed, match=f"to the power {r // p} is not in the hull$"):
+            _chain_checks(P, I, S, swept, lattice, r // p)
+        assert not _reference_p_group_hull(P, p, r // p)
+
+
+P_GROUP_GOLDENS = [("simplest_n4.json", 2), ("diag_n3.json", 3), ("n2_64.json", 2), ("diag_n5.json", 5)]
+
+
+@pytest.mark.parametrize("name,p", P_GROUP_GOLDENS)
+def test_p_group_certificate_agrees_with_the_realized_prime_on_goldens(name, p):
+    _p_group_certificate_agrees(load_golden(name), p)
+
+
+@pytest.mark.parametrize("n,p", [(4, 2), (5, 5)])
+def test_p_group_certificate_agrees_with_the_realized_prime_on_complete_graphs(n, p):
+    _p_group_certificate_agrees(_complete_graph(n), p)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_p_group_certificate_agrees_with_the_realized_prime_on_random_inputs(n):
+    # 60 seeded inputs per n whose r is a power of a prime p and d <= 400
+    rng = random.Random(151 + n)
+    seen, exponents = 0, set()
+    while seen < 60:
+        P = random_pcb(rng, n, max_entry=3)
+        r = normalized_snf(P).invariant_factors[-1]
+        primes = decomp._prime_factors(r)
+        if len(primes) == 1 and associated_vector(P)[1] <= 400:
+            _p_group_certificate_agrees(P, primes[0])
+            seen += 1
+            exponents.add(r > primes[0])
+    assert exponents == {False, True}
+
+
+def test_frobenius_exponent_r_over_p_fails_the_certificate(monkeypatch):
+    # simplest_n4 over F_2 has r = 4; the exponent 2 leaves
+    # x^{2 w_2+} - x^{2 w_2-} outside the hull (w_1 lies in L, d_1 = 1)
+    P = load_golden("simplest_n4.json")
+    monkeypatch.setattr(decomp, "prime_field_for", lambda P, p: (GF(2), 2))
+    with pytest.raises(VerificationFailed) as err:
+        verify_full_decomposition(P, 2)
+    assert str(err.value) == (
+        "intersection of all components is not the ideal: kernel binomial 2 to the power 2 is not in the hull"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -1043,22 +1117,21 @@ def test_primary_to_origin_agrees_with_the_leading_ideal_on_random_inputs(n, cou
         _origin_agrees(P, GF(_least_good_prime(P)))
 
 
-# every golden over Q and over its good F_p, and simplest_n4 over F_2
+# every golden over Q and over its least p = 1 (mod r), and simplest_n4 over F_2
 GOLDEN_FIELDS = [(name, f) for name, p in GOLDEN_CASES + [("diag_n5.json", 11)] for f in (QQ, GF(p))] + [
     ("simplest_n4.json", GF(2))
 ]
 N4_GOLDENS = [("onecomp_n4.json", 2), ("simplest_n4.json", 5), ("diag_n5.json", 11)]
 
 
-def _embedded_agree(P, field, good: bool = True) -> bool:
+def _embedded_agree(P, field) -> bool:
     """embedded_checks on the boolean verify_full_decomposition hands it
     against the computed colon and intersection; returns that boolean."""
     I = pcb_ideal(P, field)
     xb = socle_monomial(P, field)
     S = colon(I, xb)
     E = embedded_component(P, field)
-    x1 = Polynomial.variable(field, P.n, 0)
-    saturated = saturate(I, x1)[0] == S if good else colon(S, x1) == S
+    saturated = saturate(I, Polynomial.variable(field, P.n, 0))[0] == S
     reference = _reference_embedded_checks(I, S, E, xb)
     assert embedded_checks(P, I, S, saturated) == reference
     assert saturated == (colon(S, xb) == S) == (intersect(S, E) == I)
@@ -1073,7 +1146,7 @@ def test_embedded_checks_agree_with_the_colon_and_the_meet_on_goldens(name, p):
 
 
 def test_embedded_checks_agree_with_the_colon_and_the_meet_in_char_2():
-    assert _embedded_agree(load_golden("simplest_n4.json"), GF(2), good=False)
+    assert _embedded_agree(load_golden("simplest_n4.json"), GF(2))
 
 
 @pytest.mark.parametrize("n,count", [(4, 8), (5, 2)])
@@ -1394,7 +1467,7 @@ def test_failed_sweep_fails_the_chain(name, p):
         swept = _hull_swept(P, I, S, nu)
         lattice = _hull_checks(P, I, S, 1, swept)[-1][1]
         for run in (
-            lambda: _chain_checks(P, I, S, swept, lattice),
+            lambda: _chain_checks(P, I, S, swept, lattice, 1),
             lambda: _reference_character_chain(P, specs, I, S, swept, swept, lattice),
         ):
             with pytest.raises(VerificationFailed) as err:
@@ -1404,21 +1477,26 @@ def test_failed_sweep_fails_the_chain(name, p):
 
 
 def test_failed_sweep_fails_the_char2_collapse():
-    # the hull plus x1 - x4 still holds a^[4] and a^7 and lies in a, so with
-    # the embedded facts taken as given the sweep alone raises
+    # the hull plus x1 - x4 still holds a^[4] and a^7 and lies in a; over
+    # F_2, r = 4 a power of 2, the one chain stops at the meet, as it does
+    # over a p = 1 (mod r)
     P = load_golden("simplest_n4.json")
     field = GF(2)
     I, S, _, nu = _hull(P, field)
     wrong = Ideal(field, P.n, S.gens + (_outside_the_hull(S, field, nu),))
-    with pytest.raises(VerificationFailed, match="^char-2 check failed: hull saturated by x_1$"):
-        _char2_checks(P, I, wrong, embedded_checks(P, I, S, True), _hull_swept(P, I, wrong, nu))
+    swept = _hull_swept(P, I, wrong, nu)
+    lattice = _hull_checks(P, I, wrong, 1, swept)[-1][1]
+    message = "intersection of all components is not the ideal: hull meets the embedded component outside the ideal"
+    with pytest.raises(VerificationFailed) as err:
+        _chain_checks(P, I, wrong, swept, lattice, 4)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("p", [None, 5, 2])
 def test_wrong_saturation_never_reports_ok(p, monkeypatch):
     # end to end: a saturation that returned the hull plus a binomial
     # outside it gives False hull and embedded checks over Q and raises
-    # over F_p, good or char-2
+    # over F_p, p = 1 (mod r) or r a power of p
     P = load_golden("simplest_n4.json")
     field = QQ if p is None else GF(p)
     _, steps, _, (wrong, _) = _wrong_hulls(P, field)
@@ -1465,11 +1543,12 @@ def test_full_verification_runs_one_saturation_and_no_colon(name, p, monkeypatch
     ((I, x1, nu),) = calls["saturate"]
     order = WeightedRevLex(nu, 0)
     basis = saturate(I, x1, nu)[0].groebner(order)
-    expected = [(J, j_order)] * len(basis)
-    if p != 2:
-        # the good path also decides the mixedness witness, by one normal
-        # form against each of the cached nu-graded bases of S and I
-        expected += [(basis, order), (I.groebner(order), order)]
+    # then the mixedness witness, by one normal form against each of the
+    # cached nu-graded bases of S and I; over F_2, r = 4 a power of 2, the
+    # chain adds one normal form modulo S per kernel vector
+    expected = [(J, j_order)] * len(basis) + [(basis, order), (I.groebner(order), order)]
+    if p == 2:
+        expected += [(basis, order)] * (P.n - 1)
     assert [(tuple(divisors), o) for _, divisors, o in calls["normal_form"]] == expected
     runs = calls["groebner_basis"]
     assert runs

@@ -20,6 +20,9 @@ from pathlib import Path
 import pytest
 
 from pcbideal.cli import main
+from pcbideal.core import normalized_snf
+
+from conftest import load_golden
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).resolve().parent / "golden_digests.json"
@@ -33,6 +36,8 @@ FIELD_PRIME = {
     "onecomp_n4": 2,
     "simplest_n4": 5,
 }
+# r a power of p: the hull is the one isolated component over F_p
+P_GROUP_PRIME = {"diag_n3": 3, "diag_n5": 5, "n2_64": 2, "simplest_n4": 2}
 
 
 def _jobs():
@@ -45,7 +50,8 @@ def _jobs():
         jobs.append(("decompose", path, "--field", f"fp:{p}"))
         jobs.append(("verify", path, "--level", "full", "--field", f"fp:{p}"))
         jobs.append(("verify", path, "--level", "full"))
-    jobs.append(("verify", "golden/simplest_n4.json", "--field", "fp:2", "--level", "full"))
+    for name, p in P_GROUP_PRIME.items():
+        jobs.append(("verify", f"golden/{name}.json", "--field", f"fp:{p}", "--level", "full"))
     jobs.append(("decompose", "golden/diag_n5.json", "--field", "fp:11"))
     jobs.append(("verify", "golden/diag_n5.json", "--level", "full", "--field", "fp:11"))
     return jobs
@@ -62,6 +68,9 @@ def _digest(argv):
 
 def test_every_golden_input_has_a_field_prime():
     assert sorted(FIELD_PRIME) == [name for name in GOLDEN if name != "diag_n5"]
+    for name, p in P_GROUP_PRIME.items():
+        r = normalized_snf(load_golden(f"{name}.json")).invariant_factors[-1]
+        assert r in {p**k for k in range(1, r.bit_length() + 1)}, name
 
 
 @pytest.mark.parametrize("argv", _jobs(), ids=" ".join)
