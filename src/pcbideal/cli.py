@@ -18,11 +18,20 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import sys
 import time
 from typing import Dict, List, Optional, Tuple
+
+# CPython's built-in SHA-256 (_sha256 to 3.11, _sha2 from 3.12), so that no
+# process loads OpenSSL through hashlib; hashlib only for a build without it.
+try:
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .core import (
@@ -57,7 +66,7 @@ class SchemaError(ValueError):
 def _load_matrix(path: str) -> Tuple[PcbMatrix, str]:
     with open(path, "rb") as fh:
         raw = fh.read()
-    digest = hashlib.sha256(raw).hexdigest()
+    digest = sha256(raw).hexdigest()
     try:
         doc = json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as err:

@@ -68,12 +68,15 @@ from .oracle import (
 
 
 class BadPrime(ValueError):
-    def __init__(self, p: int, r: int, reason: str = ""):
+    """r is None when p is refused before any matrix is read (p not prime)."""
+
+    def __init__(self, p: int, r: Optional[int], reason: str = ""):
         self.p = p
         self.r = r
         if not reason:
             reason = f"need a prime p with p = 1 (mod {r})"
-        super().__init__(f"BadPrime(p={p}, r={r}): {reason}")
+        head = f"BadPrime(p={p})" if r is None else f"BadPrime(p={p}, r={r})"
+        super().__init__(f"{head}: {reason}")
 
 
 class VerificationFailed(RuntimeError):
@@ -288,7 +291,7 @@ def prime_field(p: int) -> PrimeField:
     try:
         return GF(p)
     except ValueError as err:
-        raise BadPrime(p, 0, str(err)) from None
+        raise BadPrime(p, None, str(err)) from None
 
 
 def prime_field_for(P: PcbMatrix, p: int) -> Tuple[PrimeField, int]:

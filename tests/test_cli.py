@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pcbideal
 from pcbideal import cli, decomp
 from pcbideal.cli import main
 
-from conftest import LARGE_WEIGHTS, golden_path
+from conftest import GOLDEN, LARGE_WEIGHTS, golden_path
 
 
 def run(capsys, *argv):
@@ -243,6 +244,8 @@ class TestErrors:
             code, out, err = run(capsys, command, golden_path(name), *level, "--field", field)
             assert (code, out) == (4, ""), (command, level)
             assert "BadPrime" in err
+            # k is refused before the matrix is read, so no r is reported
+            assert "r=0" not in err and f"BadPrime(p={field[3:]}):" in err
 
     def test_verify_identities_accepts_a_bad_characteristic(self, capsys):
         # 7 is prime but not 1 (mod 4); the identity checks run over Z
@@ -291,6 +294,45 @@ class TestErrors:
             capsys, "verify", golden_path("simplest_n4.json"), "--field", "symbolic"
         )
         assert code == 2
+
+
+class TestInputDigest:
+    """`input.sha256` is the SHA-256 of the file's bytes, as hashlib computes it."""
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.json")))
+    def test_golden_digest(self, capsys, name):
+        doc = run_json(capsys, "analyze", golden_path(name))
+        assert doc["input"]["sha256"] == hashlib.sha256((GOLDEN / name).read_bytes()).hexdigest()
+
+    def test_digest_of_the_bytes_not_the_matrix(self, capsys, tmp_path):
+        # extra whitespace and a non-ASCII key change the bytes, not L
+        path = tmp_path / "spaced.json"
+        L = json.loads((GOLDEN / "diag_n3.json").read_text())["L"]
+        path.write_bytes(json.dumps({"L": L, "Bemerkung": "Größe"}, indent=3, ensure_ascii=False).encode() + b"\n\n")
+        doc = run_json(capsys, "analyze", str(path))
+        assert doc["input"]["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert doc["result"] == run_json(capsys, "analyze", golden_path("diag_n3.json"))["result"]
+
+    def test_hashlib_fallback(self):
+        # a build without CPython's built-in SHA-256 module falls back to
+        # hashlib, with the same envelope
+        env = dict(os.environ, PYTHONPATH=str(Path(pcbideal.__file__).parent.parent))
+        script = (
+            "import sys\n"
+            "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+            "import pcbideal.cli\n"
+            "assert 'hashlib' in sys.modules\n"
+            "sys.exit(pcbideal.cli.main(sys.argv[1:]))\n"
+        )
+        argv = ["analyze", golden_path("diag_n3.json")]
+        envelopes = []
+        for command in (["-c", script], ["-m", "pcbideal.cli"]):
+            done = subprocess.run([sys.executable, *command, *argv], capture_output=True, text=True, env=env, check=True)
+            doc = json.loads(done.stdout)
+            doc.pop("elapsed_ms")
+            envelopes.append(doc)
+        assert envelopes[0] == envelopes[1]
+        assert envelopes[0]["input"]["sha256"] == hashlib.sha256((GOLDEN / "diag_n3.json").read_bytes()).hexdigest()
 
 
 class TestOneProcess:

@@ -30,8 +30,11 @@ from conftest import load_golden
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
+    # nor hashlib and OpenSSL's _hashlib: the input digest is CPython's
+    # built-in SHA-256
     env = dict(os.environ, PYTHONPATH=str(Path(pcbideal.__file__).parent.parent))
-    probe = "import pcbideal.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    heavy = "{'dataclasses', 'inspect', 'hashlib', '_hashlib'}"
+    probe = f"import pcbideal.cli, sys; print(sorted({heavy} & set(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     )
