@@ -75,16 +75,18 @@ class PcbMatrix:
 
     Immutable, and equal, hashed and shown by a alone. signed, the matrix L
     itself, is built once here; normalized_snf caches its answer in _snf,
-    and every invariant is read off it.
+    and every invariant is read off it; generators caches the column
+    binomials in _gens.
     """
 
-    __slots__ = ("a", "signed", "_snf")
+    __slots__ = ("a", "signed", "_snf", "_gens")
 
     def __init__(self, a: Tuple[Tuple[int, ...], ...]):
         signed = tuple(tuple(v if i == j else -v for j, v in enumerate(row)) for i, row in enumerate(a))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "signed", IntMatrix._trusted(signed))
         object.__setattr__(self, "_snf", None)
+        object.__setattr__(self, "_gens", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PcbMatrix is immutable: cannot assign {name!r}")
@@ -138,14 +140,14 @@ class Binomial(NamedTuple):
 
 
 def generators(P: PcbMatrix) -> Tuple[Binomial, ...]:
-    """The column binomials f_1, ..., f_n."""
-    n = P.n
-    out = []
-    for j in range(n):
-        plus = tuple(P.a[j][j] if i == j else 0 for i in range(n))
-        minus = tuple(0 if i == j else P.a[i][j] for i in range(n))
-        out.append(Binomial(plus, minus))
-    return tuple(out)
+    """The column binomials f_1, ..., f_n, built once per matrix and cached on it."""
+    if P._gens is None:
+        n = P.n
+        object.__setattr__(P, "_gens", tuple(
+            Binomial(tuple(P.a[j][j] if i == j else 0 for i in range(n)), tuple(0 if i == j else P.a[i][j] for i in range(n)))
+            for j in range(n)
+        ))
+    return P._gens
 
 
 def associated_vector(P: PcbMatrix) -> Tuple[Tuple[int, ...], int, Tuple[int, ...]]:
@@ -174,41 +176,27 @@ def grading_degree(nu: Sequence[int], exponents: Sequence[int]) -> int:
     return sum(w * e for w, e in zip(nu, exponents))
 
 
-def _cyclic_walk(start: int, end: int, n: int):
-    """Indices start, start+1, ..., end taken cyclically, inclusive."""
-    i = start
-    while True:
-        yield i
-        if i == end:
-            return
-        i = (i + 1) % n
-
-
 def syzygy_vectors(P: PcbMatrix) -> Tuple[Tuple[int, ...], ...]:
     """Exponent vectors b(1), ..., b(n) with sum_i x^{b(i)} f_i = 0.
 
     b(i) vanishes at positions i and i+1 (cyclically); at any other position
     j it equals a_jj minus the partial row sum of a_j* walked cyclically from
-    j+1 up to i. The row sum property makes every entry nonnegative.
+    j+1 up to i. The row sum property makes every entry nonnegative. For
+    each j one running sum walks row j once, i = j+1, ..., j-2 cyclically,
+    so the whole table costs O(n^2); a negative entry is reported in the
+    order i, then j.
     """
     n = P.n
-    a = P.a
-    out = []
-    for i in range(n):
-        follower = (i + 1) % n
-        vec = []
-        for j in range(n):
-            if j == i or j == follower:
-                vec.append(0)
-                continue
-            value = a[j][j]
-            for u in _cyclic_walk((j + 1) % n, i, n):
-                value -= a[j][u]
-            if value < 0:
-                raise NegativeEntry(f"syzygy exponent b({i + 1})_{j + 1} = {value}")
-            vec.append(value)
-        out.append(tuple(vec))
-    return tuple(out)
+    b = [[0] * n for _ in range(n)]
+    for j, row in enumerate(P.a):
+        value = row[j]
+        for k in range(1, n - 1):
+            i = (j + k) % n
+            value -= row[i]
+            b[i][j] = value
+    if bad := next(((i, j, v) for i, vec in enumerate(b) for j, v in enumerate(vec) if v < 0), None):
+        raise NegativeEntry(f"syzygy exponent b({bad[0] + 1})_{bad[1] + 1} = {bad[2]}")
+    return tuple(map(tuple, b))
 
 
 def mixedness_witness(P: PcbMatrix) -> Binomial:

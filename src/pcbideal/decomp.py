@@ -16,9 +16,12 @@ oracle: one Buchberger run under a weighted reverse-lex order, each basis
 element divided by its whole power of x_1, and one tail reduction, with
 no colon, no auxiliary variable and no intersection (see
 oracle.saturate). hull, unmixedness_test and verify_full_decomposition
-all read it (see _saturation). In verify, one division sweep into
-f_1, ..., f_{n-1}, which are already a Groebner basis, proves S equal to
-I : x^{b(n)} (see _hull_checks). S and E meet in the ideal, and S is
+all read it (see _saturation). In verify, one sweep of S's basis into
+f_1, ..., f_{n-1}, which are already a Groebner basis with the pure
+powers x_j^{a_jj} as leading terms, proves S equal to I : x^{b(n)}: the
+division is integer rewriting of exponent vectors, each term of
+x^{b(n)} g going to one term with the same coefficient (see _hull_swept
+and _hull_checks). S and E meet in the ideal, and S is
 stable under the colon by x^{b(n)}, because S is saturated by x_1 (see
 embedded_checks); that one boolean, saturated, is also the meet the
 chain takes, and no fact is recomputed. Over F_p verify realizes no
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import mul
+from operator import add, mul, sub
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
@@ -378,30 +381,87 @@ class DecompositionReport(NamedTuple):
     checks: Tuple[Tuple[str, bool], ...]
 
 
-def _hull_swept(P: PcbMatrix, I: Ideal, S: Ideal, nu: Sequence[int]) -> bool:
+class _HullBasis(NamedTuple):
+    """S's reduced WeightedRevLex(nu, 0) basis, built once per verify:
+    the hull S, the order, the basis, which the saturation left cached,
+    and the leading monomial of each element, read once and shared by
+    the lattice check and the degree (see _hull_basis)."""
+
+    S: Ideal
+    order: WeightedRevLex
+    basis: Tuple[Polynomial, ...]
+    leads: Tuple[Tuple[int, ...], ...]
+
+
+def _hull_basis(S: Ideal, nu: Sequence[int]) -> _HullBasis:
+    order = WeightedRevLex(nu, 0)
+    basis = S.groebner(order)
+    return _HullBasis(S, order, basis, _leading_monomials(basis, order))
+
+
+def _hull_swept(P: PcbMatrix, H: _HullBasis) -> bool:
     """Whether S : x_1 = S and x^{b(n)} g lies in J = (f_1, ..., f_{n-1}),
     the generators of I but the last, for every g in S's reduced
     WeightedRevLex(nu, 0) basis, which for S ⊇ I homogeneous for nu proves
     S = I : x^{b(n)} = J : x^{b(n)} (see _hull_checks). No Groebner basis
-    of J is computed."""
-    basis = S.groebner(WeightedRevLex(nu, 0))
-    J, xb = I.gens[:-1], socle_monomial(P, S.field)
-    order = WeightedRevLex(nu, P.n - 1)
-    stable = not any(min(e[0] for e in g.terms) for g in basis)
-    return stable and not any(normal_form(xb * g, J, order).terms for g in basis)
+    of J is computed, and no polynomial is formed or divided: the sweep
+    rewrites exponent vectors.
+
+    Write f_j = x_j^{a_jj} - x^{t_j}. Then t_j = a_jj ε_j - L ε_j, for
+    ε_j the j-th unit vector, so replacing x_j^{a_jj} by the tail x^{t_j}
+    subtracts column j of L from the exponent vector. Let ν(e) take that
+    step, k times at once for the largest k with k a_jj <= e_j, while
+    some j < n allows one. Then the normal form of x^{b(n)} g modulo J is
+    the sum of c x^{ν(b(n) + e)} over the terms c x^e of g, and
+    x^{b(n)} g lies in J exactly when the coefficients that land on each
+    exponent add up to zero:
+    - f_1, ..., f_{n-1} are a Groebner basis under
+      WeightedRevLex(nu, n - 1), with leading monomials x_j^{a_jj}
+      (point 1 of _hull_checks), so a polynomial lies in J exactly when
+      its normal form is zero;
+    - the normal form modulo a Groebner basis is unique, whatever
+      reducer each step applies, and linear;
+    - f_j is monic with one other term, so a reduction step takes a term
+      c x^e to the one term c x^{e - L ε_j}, and a monomial that no
+      x_j^{a_jj} divides is its own normal form. So the normal form of
+      x^e is x^{ν(e)};
+    - ν terminates: each step keeps the nu-degree and raises the
+      x_n-exponent by k a_nj > 0, and a nu-degree holds finitely many
+      monomials, so every step strictly lowers the monomial in the
+      well-order.
+    Nothing here depends on the coefficients: the argument holds over Q
+    and every F_p, F_2 included, and for any S, a wrong hull included."""
+    if any(min(e[0] for e in g.terms) for g in H.basis):
+        return False
+    columns, shift, field = tuple(zip(*P.signed.data))[:-1], syzygy_vectors(P)[-1], H.S.field
+    for g in H.basis:
+        image = {}
+        for e, c in g.terms.items():
+            x, moved = tuple(map(add, shift, e)), True
+            while moved:
+                moved = False
+                for j, col in enumerate(columns):
+                    if x[j] >= col[j]:
+                        k = x[j] // col[j]
+                        x, moved = tuple([v - k * w for v, w in zip(x, col)]), True
+            image[x] = field.add(image.get(x, field.zero), c)
+        if any(c != field.zero for c in image.values()):
+            return False
+    return True
 
 
-def _hull_checks(P: PcbMatrix, I: Ideal, S: Ideal, steps: int, swept: bool) -> List[Tuple[str, bool]]:
-    """The hull checks: the hull computed once and proved by one division
-    sweep, the unmixedness dichotomy, the mixedness witness and the
-    lattice shape of S's basis.
+def _hull_checks(P: PcbMatrix, I: Ideal, H: _HullBasis, steps: int, swept: bool) -> List[Tuple[str, bool]]:
+    """The hull checks: the hull computed once and proved by one sweep of
+    exponent vectors, the unmixedness dichotomy, the mixedness witness
+    and the lattice shape of S's basis.
 
     S is the saturation I : x_1^∞ and steps the least N with I : x_1^N
     saturated, both as _saturation returns them: one division of I's
     reduced WeightedRevLex(nu, 0) basis by powers of x_1, with steps the
-    largest x_1-order in that basis (see oracle.saturate). swept is
-    _hull_swept(P, I, S, nu). No colon by x^{b(n)} is computed, from
-    I or from J = (f_1, ..., f_{n-1}); the sweep proves
+    largest x_1-order in that basis (see oracle.saturate). H is S's basis
+    under that order (_hull_basis) and swept is _hull_swept(P, H). No
+    colon by x^{b(n)} is computed, from I or from
+    J = (f_1, ..., f_{n-1}); the sweep proves
     S = I : x^{b(n)} = J : x^{b(n)}:
     1. The generators of J are a Groebner basis under
        WeightedRevLex(nu, n - 1), in every characteristic. Both terms of
@@ -419,7 +479,12 @@ def _hull_checks(P: PcbMatrix, I: Ideal, S: Ideal, steps: int, swept: bool) -> L
        gives S : x^{b(n)} = S.
     3. If x^{b(n)} g lies in J for every g in that basis, then
        S ⊆ J : x^{b(n)} ⊆ I : x^{b(n)} ⊆ S : x^{b(n)} = S, by J ⊆ I,
-       I ⊆ S and 2. So S = I : x^{b(n)} = J : x^{b(n)}.
+       I ⊆ S and 2. So S = I : x^{b(n)} = J : x^{b(n)}. The division is
+       exponent rewriting: the leading terms x_j^{a_jj} are pure powers
+       and the f_j monic binomials, so it takes each term of x^{b(n)} g to
+       one term with the same coefficient, and x^{b(n)} g lies in J when
+       the coefficients of each exponent so reached cancel (see
+       _hull_swept).
     The one boolean swept therefore answers both "colon by x^{b(n)}
     agrees from I and from J" and "saturation by x_1 agrees with the
     colon", and a failed sweep reports both False. It is also the
@@ -431,13 +496,10 @@ def _hull_checks(P: PcbMatrix, I: Ideal, S: Ideal, steps: int, swept: bool) -> L
     reduced WeightedRevLex(nu, 0) bases of I and of S cached, and every
     check reads them: the mixedness witness lies in S and not in I when
     its normal form is zero modulo S's basis and nonzero modulo I's, and
-    the lattice check runs over S's basis. Its boolean, the last check,
-    is the `lattice` that _chain_checks takes.
+    the lattice check runs over S's basis (see _lattice_binomials). Its
+    boolean, the last check, is the `lattice` that _chain_checks takes.
     """
-    field, n = I.field, P.n
-    m, _, nu = associated_vector(P)
-    order = WeightedRevLex(nu, 0)
-    basis = S.groebner(order)
+    field, n, order = I.field, P.n, H.order
     checks = [
         ("colon by x^{b(n)} agrees from I and from J", swept),
         ("saturation by x_1 agrees with the colon", swept),
@@ -445,23 +507,29 @@ def _hull_checks(P: PcbMatrix, I: Ideal, S: Ideal, steps: int, swept: bool) -> L
     ]
     if n >= 4:
         g = binomial_to_polynomial(mixedness_witness(P), field, n)
-        inside = not normal_form(g, basis, order) and bool(normal_form(g, I.groebner(order), order))
+        inside = not normal_form(g, H.basis, order) and bool(normal_form(g, I.groebner(order), order))
         checks.append(("witness sits in the colon but not the ideal", inside))
-    snf = normalized_snf(P)
-    L = P.signed
-    lattice_ok = True
-    for g in basis:
-        terms = sorted(g.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
-        if len(terms) != 2 or terms[0][1] != field.one or terms[1][1] != field.neg(field.one):
-            lattice_ok = False
-            break
-        u, v = terms[0][0], terms[1][0]
-        member, _ = lattice_contains(L, [a - b for a, b in zip(u, v)], snf)
-        if not member or g.substitute_powers(m).terms:
-            lattice_ok = False
-            break
-    checks.append(("hull basis is lattice binomials killed by the weights", lattice_ok))
+    checks.append(("hull basis is lattice binomials killed by the weights", _lattice_binomials(P, H)))
     return checks
+
+
+def _lattice_binomials(P: PcbMatrix, H: _HullBasis) -> bool:
+    """Whether every element of S's basis H is x^u - x^v with u - v in the
+    column lattice L, killed by the weights x_i -> t^{m_i}.
+
+    The basis is reduced and monic, so an element is such a binomial
+    exactly when it has two terms, its leading monomial u, read once in
+    H.leads, with coefficient 1 and another v with coefficient -1, and
+    u - v lies in L. Its image t^{m.u} - t^{m.v} is zero exactly when
+    m.u = m.v, in every characteristic, F_2 included."""
+    m, snf, one = associated_vector(P)[0], normalized_snf(P), H.S.field.one
+    for g, u in zip(H.basis, H.leads):
+        v = next((e for e in g.terms if e != u), u)
+        if len(g.terms) != 2 or g.terms != {u: one, v: H.S.field.neg(one)} or sum(map(mul, m, u)) != sum(map(mul, m, v)):
+            return False
+        if not lattice_contains(P.signed, list(map(sub, u, v)), snf)[0]:
+            return False
+    return True
 
 
 def _leading_monomials(basis: Sequence[Polynomial], order=DEGREVLEX) -> Tuple[Tuple[int, ...], ...]:
@@ -476,10 +544,10 @@ def _kernel_vectors(P: PcbMatrix) -> List[Tuple[int, ...]]:
     return [adj.column(j) for j in range(P.n - 1)]
 
 
-def _intersection_witness(P: PcbMatrix, S: Ideal, saturated: bool, lattice: bool, q: int) -> Optional[str]:
+def _intersection_witness(P: PcbMatrix, H: _HullBasis, saturated: bool, lattice: bool, q: int) -> Optional[str]:
     """None when the certificate proves S = P_1 ∩ ... ∩ P_d, or for
     q > 1 S primary to P_0 (see _chain_checks), else the first fact that
-    fails."""
+    fails. H is S's basis with its leading monomials (_hull_basis)."""
     if not saturated:
         return "hull not saturated by x_1"
     if not lattice:
@@ -498,22 +566,20 @@ def _intersection_witness(P: PcbMatrix, S: Ideal, saturated: bool, lattice: bool
     _, d, nu = associated_vector(P)
     if math.gcd(*nu) != 1:
         return "the weights have a common factor"
-    order = WeightedRevLex(nu, 0)
-    basis = S.groebner(order)
-    hull_degree = dimension_one_degree(_leading_monomials(basis, order), nu)
+    hull_degree = dimension_one_degree(H.leads, nu)
     if hull_degree is None:
         return "hull is not of dimension one"
     if hull_degree != d:
         return f"deg S = {hull_degree}, sum of component degrees = {d}"
     for l, w in enumerate(kernel if q > 1 else [], start=1):
         frobenius = Binomial(tuple(q * max(v, 0) for v in w), tuple(q * max(-v, 0) for v in w))
-        if normal_form(binomial_to_polynomial(frobenius, S.field, P.n), basis, order):
+        if normal_form(binomial_to_polynomial(frobenius, H.S.field, P.n), H.basis, H.order):
             return f"kernel binomial {l} to the power {q} is not in the hull"
     return None
 
 
 def _chain_checks(
-    P: PcbMatrix, I: Ideal, S: Ideal, saturated: bool, lattice: bool, q: int
+    P: PcbMatrix, I: Ideal, H: _HullBasis, saturated: bool, lattice: bool, q: int
 ) -> Tuple[List[Tuple[str, bool]], int]:
     """Prove I = P_1 ∩ ... ∩ P_d (∩ E), or for q > 1 I = S (∩ E) with S
     primary to P_0, and that no component is redundant; returns the
@@ -530,8 +596,8 @@ def _chain_checks(
     of unity, which F_p holds when q = 1, because p = 1 (mod r).
     No P_k is realized and no character is listed: every fact about them
     below is a fact about the n - 1 generators, in integers
-    (Eisenbud-Sturmfels, "Binomial ideals", 1996). S is the hull
-    I : x^{b(n)}. saturated is the hull sweep (S : x_1 = S, see
+    (Eisenbud-Sturmfels, "Binomial ideals", 1996). S = H.S is the hull
+    I : x^{b(n)}, and H its basis (_hull_basis). saturated is the hull sweep (S : x_1 = S, see
     _hull_checks), which for n >= 4 also proves S ∩ E = I (Lemma B of
     embedded_checks), and lattice is the hull check "hull basis is
     lattice binomials killed by the weights": every element of S's
@@ -568,7 +634,7 @@ def _chain_checks(
     2. S ⊆ P_k for every k (a).
     3. dim S = 1, and deg S = d. deg S comes from the nu-graded Hilbert
        series of the leading ideal of S's reduced WeightedRevLex(nu, 0)
-       basis, the one the saturation left cached
+       basis, the one the saturation left cached, read off H.leads
        (oracle.dimension_one_degree, after Bayer-Stillman), which for a
        homogeneous ideal equals the ideal's own under any order.
     By 2 each P_k, of dimension one like S, is a minimal prime of S, and
@@ -635,17 +701,17 @@ def _chain_checks(
     component in place of d.
     """
     if P.n <= 3:
-        witness = None if S == I else "hull differs from the ideal"
+        witness = None if H.S == I else "hull differs from the ideal"
     else:
         witness = None if saturated else "hull meets the embedded component outside the ideal"
-    witness = witness or _intersection_witness(P, S, saturated, lattice, q)
+    witness = witness or _intersection_witness(P, H, saturated, lattice, q)
     if witness:
         raise VerificationFailed(f"intersection of all components is not the ideal: {witness}")
     checks = [("intersection of all components equals the ideal", True)]
     k = 1 if q > 1 else associated_vector(P)[1]
     if P.n >= 4:
         k += 1
-        if S == I:
+        if H.S == I:
             raise VerificationFailed(f"component {k} is redundant", index=k - 1)
     checks.append(("every component is irredundant", True))
     return checks, k
@@ -658,10 +724,13 @@ def verify_full_decomposition(P: PcbMatrix, p: Optional[int] = None) -> Decompos
     below shares them. The embedded component E = I + (x^{b(n)}) is a
     definition, so no ideal E is built: its checks read P, I and S (see
     embedded_checks). S is computed once, on every path, as the
-    saturation I : x_1^∞ graded by nu (see _saturation), and one
-    division sweep of its basis into f_1, ..., f_{n-1} proves
-    S = I : x^{b(n)} (see _hull_checks); no colon by x^{b(n)} and no
-    Groebner basis of (f_1, ..., f_{n-1}) is computed. That one boolean,
+    saturation I : x_1^∞ graded by nu (see _saturation). Its basis under
+    WeightedRevLex(nu, 0), that order and the basis's leading monomials
+    are read once (_hull_basis), and every later check shares them. One
+    sweep of that basis, rewriting exponent vectors modulo
+    f_1, ..., f_{n-1}, proves S = I : x^{b(n)} (see _hull_swept); no
+    colon by x^{b(n)} and no Groebner basis of (f_1, ..., f_{n-1}) is
+    computed, and no polynomial is divided. That one boolean,
     saturated, decides the embedded-component checks and the meet
     S ∩ E = I that the chain takes. The hull checks run over Q and over
     every F_p that prime_field_for accepts; over F_p the isolated
@@ -674,14 +743,14 @@ def verify_full_decomposition(P: PcbMatrix, p: Optional[int] = None) -> Decompos
     VerificationFailed; the others report False.
     """
     field, q = (QQ, 1) if p is None else prime_field_for(P, p)
-    nu = associated_vector(P)[2]
     I = pcb_ideal(P, field)
     S, steps = _saturation(P, I)
-    swept = _hull_swept(P, I, S, nu)
-    hull_checks = _hull_checks(P, I, S, steps, swept)
+    H = _hull_basis(S, associated_vector(P)[2])
+    swept = _hull_swept(P, H)
+    hull_checks = _hull_checks(P, I, H, steps, swept)
     checks = hull_checks + (embedded_checks(P, I, S, swept) if P.n >= 4 else [])
     count = None
     if p is not None:
-        chain, count = _chain_checks(P, I, S, swept, hull_checks[-1][1], q)
+        chain, count = _chain_checks(P, I, H, swept, hull_checks[-1][1], q)
         checks += chain + [(f"component count is {count}", True)]
     return DecompositionReport(component_count=count, checks=tuple(checks))

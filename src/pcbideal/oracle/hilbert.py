@@ -17,6 +17,7 @@ dimension and the degree off it.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import le
 from typing import Dict, List, Optional, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
@@ -26,7 +27,7 @@ Series = Dict[int, int]  # t-exponent -> nonzero integer coefficient
 def _minimal(monomials: Sequence[Monomial]) -> List[Monomial]:
     kept: List[Monomial] = []
     for m in sorted(set(monomials), key=sum):
-        if not any(all(a <= b for a, b in zip(k, m)) for k in kept):
+        if not any(all(map(le, k, m)) for k in kept):
             kept.append(m)
     return kept
 

@@ -23,7 +23,7 @@ from pcbideal import (
     validate,
 )
 from pcbideal import core, intmat
-from pcbideal.core import identity_checks, syzygy_identity_residual, witness_identity_residual
+from pcbideal.core import NegativeEntry, PcbMatrix, identity_checks, syzygy_identity_residual, witness_identity_residual
 from pcbideal.intmat import IntMatrix, SnfResult, determinant
 
 from conftest import GOLDEN, load_golden, random_pcb
@@ -188,6 +188,19 @@ class TestGenerators:
         assert grading_degree(nu, f2.plus) == 96
         assert grading_degree(nu, f2.plus) == grading_degree(nu, f2.minus)
 
+    def test_built_once_per_matrix(self):
+        # cached on the matrix like the Smith form: every caller shares one tuple
+        P = load_golden("diag_n5.json")
+        gens = generators(P)
+        assert generators(P) is gens
+        n = P.n
+        assert gens == tuple(
+            (tuple(P.a[j][j] if i == j else 0 for i in range(n)), tuple(0 if i == j else P.a[i][j] for i in range(n)))
+            for j in range(n)
+        )
+        identity_checks(P)
+        assert generators(P) is gens
+
     def test_homogeneous_everywhere(self):
         rng = random.Random(23)
         for _ in range(30):
@@ -197,7 +210,58 @@ class TestGenerators:
                 assert grading_degree(nu, f.plus) == grading_degree(nu, f.minus)
 
 
+def _reference_syzygy_vectors(P: PcbMatrix):
+    """b(1), ..., b(n) by the O(n^3) walk that syzygy_vectors replaced: for
+    each i and each j outside {i, i+1}, a_jj minus a_j* summed along the
+    cyclic walk j+1, ..., i, entry by entry."""
+    n, a = P.n, P.a
+    out = []
+    for i in range(n):
+        vec = []
+        for j in range(n):
+            if j == i or j == (i + 1) % n:
+                vec.append(0)
+                continue
+            value, u = a[j][j], (j + 1) % n
+            while True:
+                value -= a[j][u]
+                if u == i:
+                    break
+                u = (u + 1) % n
+            if value < 0:
+                raise NegativeEntry(f"syzygy exponent b({i + 1})_{j + 1} = {value}")
+            vec.append(value)
+        out.append(tuple(vec))
+    return tuple(out)
+
+
+def _syzygy_outcome(fn, P):
+    try:
+        return fn(P)
+    except NegativeEntry as err:
+        return f"NegativeEntry: {err}"
+
+
 class TestSyzygies:
+    def test_running_sums_match_the_walk(self):
+        # valid inputs, and magnitude tables that break the row sums, where
+        # the first negative entry in the order i, then j names the error
+        rng = random.Random(43)
+        names = [p.name for p in sorted(GOLDEN.glob("*.json"))]
+        cases = [load_golden(name) for name in names] + [random_pcb(rng, rng.randint(2, 9)) for _ in range(60)]
+        broken = [
+            PcbMatrix(tuple(tuple(rng.randint(1, 6) for _ in range(n)) for _ in range(n)))
+            for n in (rng.randint(2, 7) for _ in range(60))
+        ]
+        for P in cases:
+            assert syzygy_vectors(P) == _reference_syzygy_vectors(P)
+        raised = 0
+        for P in broken:
+            expected = _syzygy_outcome(_reference_syzygy_vectors, P)
+            assert _syzygy_outcome(syzygy_vectors, P) == expected
+            raised += isinstance(expected, str)
+        assert 0 < raised < len(broken)
+
     def test_simplest_b4(self, simplest):
         assert syzygy_vectors(simplest)[3] == (0, 1, 2, 0)
 

@@ -29,6 +29,11 @@ verify_full_decomposition computes the hull once, as the saturation by
 x_1, and proves it equal to I : x^{b(n)} and J : x^{b(n)} by one division
 sweep into J = (f_1, ..., f_{n-1}); _reference_hull_checks computes the
 colons I : x^{b(n)} and J : x^{b(n)} and the saturation and compares them.
+The sweep rewrites exponent vectors and forms no polynomial;
+_reference_hull_swept forms each x^{b(n)} g as a polynomial and divides
+it by normal_form, and _reference_lattice sorts each basis element's
+terms and maps it by x_i -> t^{m_i}, where _lattice_binomials reads the
+leading monomial once and compares m.u with m.v.
 Every colon and saturation of the package is graded by nu and divides a
 weighted reverse-lex basis by powers of one variable; the saturation by
 a power of one variable does so once, and reads its steps off the
@@ -61,9 +66,11 @@ from pcbideal.decomp import (
     PrimeFieldRealization,
     VerificationFailed,
     _chain_checks,
+    _hull_basis,
     _hull_checks,
     _hull_swept,
     _kernel_vectors,
+    _lattice_binomials,
     _leading_monomials,
     _primary_to_origin,
     embedded_checks,
@@ -292,19 +299,24 @@ def _reference_degree_chain(real: PrimeFieldRealization, I: Ideal, S: Ideal, mee
     return checks, k
 
 
-def _reference_lattice(P: PcbMatrix, S: Ideal) -> bool:
-    """The lattice check on S's reduced degrevlex basis: every element is
-    x^u - x^v with u - v in the column lattice and killed by the weights."""
-    m = associated_vector(P)[0]
-    one = S.field.one
-    for g in S.groebner():
-        terms = sorted(g.terms.items(), key=lambda t: DEGREVLEX.key(t[0]), reverse=True)
-        if len(terms) != 2 or terms[0][1] != one or terms[1][1] != S.field.neg(one):
-            return False
-        member, _ = lattice_contains(P.signed, [a - b for a, b in zip(terms[0][0], terms[1][0])])
-        if not member or g.substitute_powers(m).terms:
-            return False
-    return True
+def _reference_lattice_binomial(P: PcbMatrix, g: Polynomial, order) -> bool:
+    """Whether g is x^u - x^v, x^u its leading monomial under the order,
+    with u - v in the column lattice and killed by the weights: its terms
+    sorted by the order's key, a fresh Smith form of L, and the image
+    under x_i -> t^{m_i} as a polynomial."""
+    one = g.field.one
+    terms = sorted(g.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+    if len(terms) != 2 or terms[0][1] != one or terms[1][1] != g.field.neg(one):
+        return False
+    member, _ = lattice_contains(P.signed, [a - b for a, b in zip(terms[0][0], terms[1][0])])
+    return member and not g.substitute_powers(associated_vector(P)[0]).terms
+
+
+def _reference_lattice(P: PcbMatrix, S: Ideal, order=DEGREVLEX) -> bool:
+    """The lattice check on S's reduced basis under the order, degrevlex
+    unless given: every element is x^u - x^v with u - v in the column
+    lattice and killed by the weights."""
+    return all(_reference_lattice_binomial(P, g, order) for g in S.groebner(order))
 
 
 def _reference_residue_vectors(specs, kernel) -> List[Tuple[int, ...]]:
@@ -427,7 +439,7 @@ class Chain:
 
     def certify(self):
         """The generator certificate of decomp, which takes no specs."""
-        return _chain_checks(self.P, self.I, self.S, self.saturated, self.lattice, 1)
+        return _chain_checks(self.P, self.I, _hull_basis(self.S, self.nu), self.saturated, self.lattice, 1)
 
     def with_specs(self, specs) -> "Chain":
         """The same input with other characters and their kernels."""
@@ -535,15 +547,16 @@ def _complete_graph(n: int) -> PcbMatrix:
 
 
 def _verify_inputs(P, p: int):
-    """I, S, the sweep and the lattice check over F_p, computed as
-    verify_full_decomposition computes them."""
+    """I, S's basis (_hull_basis), the sweep and the lattice check over
+    F_p, computed as verify_full_decomposition computes them."""
     field = GF(p)
     nu = associated_vector(P)[2]
     I = pcb_ideal(P, field)
     S, steps = saturate(I, Polynomial.variable(field, P.n, 0), nu)
-    swept = _hull_swept(P, I, S, nu)
-    lattice = _hull_checks(P, I, S, steps, swept)[-1][1]
-    return I, S, swept, lattice
+    H = _hull_basis(S, nu)
+    swept = _hull_swept(P, H)
+    lattice = _hull_checks(P, I, H, steps, swept)[-1][1]
+    return I, H, swept, lattice
 
 
 def _whole_outcome(run):
@@ -562,12 +575,13 @@ def _certificate_matches_the_character_chain(P, p: int) -> int:
     reference takes the sweep as the meet for n >= 4, as verify does; and
     the closed-form residue vectors ε((r / d_l) k_l mod r)_l equal the
     reference's, element for element. Returns d."""
-    I, S, swept, lattice = _verify_inputs(P, p)
+    I, H, swept, lattice = _verify_inputs(P, p)
+    S = H.S
     specs = enumerate_components(P)
     outcomes = []
     for args in [(swept, lattice), (False, lattice), (swept, False)]:
         meets = args[0] if P.n >= 4 else None
-        new = _whole_outcome(lambda: _chain_checks(P, I, S, *args, 1))
+        new = _whole_outcome(lambda: _chain_checks(P, I, H, *args, 1))
         assert new == _whole_outcome(lambda: _reference_character_chain(P, specs, I, S, meets, *args))
         outcomes.append(new)
     assert outcomes[0] == (CHECKS, len(specs) + (P.n >= 4))
@@ -624,9 +638,9 @@ def _p_group_certificate_agrees(P, p: int) -> None:
     assert all(ok for _, ok in report.checks)
     assert _reference_p_group_hull(P, p, r)
     if r > p:
-        I, S, swept, lattice = _verify_inputs(P, p)
+        I, H, swept, lattice = _verify_inputs(P, p)
         with pytest.raises(VerificationFailed, match=f"to the power {r // p} is not in the hull$"):
-            _chain_checks(P, I, S, swept, lattice, r // p)
+            _chain_checks(P, I, H, swept, lattice, r // p)
         assert not _reference_p_group_hull(P, p, r // p)
 
 
@@ -1358,6 +1372,22 @@ def _reference_hull_checks(P, field):
     ]
 
 
+def _reference_sweep_remainder(P, I, g, nu) -> Polynomial:
+    """The normal form of x^{b(n)} g modulo J = (f_1, ..., f_{n-1}) under
+    WeightedRevLex(nu, n - 1): the product formed as a Polynomial and
+    divided by normal_form."""
+    return normal_form(socle_monomial(P, g.field) * g, I.gens[:-1], WeightedRevLex(nu, P.n - 1))
+
+
+def _reference_hull_swept(P, I, S, nu) -> bool:
+    """The division sweep that _hull_swept's exponent rewriting replaced:
+    x_1 divides no element of S's reduced WeightedRevLex(nu, 0) basis, and
+    x^{b(n)} g reduces to zero modulo J for every element g."""
+    basis = S.groebner(WeightedRevLex(nu, 0))
+    stable = not any(min(e[0] for e in g.terms) for g in basis)
+    return stable and not any(_reference_sweep_remainder(P, I, g, nu) for g in basis)
+
+
 def _hull(P, field):
     """I, the hull S as verify_full_decomposition computes it, the steps of
     its saturation, and nu."""
@@ -1371,9 +1401,10 @@ def _hull_agrees(P, field) -> None:
     """The sweep's booleans against the three-way reference, and the
     saturation's reduced degrevlex basis against the colon's."""
     I, S, steps, nu = _hull(P, field)
-    swept = _hull_swept(P, I, S, nu)
+    H = _hull_basis(S, nu)
+    swept = _hull_swept(P, H)
     colon_hull, reference = _reference_hull_checks(P, field)
-    checks = _hull_checks(P, I, S, steps, swept)
+    checks = _hull_checks(P, I, H, steps, swept)
     assert checks[:2] == reference
     assert checks[-1] == ("hull basis is lattice binomials killed by the weights", _reference_lattice(P, S))
     assert checks[-1][1]
@@ -1437,18 +1468,101 @@ def _wrong_hulls(P, field):
     return I, steps, nu, wrong
 
 
-@pytest.mark.parametrize(
-    "name,field",
-    [("simplest_n4.json", QQ), ("simplest_n4.json", GF(5)), ("simplest_n4.json", GF(2)), ("diag_n5.json", GF(11)), ("diag_n3.json", GF(7))],
-    ids=lambda v: getattr(v, "tag", v),
-)
+def _around(P, basis, rng) -> List[Polynomial]:
+    """Polynomials near S's basis, for the element-wise differential: each
+    element times a monomial, a combination of two such multiples, the
+    element plus a monomial, its tail rescaled by 2, the element negated,
+    and the element with its terms shifted apart by a vector w of
+    ker nu ∩ Z^n (_kernel_vectors), which lies in L or not. A w with
+    entries summing past 12 in absolute value is left out: the reference
+    division rewrites one x_j^{a_jj} at a time, and at n = 6 such a shift
+    takes it thousands of steps per term."""
+    field, n = basis[0].field, P.n
+    kernel = [w for w in _kernel_vectors(P) if sum(map(abs, w)) <= 12]
+
+    def monomial(c=1):
+        return Polynomial.monomial(field, n, [rng.randint(0, 2) for _ in range(n)], c)
+
+    out = []
+    for g in basis:
+        out += [
+            monomial() * g,
+            monomial(rng.randint(1, 6)) * g + monomial() * rng.choice(basis),
+            g + monomial(),
+            Polynomial.from_terms(field, n, [(c if i == 0 else 2 * c, e) for i, (e, c) in enumerate(g.terms.items())]),
+            -g,
+        ] + [
+            Polynomial.from_terms(field, n, [
+                (c, [a + max(v if i == 0 else -v, 0) for a, v in zip(e, w)]) for i, (e, c) in enumerate(g.terms.items())
+            ])
+            for w in kernel[:1] + rng.sample(kernel, min(1, len(kernel)))
+        ]
+    return [f for f in out if f.terms]
+
+
+def _sweep_and_lattice_agree(P, I, S, nu, rng) -> Counter:
+    """_hull_swept and the lattice check of _hull_checks against
+    _reference_hull_swept and _reference_lattice on S's basis as a whole,
+    then _hull_swept and _lattice_binomials element by element on S's
+    basis and on _around it, each element its own one-element basis. Returns how often each (sweep, lattice)
+    outcome came up among the elements."""
+    H = _hull_basis(S, nu)
+    assert _hull_swept(P, H) == _reference_hull_swept(P, I, S, nu)
+    assert _hull_checks(P, I, H, 1, True)[-1][1] == _reference_lattice(P, S, H.order) == _reference_lattice(P, S)
+    seen = Counter()
+    for g in list(H.basis) + _around(P, H.basis, rng):
+        one = H._replace(basis=(g,), leads=(g.leading_term(H.order)[0],))
+        swept = _hull_swept(P, one)
+        assert swept == (min(e[0] for e in g.terms) == 0 and not _reference_sweep_remainder(P, I, g, nu))
+        lattice = _lattice_binomials(P, one)
+        assert lattice == _reference_lattice_binomial(P, g, H.order)
+        seen[swept, lattice] += 1
+    return seen
+
+
+@pytest.mark.parametrize("name,field", GOLDEN_FIELDS, ids=lambda v: getattr(v, "tag", v))
+def test_integer_sweep_agrees_with_the_division_on_goldens(name, field):
+    P = load_golden(name)
+    I, S, _, nu = _hull(P, field)
+    seen = _sweep_and_lattice_agree(P, I, S, nu, random.Random(name))
+    assert {swept for swept, _ in seen} == {True, False}
+    assert {lattice for _, lattice in seen} == {True, False}
+
+
+@pytest.mark.parametrize("n,count", [(3, 8), (4, 4), (5, 3), (6, 2)])
+def test_integer_sweep_agrees_with_the_division_on_random_inputs(n, count):
+    rng = random.Random(107 + n)
+    for _ in range(count):
+        P = random_pcb(rng, n, max_entry=2)
+        for field in (QQ, GF(_least_good_prime(P))):
+            I, S, _, nu = _hull(P, field)
+            _sweep_and_lattice_agree(P, I, S, nu, rng)
+
+
+WRONG_HULL_CASES = [
+    ("simplest_n4.json", QQ), ("simplest_n4.json", GF(5)), ("simplest_n4.json", GF(2)), ("diag_n5.json", GF(11)), ("diag_n3.json", GF(7))
+]
+
+
+@pytest.mark.parametrize("name,field", WRONG_HULL_CASES, ids=lambda v: getattr(v, "tag", v))
+def test_integer_sweep_agrees_with_the_division_on_wrong_hulls(name, field):
+    P = load_golden(name)
+    I, _, nu, wrong = _wrong_hulls(P, field)
+    rng = random.Random(name)
+    for S in wrong:
+        assert not _reference_hull_swept(P, I, S, nu)
+        _sweep_and_lattice_agree(P, I, S, nu, rng)
+
+
+@pytest.mark.parametrize("name,field", WRONG_HULL_CASES, ids=lambda v: getattr(v, "tag", v))
 def test_failed_sweep_reports_false(name, field):
     P = load_golden(name)
     I, steps, nu, wrong = _wrong_hulls(P, field)
     for S in wrong:
-        swept = _hull_swept(P, I, S, nu)
+        H = _hull_basis(S, nu)
+        swept = _hull_swept(P, H)
         assert not swept
-        checks = _hull_checks(P, I, S, steps, swept)
+        checks = _hull_checks(P, I, H, steps, swept)
         assert [ok for _, ok in checks[:2]] == [False, False]
         assert checks[-1][1] == _reference_lattice(P, S)
         if P.n >= 4:
@@ -1464,10 +1578,11 @@ def test_failed_sweep_fails_the_chain(name, p):
     specs = enumerate_components(P)
     message = "intersection of all components is not the ideal: hull meets the embedded component outside the ideal"
     for S in wrong:
-        swept = _hull_swept(P, I, S, nu)
-        lattice = _hull_checks(P, I, S, 1, swept)[-1][1]
+        H = _hull_basis(S, nu)
+        swept = _hull_swept(P, H)
+        lattice = _hull_checks(P, I, H, 1, swept)[-1][1]
         for run in (
-            lambda: _chain_checks(P, I, S, swept, lattice, 1),
+            lambda: _chain_checks(P, I, H, swept, lattice, 1),
             lambda: _reference_character_chain(P, specs, I, S, swept, swept, lattice),
         ):
             with pytest.raises(VerificationFailed) as err:
@@ -1484,11 +1599,12 @@ def test_failed_sweep_fails_the_char2_collapse():
     field = GF(2)
     I, S, _, nu = _hull(P, field)
     wrong = Ideal(field, P.n, S.gens + (_outside_the_hull(S, field, nu),))
-    swept = _hull_swept(P, I, wrong, nu)
-    lattice = _hull_checks(P, I, wrong, 1, swept)[-1][1]
+    H = _hull_basis(wrong, nu)
+    swept = _hull_swept(P, H)
+    lattice = _hull_checks(P, I, H, 1, swept)[-1][1]
     message = "intersection of all components is not the ideal: hull meets the embedded component outside the ideal"
     with pytest.raises(VerificationFailed) as err:
-        _chain_checks(P, I, wrong, swept, lattice, 4)
+        _chain_checks(P, I, H, swept, lattice, 4)
     assert str(err.value) == message
 
 
@@ -1526,31 +1642,35 @@ def _counted(calls, fn):
 @pytest.mark.parametrize("name,p", [("diag_n5.json", 11), ("simplest_n4.json", 2)])
 def test_full_verification_runs_one_saturation_and_no_colon(name, p, monkeypatch):
     # the hull is one saturation by x_1, which runs no colon; neither
-    # I : x^{b(n)} nor J : x^{b(n)} is computed, and J's generators are
-    # divided by as they stand, once per element of the hull's basis, with
-    # no Groebner run on them
+    # I : x^{b(n)} nor J : x^{b(n)} is computed, and the sweep into J
+    # rewrites exponent vectors: no normal form is taken modulo J's
+    # generators and no Groebner run is made on them. decomp builds one
+    # order, WeightedRevLex(nu, 0), and no WeightedRevLex(nu, n - 1)
     P = load_golden(name)
     field = GF(p)
     J = pcb_ideal(P, field).gens[:-1]
     j_order = WeightedRevLex(associated_vector(P)[2], P.n - 1)
-    calls = {"colon": [], "saturate": [], "groebner_basis": [], "normal_form": []}
-    for module, attr in [(oracle_ideal, "colon"), (decomp, "saturate"), (decomp, "normal_form"), (oracle_ideal, "groebner_basis")]:
+    calls = {"colon": [], "saturate": [], "groebner_basis": [], "normal_form": [], "WeightedRevLex": []}
+    for module, attr in [
+        (oracle_ideal, "colon"), (decomp, "saturate"), (decomp, "normal_form"), (oracle_ideal, "groebner_basis"), (decomp, "WeightedRevLex")
+    ]:
         monkeypatch.setattr(module, attr, _counted(calls[attr], getattr(module, attr)))
     report = verify_full_decomposition(P, p)
     assert all(ok for _, ok in report.checks)
     assert calls["colon"] == []
     assert not hasattr(decomp, "colon")
     ((I, x1, nu),) = calls["saturate"]
+    assert calls["WeightedRevLex"] == [(nu, 0)]
     order = WeightedRevLex(nu, 0)
     basis = saturate(I, x1, nu)[0].groebner(order)
-    # then the mixedness witness, by one normal form against each of the
+    # the mixedness witness, by one normal form against each of the
     # cached nu-graded bases of S and I; over F_2, r = 4 a power of 2, the
     # chain adds one normal form modulo S per kernel vector
-    expected = [(J, j_order)] * len(basis) + [(basis, order), (I.groebner(order), order)]
+    expected = [(basis, order), (I.groebner(order), order)]
     if p == 2:
         expected += [(basis, order)] * (P.n - 1)
     assert [(tuple(divisors), o) for _, divisors, o in calls["normal_form"]] == expected
+    assert not any(frozenset(divisors) == frozenset(J) or o == j_order for _, divisors, o in calls["normal_form"])
     runs = calls["groebner_basis"]
     assert runs
     assert not any(frozenset(gens) == frozenset(J) or order == j_order for gens, order in runs)
-
