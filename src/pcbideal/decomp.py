@@ -16,15 +16,17 @@ oracle: one Buchberger run under a weighted reverse-lex order, each basis
 element divided by its whole power of x_1, and one tail reduction, with
 no colon, no auxiliary variable and no intersection (see
 oracle.saturate). hull, unmixedness_test and verify_full_decomposition
-all read it (see _saturation). In verify, one sweep of S's basis into
-f_1, ..., f_{n-1}, which are already a Groebner basis with the pure
-powers x_j^{a_jj} as leading terms, proves S equal to I : x^{b(n)}: the
-division is integer rewriting of exponent vectors, each term of
-x^{b(n)} g going to one term with the same coefficient (see _hull_swept
-and _hull_checks). S and E meet in the ideal, and S is
-stable under the colon by x^{b(n)}, because S is saturated by x_1 (see
-embedded_checks); that one boolean, saturated, is also the meet the
-chain takes, and no fact is recomputed. Over F_p verify realizes no
+all read it (see _saturation). verify decides every fact about S once,
+in one record built from P, I and S (see _hull_record), and every check
+reads that record. One sweep of S's basis into f_1, ..., f_{n-1},
+which are already a Groebner basis with the pure powers x_j^{a_jj} as
+leading terms, proves S equal to I : x^{b(n)}: the division is integer
+rewriting of exponent vectors, each term of x^{b(n)} g going to one
+term with the same coefficient (see _hull_swept and _hull_checks). S
+and E meet in the ideal, and S is stable under the colon by x^{b(n)},
+because S is saturated by x_1 (see embedded_checks); the one sweep
+decides both, and the meet the chain takes. Whether S differs from I,
+the unmixedness dichotomy, is decided once too. Over F_p verify realizes no
 component and lists no character: the hull's basis is lattice
 binomials, and that S is the meet of the d isolated components, each
 once, follows from one Hilbert series and integer checks on the n - 1
@@ -179,11 +181,13 @@ def socle_monomial(P: PcbMatrix, field) -> Polynomial:
     return Polynomial.monomial(field, P.n, syzygy_vectors(P)[P.n - 1])
 
 
-def _saturation(P: PcbMatrix, I: Ideal) -> Tuple[Ideal, int]:
-    """saturate(I, x_1, nu): the hull S = I : x_1^∞, from one Buchberger
-    run whose basis is divided by powers of x_1 unless I : x_1 = I, and
-    steps, which is zero exactly when I : x_1 = I (see oracle.saturate)."""
-    return saturate(I, Polynomial.variable(I.field, P.n, 0), associated_vector(P)[2])
+def _saturation(P: PcbMatrix, I: Ideal) -> Ideal:
+    """The hull S = I : x_1^∞ by saturate(I, x_1, nu): one Buchberger run
+    whose basis is divided by powers of x_1 unless I : x_1 = I, in which
+    case I itself comes back (see oracle.saturate). Its step count is
+    not read: S = I exactly when I : x_1 = I, and whoever needs that
+    compares S with I."""
+    return saturate(I, Polynomial.variable(I.field, P.n, 0), associated_vector(P)[2])[0]
 
 
 def hull(P: PcbMatrix, field) -> Ideal:
@@ -191,7 +195,7 @@ def hull(P: PcbMatrix, field) -> Ideal:
     graded by nu. No isolated component holds a variable, and the
     embedded one, for n >= 4, holds a power of x_1 (see embedded_checks),
     so this is also I : x^{b(n)}; verify_full_decomposition proves it."""
-    return _saturation(P, pcb_ideal(P, field))[0]
+    return _saturation(P, pcb_ideal(P, field))
 
 
 def embedded_component(P: PcbMatrix, field) -> Ideal:
@@ -213,16 +217,16 @@ def _primary_to_origin(P: PcbMatrix) -> bool:
     return all(v > 0 for row in P.a for v in row) and any(syzygy_vectors(P)[P.n - 1])
 
 
-def embedded_checks(P: PcbMatrix, I: Ideal, S: Ideal, saturated: bool) -> List[Tuple[str, bool]]:
+def embedded_checks(P: PcbMatrix, H: _HullRecord) -> List[Tuple[str, bool]]:
     """Prove E = I + (x^{b(n)}) the embedded component of I, with hull
     S = I : x^{b(n)}. E is that sum by definition (embedded_component
     builds it for decompose), so no ideal E is built or taken here: its
-    facts are facts about P, I and S. saturated is the hull sweep,
-    already computed, that when True proves S = I : x^{b(n)} and
+    facts are facts about P, I and S, read off the hull record H
+    (_hull_record). H.swept, when True, proves S = I : x^{b(n)} and
     S : x_1 = S for S the saturation I : x_1^∞ (see _hull_checks), in
-    every characteristic. No colon, no intersection and no
-    Groebner basis is computed here: the colon and the meet are read off
-    saturated, and a False reports both checks False.
+    every characteristic, and H.distinct is S != I. No colon, no
+    intersection and no Groebner basis is computed here: the colon and
+    the meet are read off H.swept, and a False reports both checks False.
 
     Lemma A (positivity). Each generator is f_j = x_j^{a_jj} minus the
     product of x_i^{a_ij} over i != j, and every a_ij is positive. A prime
@@ -252,15 +256,17 @@ def embedded_checks(P: PcbMatrix, I: Ideal, S: Ideal, saturated: bool) -> List[T
     ideal": S ∩ E = I (Lemma B).
     """
     return [
-        ("embedded component verified", saturated and S != I and _primary_to_origin(P)),
-        ("hull meets embedded component in the ideal", saturated),
+        ("embedded component verified", H.swept and H.distinct and _primary_to_origin(P)),
+        ("hull meets embedded component in the ideal", H.swept),
     ]
 
 
 def unmixedness_test(P: PcbMatrix, field) -> bool:
-    """True when I : x_1 = I, which happens exactly for n <= 3: the
-    saturation by x_1 that hull computes moves I by no step."""
-    return _saturation(P, pcb_ideal(P, field))[1] == 0
+    """True when I : x_1 = I, which happens exactly for n <= 3: then the
+    saturation I : x_1^∞ that hull computes is I itself. Conversely
+    I : x_1 ⊆ I : x_1^∞, so S = I gives I : x_1 = I."""
+    I = pcb_ideal(P, field)
+    return _saturation(P, I) == I
 
 
 def _prime_factors(n: int) -> Tuple[int, ...]:
@@ -381,25 +387,44 @@ class DecompositionReport(NamedTuple):
     checks: Tuple[Tuple[str, bool], ...]
 
 
-class _HullBasis(NamedTuple):
-    """S's reduced WeightedRevLex(nu, 0) basis, built once per verify:
-    the hull S, the order, the basis, which the saturation left cached,
-    and the leading monomial of each element, read once and shared by
-    the lattice check and the degree (see _hull_basis)."""
+class _HullRecord(NamedTuple):
+    """Every fact verify decides about the hull S, each decided once, by
+    _hull_record: the hull S; the order WeightedRevLex(nu, 0); S's
+    reduced basis under it, which the saturation left cached; the
+    leading monomial of each element, read once and shared by the
+    lattice check and the degree; swept, the sweep of _hull_swept;
+    lattice, the check of _lattice_binomials; distinct, whether S != I;
+    and inside, for n >= 4, whether the mixedness witness lies in S and
+    not in I (None for n <= 3). Every check reads this record, and none
+    takes I."""
 
     S: Ideal
     order: WeightedRevLex
     basis: Tuple[Polynomial, ...]
     leads: Tuple[Tuple[int, ...], ...]
+    swept: bool
+    lattice: bool
+    distinct: bool
+    inside: Optional[bool]
 
 
-def _hull_basis(S: Ideal, nu: Sequence[int]) -> _HullBasis:
-    order = WeightedRevLex(nu, 0)
+def _hull_record(P: PcbMatrix, I: Ideal, S: Ideal) -> _HullRecord:
+    """The hull record of S, the saturation I : x_1^∞ (_saturation): the
+    one verify helper that reads I. One Ideal comparison decides
+    distinct, S != I; S and I both hold their reduced WeightedRevLex(nu, 0)
+    bases, which the saturation left cached, so it compares those. The
+    mixedness witness g lies in S and not in I when its normal form is
+    zero modulo S's basis and nonzero modulo I's, both under that order
+    (see _hull_checks)."""
+    order = WeightedRevLex(associated_vector(P)[2], 0)
     basis = S.groebner(order)
-    return _HullBasis(S, order, basis, _leading_monomials(basis, order))
+    leads = _leading_monomials(basis, order)
+    g = binomial_to_polynomial(mixedness_witness(P), S.field, P.n) if P.n >= 4 else None
+    inside = None if g is None else not normal_form(g, basis, order) and bool(normal_form(g, I.groebner(order), order))
+    return _HullRecord(S, order, basis, leads, _hull_swept(P, basis), _lattice_binomials(P, basis, leads), S != I, inside)
 
 
-def _hull_swept(P: PcbMatrix, H: _HullBasis) -> bool:
+def _hull_swept(P: PcbMatrix, basis: Sequence[Polynomial]) -> bool:
     """Whether S : x_1 = S and x^{b(n)} g lies in J = (f_1, ..., f_{n-1}),
     the generators of I but the last, for every g in S's reduced
     WeightedRevLex(nu, 0) basis, which for S ⊇ I homogeneous for nu proves
@@ -431,11 +456,11 @@ def _hull_swept(P: PcbMatrix, H: _HullBasis) -> bool:
       well-order.
     Nothing here depends on the coefficients: the argument holds over Q
     and every F_p, F_2 included, and for any S, a wrong hull included."""
-    if any(min(e[0] for e in g.terms) for g in H.basis):
+    if any(min(e[0] for e in g.terms) for g in basis):
         return False
-    columns, shift, field = tuple(zip(*P.signed.data))[:-1], syzygy_vectors(P)[-1], H.S.field
-    for g in H.basis:
-        image = {}
+    columns, shift = tuple(zip(*P.signed.data))[:-1], syzygy_vectors(P)[-1]
+    for g in basis:
+        field, image = g.field, {}
         for e, c in g.terms.items():
             x, moved = tuple(map(add, shift, e)), True
             while moved:
@@ -450,18 +475,16 @@ def _hull_swept(P: PcbMatrix, H: _HullBasis) -> bool:
     return True
 
 
-def _hull_checks(P: PcbMatrix, I: Ideal, H: _HullBasis, steps: int, swept: bool) -> List[Tuple[str, bool]]:
+def _hull_checks(P: PcbMatrix, H: _HullRecord) -> List[Tuple[str, bool]]:
     """The hull checks: the hull computed once and proved by one sweep of
     exponent vectors, the unmixedness dichotomy, the mixedness witness
-    and the lattice shape of S's basis.
+    and the lattice shape of S's basis, each read off the hull record H
+    (_hull_record).
 
-    S is the saturation I : x_1^∞ and steps the least N with I : x_1^N
-    saturated, both as _saturation returns them: one division of I's
-    reduced WeightedRevLex(nu, 0) basis by powers of x_1, with steps the
-    largest x_1-order in that basis (see oracle.saturate). H is S's basis
-    under that order (_hull_basis) and swept is _hull_swept(P, H). No
-    colon by x^{b(n)} is computed, from I or from
-    J = (f_1, ..., f_{n-1}); the sweep proves
+    S is the saturation I : x_1^∞: one division of I's reduced
+    WeightedRevLex(nu, 0) basis by powers of x_1 (see oracle.saturate).
+    No colon by x^{b(n)} is computed, from I or from
+    J = (f_1, ..., f_{n-1}); the sweep H.swept proves
     S = I : x^{b(n)} = J : x^{b(n)}:
     1. The generators of J are a Groebner basis under
        WeightedRevLex(nu, n - 1), in every characteristic. Both terms of
@@ -485,47 +508,43 @@ def _hull_checks(P: PcbMatrix, I: Ideal, H: _HullBasis, steps: int, swept: bool)
        one term with the same coefficient, and x^{b(n)} g lies in J when
        the coefficients of each exponent so reached cancel (see
        _hull_swept).
-    The one boolean swept therefore answers both "colon by x^{b(n)}
+    The one boolean H.swept therefore answers both "colon by x^{b(n)}
     agrees from I and from J" and "saturation by x_1 agrees with the
-    colon", and a failed sweep reports both False. It is also the
-    `saturated` that embedded_checks and _chain_checks take. steps is
-    zero exactly when no element of I's basis holds x_1, that is when
-    I : x_1 = I, which decides the unmixedness dichotomy.
+    colon", and a failed sweep reports both False; embedded_checks and
+    _chain_checks read it too.
 
-    No Groebner basis is computed here either. The saturation leaves the
-    reduced WeightedRevLex(nu, 0) bases of I and of S cached, and every
-    check reads them: the mixedness witness lies in S and not in I when
-    its normal form is zero modulo S's basis and nonzero modulo I's, and
-    the lattice check runs over S's basis (see _lattice_binomials). Its
-    boolean, the last check, is the `lattice` that _chain_checks takes.
+    H.distinct, S != I, decides the unmixedness dichotomy: S = I exactly
+    when I : x_1 = I. If I : x_1 = I then I : x_1^k = I for every k, so
+    S = I; if S = I then I ⊆ I : x_1 ⊆ S = I. For n >= 4 the mixedness
+    witness g shows I : x_1 != I: x_1 g lies in I, and H.inside is
+    whether g lies in S and not in I, from its normal forms modulo the
+    cached reduced WeightedRevLex(nu, 0) bases of S and of I. The lattice
+    check H.lattice runs over S's basis (see _lattice_binomials).
     """
-    field, n, order = I.field, P.n, H.order
     checks = [
-        ("colon by x^{b(n)} agrees from I and from J", swept),
-        ("saturation by x_1 agrees with the colon", swept),
-        ("unmixed exactly when n <= 3", (steps == 0) == (n <= 3)),
+        ("colon by x^{b(n)} agrees from I and from J", H.swept),
+        ("saturation by x_1 agrees with the colon", H.swept),
+        ("unmixed exactly when n <= 3", H.distinct == (P.n >= 4)),
     ]
-    if n >= 4:
-        g = binomial_to_polynomial(mixedness_witness(P), field, n)
-        inside = not normal_form(g, H.basis, order) and bool(normal_form(g, I.groebner(order), order))
-        checks.append(("witness sits in the colon but not the ideal", inside))
-    checks.append(("hull basis is lattice binomials killed by the weights", _lattice_binomials(P, H)))
+    if P.n >= 4:
+        checks.append(("witness sits in the colon but not the ideal", H.inside))
+    checks.append(("hull basis is lattice binomials killed by the weights", H.lattice))
     return checks
 
 
-def _lattice_binomials(P: PcbMatrix, H: _HullBasis) -> bool:
-    """Whether every element of S's basis H is x^u - x^v with u - v in the
+def _lattice_binomials(P: PcbMatrix, basis: Sequence[Polynomial], leads: Sequence[Tuple[int, ...]]) -> bool:
+    """Whether every element of S's basis is x^u - x^v with u - v in the
     column lattice L, killed by the weights x_i -> t^{m_i}.
 
     The basis is reduced and monic, so an element is such a binomial
     exactly when it has two terms, its leading monomial u, read once in
-    H.leads, with coefficient 1 and another v with coefficient -1, and
+    leads, with coefficient 1 and another v with coefficient -1, and
     u - v lies in L. Its image t^{m.u} - t^{m.v} is zero exactly when
     m.u = m.v, in every characteristic, F_2 included."""
-    m, snf, one = associated_vector(P)[0], normalized_snf(P), H.S.field.one
-    for g, u in zip(H.basis, H.leads):
-        v = next((e for e in g.terms if e != u), u)
-        if len(g.terms) != 2 or g.terms != {u: one, v: H.S.field.neg(one)} or sum(map(mul, m, u)) != sum(map(mul, m, v)):
+    m, snf = associated_vector(P)[0], normalized_snf(P)
+    for g, u in zip(basis, leads):
+        v, one = next((e for e in g.terms if e != u), u), g.field.one
+        if len(g.terms) != 2 or g.terms != {u: one, v: g.field.neg(one)} or sum(map(mul, m, u)) != sum(map(mul, m, v)):
             return False
         if not lattice_contains(P.signed, list(map(sub, u, v)), snf)[0]:
             return False
@@ -544,13 +563,13 @@ def _kernel_vectors(P: PcbMatrix) -> List[Tuple[int, ...]]:
     return [adj.column(j) for j in range(P.n - 1)]
 
 
-def _intersection_witness(P: PcbMatrix, H: _HullBasis, saturated: bool, lattice: bool, q: int) -> Optional[str]:
+def _intersection_witness(P: PcbMatrix, H: _HullRecord, q: int) -> Optional[str]:
     """None when the certificate proves S = P_1 ∩ ... ∩ P_d, or for
     q > 1 S primary to P_0 (see _chain_checks), else the first fact that
-    fails. H is S's basis with its leading monomials (_hull_basis)."""
-    if not saturated:
+    fails. H is the hull record (_hull_record)."""
+    if not H.swept:
         return "hull not saturated by x_1"
-    if not lattice:
+    if not H.lattice:
         return "hull basis is not lattice binomials"
     snf = normalized_snf(P)
     left, factors = snf.P, snf.invariant_factors
@@ -578,9 +597,7 @@ def _intersection_witness(P: PcbMatrix, H: _HullBasis, saturated: bool, lattice:
     return None
 
 
-def _chain_checks(
-    P: PcbMatrix, I: Ideal, H: _HullBasis, saturated: bool, lattice: bool, q: int
-) -> Tuple[List[Tuple[str, bool]], int]:
+def _chain_checks(P: PcbMatrix, H: _HullRecord, q: int) -> Tuple[List[Tuple[str, bool]], int]:
     """Prove I = P_1 ∩ ... ∩ P_d (∩ E), or for q > 1 I = S (∩ E) with S
     primary to P_0, and that no component is redundant; returns the
     checks and the number of components. q is the Frobenius exponent of
@@ -597,11 +614,12 @@ def _chain_checks(
     No P_k is realized and no character is listed: every fact about them
     below is a fact about the n - 1 generators, in integers
     (Eisenbud-Sturmfels, "Binomial ideals", 1996). S = H.S is the hull
-    I : x^{b(n)}, and H its basis (_hull_basis). saturated is the hull sweep (S : x_1 = S, see
-    _hull_checks), which for n >= 4 also proves S ∩ E = I (Lemma B of
-    embedded_checks), and lattice is the hull check "hull basis is
-    lattice binomials killed by the weights": every element of S's
-    reduced basis is x^u - x^v with u - v in the column lattice L.
+    I : x^{b(n)}, and H its record (_hull_record): H.swept is the hull
+    sweep (S : x_1 = S, see _hull_checks), which for n >= 4 also proves
+    S ∩ E = I (Lemma B of embedded_checks), H.lattice is the hull check
+    "hull basis is lattice binomials killed by the weights": every
+    element of S's reduced basis is x^u - x^v with u - v in the column
+    lattice L, and H.distinct is S != I.
 
     Facts from integers, each checked here on one matrix product; none
     needs Q or the unimodularity of P:
@@ -701,17 +719,17 @@ def _chain_checks(
     component in place of d.
     """
     if P.n <= 3:
-        witness = None if H.S == I else "hull differs from the ideal"
+        witness = "hull differs from the ideal" if H.distinct else None
     else:
-        witness = None if saturated else "hull meets the embedded component outside the ideal"
-    witness = witness or _intersection_witness(P, H, saturated, lattice, q)
+        witness = None if H.swept else "hull meets the embedded component outside the ideal"
+    witness = witness or _intersection_witness(P, H, q)
     if witness:
         raise VerificationFailed(f"intersection of all components is not the ideal: {witness}")
     checks = [("intersection of all components equals the ideal", True)]
     k = 1 if q > 1 else associated_vector(P)[1]
     if P.n >= 4:
         k += 1
-        if H.S == I:
+        if not H.distinct:
             raise VerificationFailed(f"component {k} is redundant", index=k - 1)
     checks.append(("every component is irredundant", True))
     return checks, k
@@ -724,15 +742,18 @@ def verify_full_decomposition(P: PcbMatrix, p: Optional[int] = None) -> Decompos
     below shares them. The embedded component E = I + (x^{b(n)}) is a
     definition, so no ideal E is built: its checks read P, I and S (see
     embedded_checks). S is computed once, on every path, as the
-    saturation I : x_1^∞ graded by nu (see _saturation). Its basis under
-    WeightedRevLex(nu, 0), that order and the basis's leading monomials
-    are read once (_hull_basis), and every later check shares them. One
-    sweep of that basis, rewriting exponent vectors modulo
-    f_1, ..., f_{n-1}, proves S = I : x^{b(n)} (see _hull_swept); no
-    colon by x^{b(n)} and no Groebner basis of (f_1, ..., f_{n-1}) is
-    computed, and no polynomial is divided. That one boolean,
-    saturated, decides the embedded-component checks and the meet
-    S ∩ E = I that the chain takes. The hull checks run over Q and over
+    saturation I : x_1^∞ graded by nu (see _saturation). Every fact about
+    S is then decided once, into one record (_hull_record), the one place
+    that reads I: S's basis under WeightedRevLex(nu, 0), that order and
+    the basis's leading monomials; one sweep of that basis, rewriting
+    exponent vectors modulo f_1, ..., f_{n-1}, which proves
+    S = I : x^{b(n)} (see _hull_swept), with no colon by x^{b(n)}, no
+    Groebner basis of (f_1, ..., f_{n-1}) and no polynomial divided; the
+    lattice check; whether S != I, by one comparison; and for n >= 4 the
+    mixedness witness. Every check reads that record: the sweep decides
+    the embedded-component checks and the meet S ∩ E = I that the chain
+    takes, and S != I decides the unmixedness dichotomy, the redundancy
+    of E and, for n <= 3, the meet. The hull checks run over Q and over
     every F_p that prime_field_for accepts; over F_p the isolated
     components are then certified, without realizing or listing any of
     them, to meet in S by a degree count and to be irredundant, from the
@@ -744,13 +765,10 @@ def verify_full_decomposition(P: PcbMatrix, p: Optional[int] = None) -> Decompos
     """
     field, q = (QQ, 1) if p is None else prime_field_for(P, p)
     I = pcb_ideal(P, field)
-    S, steps = _saturation(P, I)
-    H = _hull_basis(S, associated_vector(P)[2])
-    swept = _hull_swept(P, H)
-    hull_checks = _hull_checks(P, I, H, steps, swept)
-    checks = hull_checks + (embedded_checks(P, I, S, swept) if P.n >= 4 else [])
+    H = _hull_record(P, I, _saturation(P, I))
+    checks = _hull_checks(P, H) + (embedded_checks(P, H) if P.n >= 4 else [])
     count = None
     if p is not None:
-        chain, count = _chain_checks(P, I, H, swept, hull_checks[-1][1], q)
+        chain, count = _chain_checks(P, H, q)
         checks += chain + [(f"component count is {count}", True)]
     return DecompositionReport(component_count=count, checks=tuple(checks))

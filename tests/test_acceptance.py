@@ -28,6 +28,7 @@ from pcbideal.core import (
     witness_identity_residual,
 )
 from pcbideal.decomp import (
+    _hull_record,
     embedded_checks,
     embedded_component,
     hull,
@@ -211,7 +212,7 @@ def test_criterion_07_char2_collapse():
         "hull : x1 = hull": colon(S, x1) == S,
         "hull meets E in I": intersect(S, E) == I,
         "E primary to the irrelevant ideal": E.gens == I.gens + (socle_monomial(P, field),)
-        and all(flag for _, flag in embedded_checks(P, I, S, colon(S, x1) == S)),
+        and all(flag for _, flag in embedded_checks(P, _hull_record(P, I, S)._replace(swept=colon(S, x1) == S))),
         "report: two components, all checks ok": report.component_count == 2
         and all(flag for _, flag in report.checks),
     }

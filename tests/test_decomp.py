@@ -7,6 +7,7 @@ from pcbideal import validate
 from pcbideal.core import DimensionTooSmall, associated_vector, normalized_snf, syzygy_vectors
 from pcbideal.decomp import (
     BadPrime,
+    _hull_record,
     component_count,
     embedded_checks,
     embedded_component,
@@ -143,11 +144,16 @@ class TestHull:
 
 class TestUnmixedness:
     def test_dichotomy_on_goldens(self, simplest, onecomp):
-        assert not unmixedness_test(simplest, QQ)
-        assert not unmixedness_test(onecomp, QQ)
-        assert unmixedness_test(load_golden("n3_mixed.json"), QQ)
-        assert unmixedness_test(load_golden("diag_n3.json"), QQ)
-        assert unmixedness_test(load_golden("n2_64.json"), QQ)
+        # over Q and over each golden's least p = 1 (mod r)
+        for field in (QQ, GF(5)):
+            assert not unmixedness_test(simplest, field)
+        for field in (QQ, GF(2)):
+            assert not unmixedness_test(onecomp, field)
+            assert unmixedness_test(load_golden("n3_mixed.json"), field)
+        for field in (QQ, GF(7)):
+            assert unmixedness_test(load_golden("diag_n3.json"), field)
+        for field in (QQ, GF(3)):
+            assert unmixedness_test(load_golden("n2_64.json"), field)
 
 
 class TestEmbedded:
@@ -163,8 +169,9 @@ class TestEmbedded:
         I = pcb_ideal(simplest, QQ)
         S = hull(simplest, QQ)
         saturated = colon(S, Polynomial.variable(QQ, 4, 0)) == S
-        assert all(ok for _, ok in embedded_checks(simplest, I, S, saturated))
-        assert not any(ok for _, ok in embedded_checks(simplest, I, S, False))
+        H = _hull_record(simplest, I, S)._replace(swept=saturated)
+        assert all(ok for _, ok in embedded_checks(simplest, H))
+        assert not any(ok for _, ok in embedded_checks(simplest, H._replace(swept=False)))
 
     def test_simplest_alternative_presentation(self, simplest):
         # adding x1 instead of the socle monomial also lands m-primary:

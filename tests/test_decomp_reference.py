@@ -66,8 +66,8 @@ from pcbideal.decomp import (
     PrimeFieldRealization,
     VerificationFailed,
     _chain_checks,
-    _hull_basis,
     _hull_checks,
+    _hull_record,
     _hull_swept,
     _kernel_vectors,
     _lattice_binomials,
@@ -81,6 +81,7 @@ from pcbideal.decomp import (
     pcb_ideal,
     realize_over_prime_field,
     socle_monomial,
+    unmixedness_test,
     verify_full_decomposition,
 )
 from pcbideal.intmat import IntMatrix, lattice_contains
@@ -437,9 +438,15 @@ class Chain:
             self.P, self.real.specs, self.I, self.S, self.meets, self.saturated, self.lattice
         )
 
+    @functools.cached_property
+    def hull(self):
+        """The hull record of S, with saturated and lattice in place of
+        its own sweep and lattice check."""
+        return _hull_record(self.P, self.I, self.S)._replace(swept=self.saturated, lattice=self.lattice)
+
     def certify(self):
         """The generator certificate of decomp, which takes no specs."""
-        return _chain_checks(self.P, self.I, _hull_basis(self.S, self.nu), self.saturated, self.lattice, 1)
+        return _chain_checks(self.P, self.hull, 1)
 
     def with_specs(self, specs) -> "Chain":
         """The same input with other characters and their kernels."""
@@ -481,7 +488,11 @@ def _setup(P, p: int) -> Chain:
     saturated = saturate(I, Polynomial.variable(field, P.n, 0))[0] == S
     assert meets in (None, saturated)
     nu = associated_vector(P)[2]
-    return Chain(P, realize_over_prime_field(P, p), I, S, E, meets, nu, saturated, _reference_lattice(P, S))
+    c = Chain(P, realize_over_prime_field(P, p), I, S, E, meets, nu, saturated, _reference_lattice(P, S))
+    # the record's own sweep and lattice check agree with the brute-force
+    # ones; built here, it is clear of the patches a test makes to decomp
+    assert c.hull == _hull_record(P, I, S)
+    return c
 
 
 def _non_character(spec):
@@ -547,16 +558,12 @@ def _complete_graph(n: int) -> PcbMatrix:
 
 
 def _verify_inputs(P, p: int):
-    """I, S's basis (_hull_basis), the sweep and the lattice check over
-    F_p, computed as verify_full_decomposition computes them."""
+    """I and the hull record (_hull_record) over F_p, computed as
+    verify_full_decomposition computes them."""
     field = GF(p)
-    nu = associated_vector(P)[2]
     I = pcb_ideal(P, field)
-    S, steps = saturate(I, Polynomial.variable(field, P.n, 0), nu)
-    H = _hull_basis(S, nu)
-    swept = _hull_swept(P, H)
-    lattice = _hull_checks(P, I, H, steps, swept)[-1][1]
-    return I, H, swept, lattice
+    S, _ = saturate(I, Polynomial.variable(field, P.n, 0), associated_vector(P)[2])
+    return I, _hull_record(P, I, S)
 
 
 def _whole_outcome(run):
@@ -575,14 +582,14 @@ def _certificate_matches_the_character_chain(P, p: int) -> int:
     reference takes the sweep as the meet for n >= 4, as verify does; and
     the closed-form residue vectors ε((r / d_l) k_l mod r)_l equal the
     reference's, element for element. Returns d."""
-    I, H, swept, lattice = _verify_inputs(P, p)
+    I, H = _verify_inputs(P, p)
     S = H.S
     specs = enumerate_components(P)
     outcomes = []
-    for args in [(swept, lattice), (False, lattice), (swept, False)]:
-        meets = args[0] if P.n >= 4 else None
-        new = _whole_outcome(lambda: _chain_checks(P, I, H, *args, 1))
-        assert new == _whole_outcome(lambda: _reference_character_chain(P, specs, I, S, meets, *args))
+    for swept, lattice in [(H.swept, H.lattice), (False, H.lattice), (H.swept, False)]:
+        meets = swept if P.n >= 4 else None
+        new = _whole_outcome(lambda: _chain_checks(P, H._replace(swept=swept, lattice=lattice), 1))
+        assert new == _whole_outcome(lambda: _reference_character_chain(P, specs, I, S, meets, swept, lattice))
         outcomes.append(new)
     assert outcomes[0] == (CHECKS, len(specs) + (P.n >= 4))
     snf = normalized_snf(P)
@@ -638,9 +645,9 @@ def _p_group_certificate_agrees(P, p: int) -> None:
     assert all(ok for _, ok in report.checks)
     assert _reference_p_group_hull(P, p, r)
     if r > p:
-        I, H, swept, lattice = _verify_inputs(P, p)
+        _, H = _verify_inputs(P, p)
         with pytest.raises(VerificationFailed, match=f"to the power {r // p} is not in the hull$"):
-            _chain_checks(P, I, H, swept, lattice, r // p)
+            _chain_checks(P, H, r // p)
         assert not _reference_p_group_hull(P, p, r // p)
 
 
@@ -1139,15 +1146,18 @@ N4_GOLDENS = [("onecomp_n4.json", 2), ("simplest_n4.json", 5), ("diag_n5.json", 
 
 
 def _embedded_agree(P, field) -> bool:
-    """embedded_checks on the boolean verify_full_decomposition hands it
-    against the computed colon and intersection; returns that boolean."""
+    """embedded_checks on the hull record, whose sweep must say whether
+    the saturation by x_1 is the colon, against the computed colon and
+    intersection; returns that boolean."""
     I = pcb_ideal(P, field)
     xb = socle_monomial(P, field)
     S = colon(I, xb)
     E = embedded_component(P, field)
     saturated = saturate(I, Polynomial.variable(field, P.n, 0))[0] == S
     reference = _reference_embedded_checks(I, S, E, xb)
-    assert embedded_checks(P, I, S, saturated) == reference
+    H = _hull_record(P, I, S)
+    assert H.swept == saturated
+    assert embedded_checks(P, H) == reference
     assert saturated == (colon(S, xb) == S) == (intersect(S, E) == I)
     return saturated
 
@@ -1209,11 +1219,14 @@ def _graded_agrees(P, field) -> None:
     ]
     for build, f in cases:
         assert colon(build(), f, nu).groebner() == colon(build(), f).groebner()
-    graded, steps = saturate(pcb_ideal(P, field), x1, nu)
+    I = pcb_ideal(P, field)
+    graded, steps = saturate(I, x1, nu)
     reference, reference_steps = saturate(pcb_ideal(P, field), x1)
     assert graded.groebner() == reference.groebner() == S.groebner()
     assert steps == reference_steps
     assert (steps == 0) == (P.n <= 3)
+    # S = I exactly when I : x_1 = I, which verify reads in place of steps
+    assert (graded == I) == (reference == pcb_ideal(P, field)) == (steps == 0)
 
 
 @pytest.mark.parametrize("name,field", GOLDEN_FIELDS, ids=lambda v: getattr(v, "tag", v))
@@ -1357,6 +1370,10 @@ def test_full_verification_builds_the_ideal_once_and_no_embedded_component(name,
     assert len(built) == 1
 
 
+SWEEP = ["colon by x^{b(n)} agrees from I and from J", "saturation by x_1 agrees with the colon"]
+LATTICE = "hull basis is lattice binomials killed by the weights"
+
+
 def _reference_hull_checks(P, field):
     """The three-way hull the division sweep replaced: the colons
     I : x^{b(n)} and J : x^{b(n)} and the saturation I : x_1^∞, each graded
@@ -1400,16 +1417,15 @@ def _hull(P, field):
 def _hull_agrees(P, field) -> None:
     """The sweep's booleans against the three-way reference, and the
     saturation's reduced degrevlex basis against the colon's."""
-    I, S, steps, nu = _hull(P, field)
-    H = _hull_basis(S, nu)
-    swept = _hull_swept(P, H)
+    I, S, _, _ = _hull(P, field)
+    H = _hull_record(P, I, S)
     colon_hull, reference = _reference_hull_checks(P, field)
-    checks = _hull_checks(P, I, H, steps, swept)
-    assert checks[:2] == reference
-    assert checks[-1] == ("hull basis is lattice binomials killed by the weights", _reference_lattice(P, S))
-    assert checks[-1][1]
+    checks = dict(_hull_checks(P, H))
+    assert [(name, checks[name]) for name, _ in reference] == reference
+    assert checks[LATTICE] == _reference_lattice(P, S)
+    assert checks[LATTICE]
     assert S.groebner() == colon_hull.groebner()
-    assert swept
+    assert H.swept
 
 
 @pytest.mark.parametrize("name,field", GOLDEN_FIELDS, ids=lambda v: getattr(v, "tag", v))
@@ -1501,20 +1517,20 @@ def _around(P, basis, rng) -> List[Polynomial]:
 
 
 def _sweep_and_lattice_agree(P, I, S, nu, rng) -> Counter:
-    """_hull_swept and the lattice check of _hull_checks against
+    """The sweep and the lattice check of the hull record against
     _reference_hull_swept and _reference_lattice on S's basis as a whole,
     then _hull_swept and _lattice_binomials element by element on S's
-    basis and on _around it, each element its own one-element basis. Returns how often each (sweep, lattice)
-    outcome came up among the elements."""
-    H = _hull_basis(S, nu)
-    assert _hull_swept(P, H) == _reference_hull_swept(P, I, S, nu)
-    assert _hull_checks(P, I, H, 1, True)[-1][1] == _reference_lattice(P, S, H.order) == _reference_lattice(P, S)
+    basis and on _around it, each element its own one-element basis.
+    Returns how often each (sweep, lattice) outcome came up among the
+    elements."""
+    H = _hull_record(P, I, S)
+    assert H.swept == _reference_hull_swept(P, I, S, nu)
+    assert H.lattice == _reference_lattice(P, S, H.order) == _reference_lattice(P, S)
     seen = Counter()
     for g in list(H.basis) + _around(P, H.basis, rng):
-        one = H._replace(basis=(g,), leads=(g.leading_term(H.order)[0],))
-        swept = _hull_swept(P, one)
+        swept = _hull_swept(P, (g,))
         assert swept == (min(e[0] for e in g.terms) == 0 and not _reference_sweep_remainder(P, I, g, nu))
-        lattice = _lattice_binomials(P, one)
+        lattice = _lattice_binomials(P, (g,), (g.leading_term(H.order)[0],))
         assert lattice == _reference_lattice_binomial(P, g, H.order)
         seen[swept, lattice] += 1
     return seen
@@ -1557,16 +1573,15 @@ def test_integer_sweep_agrees_with_the_division_on_wrong_hulls(name, field):
 @pytest.mark.parametrize("name,field", WRONG_HULL_CASES, ids=lambda v: getattr(v, "tag", v))
 def test_failed_sweep_reports_false(name, field):
     P = load_golden(name)
-    I, steps, nu, wrong = _wrong_hulls(P, field)
+    I, _, _, wrong = _wrong_hulls(P, field)
     for S in wrong:
-        H = _hull_basis(S, nu)
-        swept = _hull_swept(P, H)
-        assert not swept
-        checks = _hull_checks(P, I, H, steps, swept)
-        assert [ok for _, ok in checks[:2]] == [False, False]
-        assert checks[-1][1] == _reference_lattice(P, S)
+        H = _hull_record(P, I, S)
+        assert not H.swept
+        checks = dict(_hull_checks(P, H))
+        assert [checks[name] for name in SWEEP] == [False, False]
+        assert checks[LATTICE] == _reference_lattice(P, S)
         if P.n >= 4:
-            assert [ok for _, ok in embedded_checks(P, I, S, swept)] == [False, False]
+            assert [ok for _, ok in embedded_checks(P, H)] == [False, False]
 
 
 @pytest.mark.parametrize("name,p", [("simplest_n4.json", 5), ("diag_n5.json", 11)])
@@ -1574,16 +1589,14 @@ def test_failed_sweep_fails_the_chain(name, p):
     # for n >= 4 the sweep also proves S ∩ E = I, so a failed sweep stops
     # the chain with the meet as its witness
     P = load_golden(name)
-    I, _, nu, wrong = _wrong_hulls(P, GF(p))
+    I, _, _, wrong = _wrong_hulls(P, GF(p))
     specs = enumerate_components(P)
     message = "intersection of all components is not the ideal: hull meets the embedded component outside the ideal"
     for S in wrong:
-        H = _hull_basis(S, nu)
-        swept = _hull_swept(P, H)
-        lattice = _hull_checks(P, I, H, 1, swept)[-1][1]
+        H = _hull_record(P, I, S)
         for run in (
-            lambda: _chain_checks(P, I, H, swept, lattice, 1),
-            lambda: _reference_character_chain(P, specs, I, S, swept, swept, lattice),
+            lambda: _chain_checks(P, H, 1),
+            lambda: _reference_character_chain(P, specs, I, S, H.swept, H.swept, H.lattice),
         ):
             with pytest.raises(VerificationFailed) as err:
                 run()
@@ -1599,12 +1612,9 @@ def test_failed_sweep_fails_the_char2_collapse():
     field = GF(2)
     I, S, _, nu = _hull(P, field)
     wrong = Ideal(field, P.n, S.gens + (_outside_the_hull(S, field, nu),))
-    H = _hull_basis(wrong, nu)
-    swept = _hull_swept(P, H)
-    lattice = _hull_checks(P, I, H, 1, swept)[-1][1]
     message = "intersection of all components is not the ideal: hull meets the embedded component outside the ideal"
     with pytest.raises(VerificationFailed) as err:
-        _chain_checks(P, I, H, swept, lattice, 4)
+        _chain_checks(P, _hull_record(P, I, wrong), 4)
     assert str(err.value) == message
 
 
@@ -1617,9 +1627,7 @@ def test_wrong_saturation_never_reports_ok(p, monkeypatch):
     field = QQ if p is None else GF(p)
     _, steps, _, (wrong, _) = _wrong_hulls(P, field)
     monkeypatch.setattr(decomp, "saturate", lambda *args: (wrong, steps))
-    names = [
-        "colon by x^{b(n)} agrees from I and from J",
-        "saturation by x_1 agrees with the colon",
+    names = SWEEP + [
         "embedded component verified",
         "hull meets embedded component in the ideal",
     ]
@@ -1639,38 +1647,74 @@ def _counted(calls, fn):
     return wrapper
 
 
-@pytest.mark.parametrize("name,p", [("diag_n5.json", 11), ("simplest_n4.json", 2)])
+# every golden over Q and over its least p = 1 (mod r), and simplest_n4 over F_2
+VERIFY_CASES = [("diag_n5.json", 11), ("simplest_n4.json", 2), ("diag_n5.json", None)] + [
+    (name, f) for name, p in GOLDEN_CASES for f in (None, p)
+]
+
+
+@pytest.mark.parametrize("name,p", VERIFY_CASES)
 def test_full_verification_runs_one_saturation_and_no_colon(name, p, monkeypatch):
     # the hull is one saturation by x_1, which runs no colon; neither
     # I : x^{b(n)} nor J : x^{b(n)} is computed, and the sweep into J
     # rewrites exponent vectors: no normal form is taken modulo J's
     # generators and no Groebner run is made on them. decomp builds one
-    # order, WeightedRevLex(nu, 0), and no WeightedRevLex(nu, n - 1)
+    # order, WeightedRevLex(nu, 0), and no WeightedRevLex(nu, n - 1).
+    # S = I is decided once: one Ideal comparison, of S with I
     P = load_golden(name)
-    field = GF(p)
+    field, q = (QQ, 1) if p is None else decomp.prime_field_for(P, p)
     J = pcb_ideal(P, field).gens[:-1]
     j_order = WeightedRevLex(associated_vector(P)[2], P.n - 1)
-    calls = {"colon": [], "saturate": [], "groebner_basis": [], "normal_form": [], "WeightedRevLex": []}
+    calls = {"colon": [], "saturate": [], "groebner_basis": [], "normal_form": [], "WeightedRevLex": [], "__eq__": []}
     for module, attr in [
-        (oracle_ideal, "colon"), (decomp, "saturate"), (decomp, "normal_form"), (oracle_ideal, "groebner_basis"), (decomp, "WeightedRevLex")
+        (oracle_ideal, "colon"),
+        (decomp, "saturate"),
+        (decomp, "normal_form"),
+        (oracle_ideal, "groebner_basis"),
+        (decomp, "WeightedRevLex"),
+        (Ideal, "__eq__"),
     ]:
         monkeypatch.setattr(module, attr, _counted(calls[attr], getattr(module, attr)))
     report = verify_full_decomposition(P, p)
+    compared = list(calls["__eq__"])
     assert all(ok for _, ok in report.checks)
     assert calls["colon"] == []
     assert not hasattr(decomp, "colon")
     ((I, x1, nu),) = calls["saturate"]
     assert calls["WeightedRevLex"] == [(nu, 0)]
     order = WeightedRevLex(nu, 0)
-    basis = saturate(I, x1, nu)[0].groebner(order)
-    # the mixedness witness, by one normal form against each of the
-    # cached nu-graded bases of S and I; over F_2, r = 4 a power of 2, the
-    # chain adds one normal form modulo S per kernel vector
-    expected = [(basis, order), (I.groebner(order), order)]
-    if p == 2:
+    S = saturate(I, x1, nu)[0]
+    basis = S.groebner(order)
+    # the mixedness witness, for n >= 4, by one normal form against each
+    # of the cached nu-graded bases of S and I; when r is a power of p
+    # (simplest_n4 over F_2, r = 4), the chain adds one normal form
+    # modulo S per kernel vector
+    expected = [(basis, order), (I.groebner(order), order)] if P.n >= 4 else []
+    if q > 1:
         expected += [(basis, order)] * (P.n - 1)
     assert [(tuple(divisors), o) for _, divisors, o in calls["normal_form"]] == expected
     assert not any(frozenset(divisors) == frozenset(J) or o == j_order for _, divisors, o in calls["normal_form"])
     runs = calls["groebner_basis"]
     assert runs
     assert not any(frozenset(gens) == frozenset(J) or order == j_order for gens, order in runs)
+    # the one comparison is of the saturation's result with I itself
+    # (the same object when I : x_1 = I, that is for n <= 3)
+    ((left, right),) = compared
+    assert left is I or right is I
+    other = right if left is I else left
+    assert other.groebner(order) == basis
+    assert (other is I) == (P.n <= 3)
+
+
+@pytest.mark.parametrize("name,p,steps", [("simplest_n4.json", 5, 0), ("diag_n3.json", 7, 1)])
+def test_full_verification_never_reads_the_step_count(name, p, steps, monkeypatch):
+    # the true hull with a wrong step count: 0 claims I : x_1 = I on an
+    # n = 4 input, 1 claims I : x_1 != I on an n = 3 one. verify and
+    # unmixedness_test decide S = I by comparing S with I, so neither
+    # moves, over Q or over F_p
+    P = load_golden(name)
+    fields = [(None, QQ), (p, GF(p))]
+    expected = [(verify_full_decomposition(P, k), unmixedness_test(P, f)) for k, f in fields]
+    monkeypatch.setattr(decomp, "saturate", lambda *args: (saturate(*args)[0], steps))
+    assert [(verify_full_decomposition(P, k), unmixedness_test(P, f)) for k, f in fields] == expected
+    assert [unmixed for _, unmixed in expected] == [P.n <= 3] * 2
