@@ -64,7 +64,7 @@ class SchemaError(ValueError):
 
 
 def _load_matrix(path: str) -> Tuple[PcbMatrix, str]:
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=0) as fh:
         raw = fh.read()
     digest = sha256(raw).hexdigest()
     try:
@@ -82,8 +82,11 @@ def _load_matrix(path: str) -> Tuple[PcbMatrix, str]:
         for j, v in enumerate(row):
             if isinstance(v, bool) or not isinstance(v, int):
                 raise SchemaError(f"entry ({i + 1},{j + 1}) is not an integer")
-    if "n" in doc and doc["n"] != len(rows):
-        raise SchemaError(f'"n" is {doc["n"]} but "L" has {len(rows)} rows')
+    n = doc.get("n", len(rows))
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise SchemaError(f'"n" is {n!r}, not an integer')
+    if n != len(rows):
+        raise SchemaError(f'"n" is {n!r} but "L" has {len(rows)} rows')
     return validate(rows), digest
 
 

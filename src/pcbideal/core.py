@@ -16,6 +16,7 @@ identity checks expand monomials termwise over the integers.
 from __future__ import annotations
 
 import math
+from operator import add, mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .intmat import (
@@ -117,8 +118,9 @@ def validate(rows: Sequence[Sequence[int]]) -> PcbMatrix:
     """
     data = [list(row) for row in rows]
     n = len(data)
-    if any(len(row) != n for row in data):
-        raise NonSquare(n, max(len(row) for row in data))
+    width = next((len(row) for row in data if len(row) != n), None)
+    if width is not None:
+        raise NonSquare(n, width)
     if n < 2:
         raise TooSmall(n)
     for i, row in enumerate(data):
@@ -219,44 +221,31 @@ def mixedness_witness(P: PcbMatrix) -> Binomial:
     return Binomial(tuple(plus), tuple(minus))
 
 
-def _add_exponents(u: Sequence[int], v: Sequence[int]) -> Tuple[int, ...]:
-    return tuple(x + y for x, y in zip(u, v))
-
-
-def _accumulate(acc: Dict[Tuple[int, ...], int], exps: Tuple[int, ...], coeff: int) -> None:
-    new = acc.get(exps, 0) + coeff
-    if new:
-        acc[exps] = new
-    else:
-        acc.pop(exps, None)
+def _expansion(products) -> Dict[Tuple[int, ...], int]:
+    """Termwise expansion of the sum of c x^s (x^plus - x^minus) over the
+    (s, binomial, c) of products, with the terms that cancel left out."""
+    acc: Dict[Tuple[int, ...], int] = {}
+    for shift, f, c in products:
+        for e, sign in ((f.plus, c), (f.minus, -c)):
+            e = tuple(map(add, shift, e))
+            acc[e] = acc.get(e, 0) + sign
+    return {e: c for e, c in acc.items() if c}
 
 
 def syzygy_identity_residual(P: PcbMatrix) -> Dict[Tuple[int, ...], int]:
     """Termwise expansion of sum_i x^{b(i)} f_i; empty dict means the identity holds."""
-    acc: Dict[Tuple[int, ...], int] = {}
-    for b, f in zip(syzygy_vectors(P), generators(P)):
-        _accumulate(acc, _add_exponents(b, f.plus), 1)
-        _accumulate(acc, _add_exponents(b, f.minus), -1)
-    return acc
+    return _expansion((b, f, 1) for b, f in zip(syzygy_vectors(P), generators(P)))
 
 
 def witness_identity_residual(P: PcbMatrix) -> Dict[Tuple[int, ...], int]:
     """Expansion of x_1 g - x_n^{a_nn - a_n1} f_1 - x_2^{a_21}...x_{n-1}^{a_{n-1,1}} f_n."""
     n = P.n
     a = P.a
-    g = mixedness_witness(P)
     f = generators(P)
     x1 = tuple(1 if i == 0 else 0 for i in range(n))
     xn_pow = tuple(a[n - 1][n - 1] - a[n - 1][0] if i == n - 1 else 0 for i in range(n))
     g1 = tuple(a[i][0] if 0 < i < n - 1 else 0 for i in range(n))
-    acc: Dict[Tuple[int, ...], int] = {}
-    _accumulate(acc, _add_exponents(x1, g.plus), 1)
-    _accumulate(acc, _add_exponents(x1, g.minus), -1)
-    _accumulate(acc, _add_exponents(xn_pow, f[0].plus), -1)
-    _accumulate(acc, _add_exponents(xn_pow, f[0].minus), 1)
-    _accumulate(acc, _add_exponents(g1, f[n - 1].plus), -1)
-    _accumulate(acc, _add_exponents(g1, f[n - 1].minus), 1)
-    return acc
+    return _expansion([(x1, mixedness_witness(P), 1), (xn_pow, f[0], -1), (g1, f[n - 1], -1)])
 
 
 def identity_checks(P: PcbMatrix) -> List[Tuple[str, bool]]:
@@ -292,9 +281,7 @@ def identity_checks(P: PcbMatrix) -> List[Tuple[str, bool]]:
     checks.append(("syzygy identity expands to zero", not syzygy_identity_residual(P)))
     if n >= 4:
         checks.append(("witness identity expands to zero", not witness_identity_residual(P)))
-    homogeneous = all(
-        grading_degree(nu, f.plus) == grading_degree(nu, f.minus) for f in generators(P)
-    )
+    homogeneous = all(sum(map(mul, nu, f.plus)) == sum(map(mul, nu, f.minus)) for f in generators(P))
     checks.append(("generators homogeneous under the weight vector", homogeneous))
     snf = normalized_snf(P)
     reproduced = snf.P @ L @ snf.Q == snf.D
@@ -305,9 +292,9 @@ def identity_checks(P: PcbMatrix) -> List[Tuple[str, bool]]:
     chain = all(factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1))
     checks.append(("divisibility chain", chain))
     padded = factors + (0,) * (n - len(factors))
-    diagonal = IntMatrix([[v if i == j else 0 for j in range(n)] for i, v in enumerate(padded)])
+    diagonal = tuple(tuple(v if i == j else 0 for j in range(n)) for i, v in enumerate(padded))
     certified = reproduced and unimodular and chain and all(f > 0 for f in factors)
-    checks.append(("minor gcds match the invariant factors", certified and snf.D == diagonal))
+    checks.append(("minor gcds match the invariant factors", certified and snf.D.data == diagonal))
     weight_gcd = math.gcd(*m_adj)
     primitive = tuple(v // weight_gcd for v in m_adj)
     checks.append(("last transform row equals the weight vector", snf.P.row(n - 1) == primitive))
@@ -330,12 +317,12 @@ def normalized_snf(P: PcbMatrix) -> SnfResult:
         snf = smith_normal_form(P.signed)
         if snf.rank != P.n - 1:
             raise AssertionError("a PCB matrix must have rank n - 1")
-        p = snf.P.to_rows()
-        if p[-1][0] < 0:
-            p[-1] = [-v for v in p[-1]]
-        if any(v <= 0 for v in p[-1]):
-            raise AssertionError(f"kernel row {p[-1]} of a PCB matrix must have one strict sign")
-        object.__setattr__(P, "_snf", SnfResult(IntMatrix(p), snf.D, snf.Q, snf.invariant_factors))
+        *rows, last = snf.P.data
+        if last[0] < 0:
+            last = tuple(-v for v in last)
+        if any(v <= 0 for v in last):
+            raise AssertionError(f"kernel row {list(last)} of a PCB matrix must have one strict sign")
+        object.__setattr__(P, "_snf", SnfResult(IntMatrix._trusted((*rows, last)), snf.D, snf.Q, snf.invariant_factors))
     return P._snf
 
 
@@ -352,10 +339,10 @@ def small_dim_decomposition(P: PcbMatrix) -> Optional[SnfResult]:
     if n == 2:
         a11, a22 = a[0][0], a[1][1]
         d, b1, b2 = bezout(a11, a22)
-        pm = IntMatrix([[b1, -b2], [a22 // d, a11 // d]])
-        qm = IntMatrix([[1, 1], [0, 1]])
-        dm = IntMatrix([[d, 0], [0, 0]])
-        result = SnfResult(pm, dm, qm, (d,))
+        pm = ((b1, -b2), (a22 // d, a11 // d))
+        qm = ((1, 1), (0, 1))
+        dm = ((d, 0), (0, 0))
+        factors = (d,)
     elif n == 3:
         d1 = math.gcd(*(v for row in a for v in row))
         b, c1, c2 = bezout(a[2][0], a[2][1])
@@ -373,13 +360,14 @@ def small_dim_decomposition(P: PcbMatrix) -> Optional[SnfResult]:
         if g != 1:
             raise AssertionError("first two weights must be coprime when gcd(a31, a32) = d1")
         c = s2 * alpha1 - s1 * alpha2
-        pm = IntMatrix([[0, 0, 1], [s2, -s1, -c], [nu[0], nu[1], nu[2]]])
-        qm = IntMatrix([[-c1, a[2][1] // b, 1], [-c2, -(a[2][0] // b), 1], [0, 0, 1]])
-        dm = IntMatrix([[d1, 0, 0], [0, d2, 0], [0, 0, 0]])
-        result = SnfResult(pm, dm, qm, (d1, d2))
+        pm = ((0, 0, 1), (s2, -s1, -c), nu)
+        qm = ((-c1, a[2][1] // b, 1), (-c2, -(a[2][0] // b), 1), (0, 0, 1))
+        dm = ((d1, 0, 0), (0, d2, 0), (0, 0, 0))
+        factors = (d1, d2)
     else:
         return None
-    if result.P @ P.signed @ result.Q != result.D:
+    result = SnfResult(IntMatrix._trusted(pm), IntMatrix._trusted(dm), IntMatrix._trusted(qm), factors)
+    if (result.P @ P.signed @ result.Q).data != dm:
         raise AssertionError("closed-form transforms failed to reproduce D")
     return result
 

@@ -393,7 +393,8 @@ class _HullRecord(NamedTuple):
     reduced basis under it, which the saturation left cached; the
     leading monomial of each element, read once and shared by the
     lattice check and the degree; swept, the sweep of _hull_swept;
-    lattice, the check of _lattice_binomials; distinct, whether S != I;
+    lattice, the check of _lattice_binomials, which reads swept;
+    distinct, whether S != I;
     and inside, for n >= 4, whether the mixedness witness lies in S and
     not in I (None for n <= 3). Every check reads this record, and none
     takes I."""
@@ -421,7 +422,8 @@ def _hull_record(P: PcbMatrix, I: Ideal, S: Ideal) -> _HullRecord:
     leads = _leading_monomials(basis, order)
     g = binomial_to_polynomial(mixedness_witness(P), S.field, P.n) if P.n >= 4 else None
     inside = None if g is None else not normal_form(g, basis, order) and bool(normal_form(g, I.groebner(order), order))
-    return _HullRecord(S, order, basis, leads, _hull_swept(P, basis), _lattice_binomials(P, basis, leads), S != I, inside)
+    swept = _hull_swept(P, basis)
+    return _HullRecord(S, order, basis, leads, swept, _lattice_binomials(P, basis, leads, swept), S != I, inside)
 
 
 def _hull_swept(P: PcbMatrix, basis: Sequence[Polynomial]) -> bool:
@@ -532,21 +534,34 @@ def _hull_checks(P: PcbMatrix, H: _HullRecord) -> List[Tuple[str, bool]]:
     return checks
 
 
-def _lattice_binomials(P: PcbMatrix, basis: Sequence[Polynomial], leads: Sequence[Tuple[int, ...]]) -> bool:
+def _lattice_binomials(P: PcbMatrix, basis: Sequence[Polynomial], leads: Sequence[Tuple[int, ...]], swept: bool) -> bool:
     """Whether every element of S's basis is x^u - x^v with u - v in the
-    column lattice L, killed by the weights x_i -> t^{m_i}.
+    column lattice L, killed by the weights x_i -> t^{m_i}; swept is
+    _hull_swept of the same basis.
 
     The basis is reduced and monic, so an element is such a binomial
     exactly when it has two terms, its leading monomial u, read once in
     leads, with coefficient 1 and another v with coefficient -1, and
     u - v lies in L. Its image t^{m.u} - t^{m.v} is zero exactly when
-    m.u = m.v, in every characteristic, F_2 included."""
-    m, snf = associated_vector(P)[0], normalized_snf(P)
+    m.u = m.v, in every characteristic, F_2 included.
+
+    When the sweep holds, u - v lies in L already, with no Smith form
+    solve. A step of ν subtracts an integer multiple of a column of L, so
+    ν(b(n) + u) = b(n) + u - L k and ν(b(n) + v) = b(n) + v - L k' for
+    integer vectors k, k'. The sweep adds the coefficients 1 and -1 of the
+    two terms on the exponents they land on, and it holds only when every
+    such sum is zero. Two different exponents would carry the sums 1 and
+    -1, nonzero in every field, so both terms landed on one exponent, and
+    u - v = L (k - k'). Only a failed sweep
+    solves D y = P (u - v) by lattice_contains, which checks its
+    certificate against L."""
+    m = associated_vector(P)[0]
+    snf = None if swept else normalized_snf(P)
     for g, u in zip(basis, leads):
         v, one = next((e for e in g.terms if e != u), u), g.field.one
         if len(g.terms) != 2 or g.terms != {u: one, v: g.field.neg(one)} or sum(map(mul, m, u)) != sum(map(mul, m, v)):
             return False
-        if not lattice_contains(P.signed, list(map(sub, u, v)), snf)[0]:
+        if not swept and not lattice_contains(P.signed, list(map(sub, u, v)), snf)[0]:
             return False
     return True
 
@@ -574,8 +589,9 @@ def _intersection_witness(P: PcbMatrix, H: _HullRecord, q: int) -> Optional[str]
     snf = normalized_snf(P)
     left, factors = snf.P, snf.invariant_factors
     r = factors[-1]
-    for j, (dj, row) in enumerate(zip(factors, (left @ P.signed).data), start=1):
-        if r % dj or any(v % dj for v in row):
+    columns = tuple(zip(*P.signed.data))
+    for j, (dj, row) in enumerate(zip(factors, left.data), start=1):
+        if r % dj or any(sum(map(mul, row, col)) % dj for col in columns):
             return f"generator {j} of the character group does not kill the lattice"
     kernel = _kernel_vectors(P)
     product = [[sum(map(mul, row, w)) for w in kernel] for row in left.data]

@@ -14,17 +14,19 @@ echelon form (see adjugate).
 
 from __future__ import annotations
 
-from operator import mul
+from operator import index, mul
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 
 class IntMatrix:
-    """Immutable dense matrix over the integers."""
+    """Immutable dense matrix over the integers. Entries, and the vector
+    of a matrix-vector product, go through operator.index, so a float or a
+    Fraction raises TypeError instead of being truncated."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, entries: Iterable[Sequence[int]]):
-        data = tuple(tuple(int(v) for v in row) for row in entries)
+        data = tuple(tuple(map(index, row)) for row in entries)
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and one column")
         width = len(data[0])
@@ -75,7 +77,7 @@ class IntMatrix:
             return IntMatrix._trusted(
                 tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.data)
             )
-        vec = tuple(int(x) for x in other)
+        vec = tuple(map(index, other))
         if len(vec) != self.cols:
             raise ValueError("shape mismatch in matrix-vector product")
         return tuple(sum(map(mul, row, vec)) for row in self.data)
@@ -340,7 +342,7 @@ def lattice_contains(
     coordinates only have to vanish. The certificate is checked against m
     either way.
     """
-    vec = tuple(int(x) for x in v)
+    vec = tuple(map(index, v))
     if len(vec) != m.rows:
         raise ValueError("vector length must match the number of rows")
     if snf is None:

@@ -7,7 +7,7 @@ number of variables, which is all the Buchberger engine needs.
 
 from __future__ import annotations
 
-from operator import mul, neg
+from operator import index, mul, neg
 from typing import Sequence
 
 
@@ -76,7 +76,7 @@ class WeightedRevLex(MonomialOrder):
     """
 
     def __init__(self, weights: Sequence[int], last: int):
-        self.weights = tuple(int(w) for w in weights)
+        self.weights = tuple(map(index, weights))
         if not self.weights or min(self.weights) <= 0:
             raise ValueError("weights must be positive")
         if not 0 <= last < len(self.weights):

@@ -6,6 +6,7 @@ Instances are immutable by convention; arithmetic returns fresh objects.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Dict, Iterable, Sequence, Tuple
 
 from .field import QQ
@@ -35,7 +36,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, field, nvars: int, exps: Sequence[int], coeff=1) -> "Polynomial":
-        exps = tuple(int(e) for e in exps)
+        exps = tuple(map(index, exps))
         if len(exps) != nvars:
             raise ValueError("exponent vector length does not match nvars")
         if any(e < 0 for e in exps):
@@ -55,7 +56,7 @@ class Polynomial:
         terms: Dict[Tuple[int, ...], object] = {}
         zero = field.zero
         for coeff, exps in items:
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(index, exps))
             if len(exps) != nvars:
                 raise ValueError("exponent vector length does not match nvars")
             c = field.add(terms.get(exps, zero), field.of(coeff))

@@ -216,6 +216,15 @@ class TestErrors:
         code, _, err = run(capsys, "analyze", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("n,shown", [('"3"', "'3'"), ("3.0", "3.0"), ("true", "True")])
+    def test_n_must_be_an_integer(self, capsys, tmp_path, n, shown):
+        # L itself is a valid 3x3 PCB matrix, so only "n" is wrong
+        bad = tmp_path / "n.json"
+        bad.write_text('{"n": %s, "L": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]}' % n)
+        code, out, err = run(capsys, "analyze", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f'parse error: "n" is {shown}, not an integer\n'
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "analyze", str(tmp_path / "nope.json"))
         assert code == 2

@@ -121,6 +121,15 @@ class TestValidate:
         with pytest.raises(NonSquare) as exc:
             validate([[2, -1, -1], [-1, 2, -1]])
         assert "2x3" in str(exc.value)
+        # a ragged matrix reports the first row whose length is not n,
+        # not the longest row
+        with pytest.raises(NonSquare) as exc:
+            validate([[2, -1, -1], [-1, 1], [-1, -1, 2]])
+        assert str(exc.value) == "NonSquare(3x2)"
+        assert exc.value.shape == (3, 2)
+        with pytest.raises(NonSquare) as exc:
+            validate([[], [1, -1]])
+        assert exc.value.shape == (2, 0)
 
     def test_too_small(self):
         with pytest.raises(TooSmall):

@@ -32,8 +32,10 @@ colons I : x^{b(n)} and J : x^{b(n)} and the saturation and compares them.
 The sweep rewrites exponent vectors and forms no polynomial;
 _reference_hull_swept forms each x^{b(n)} g as a polynomial and divides
 it by normal_form, and _reference_lattice sorts each basis element's
-terms and maps it by x_i -> t^{m_i}, where _lattice_binomials reads the
-leading monomial once and compares m.u with m.v.
+terms, maps it by x_i -> t^{m_i} and solves for u - v in the lattice by
+a fresh Smith form, where _lattice_binomials reads the leading monomial
+once, compares m.u with m.v and reads u - v in L off the sweep, solving
+by lattice_contains only when the sweep failed.
 Every colon and saturation of the package is graded by nu and divides a
 weighted reverse-lex basis by powers of one variable; the saturation by
 a power of one variable does so once, and reads its steps off the
@@ -60,7 +62,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcbideal import decomp, validate
+from pcbideal import decomp, intmat, validate
 from pcbideal.core import PcbMatrix, associated_vector, normalized_snf
 from pcbideal.decomp import (
     PrimeFieldRealization,
@@ -1520,19 +1522,30 @@ def _sweep_and_lattice_agree(P, I, S, nu, rng) -> Counter:
     """The sweep and the lattice check of the hull record against
     _reference_hull_swept and _reference_lattice on S's basis as a whole,
     then _hull_swept and _lattice_binomials element by element on S's
-    basis and on _around it, each element its own one-element basis.
-    Returns how often each (sweep, lattice) outcome came up among the
-    elements."""
+    basis and on _around it, each element its own one-element basis and
+    its own sweep. A call counter on decomp's lattice_contains shows which
+    path the lattice check took: the Smith form solve runs only where the
+    element's sweep failed, and on a swept hull never for its basis.
+    Returns how often each (sweep, lattice, solved) outcome came up among
+    the elements _around the basis, solved whether lattice_contains ran."""
     H = _hull_record(P, I, S)
     assert H.swept == _reference_hull_swept(P, I, S, nu)
     assert H.lattice == _reference_lattice(P, S, H.order) == _reference_lattice(P, S)
-    seen = Counter()
-    for g in list(H.basis) + _around(P, H.basis, rng):
-        swept = _hull_swept(P, (g,))
-        assert swept == (min(e[0] for e in g.terms) == 0 and not _reference_sweep_remainder(P, I, g, nu))
-        lattice = _lattice_binomials(P, (g,), (g.leading_term(H.order)[0],))
-        assert lattice == _reference_lattice_binomial(P, g, H.order)
-        seen[swept, lattice] += 1
+    around, seen, solves = _around(P, H.basis, rng), Counter(), []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decomp, "lattice_contains", _counted(solves, lattice_contains))
+        for k, g in enumerate(list(H.basis) + around):
+            before = len(solves)
+            swept = _hull_swept(P, (g,))
+            assert swept == (min(e[0] for e in g.terms) == 0 and not _reference_sweep_remainder(P, I, g, nu))
+            lattice = _lattice_binomials(P, (g,), (g.leading_term(H.order)[0],), swept)
+            assert lattice == _reference_lattice_binomial(P, g, H.order)
+            solved = len(solves) > before
+            assert not (swept and solved)
+            if k >= len(H.basis):
+                seen[swept, lattice, solved] += 1
+            elif H.swept:
+                assert swept and not solved
     return seen
 
 
@@ -1541,8 +1554,11 @@ def test_integer_sweep_agrees_with_the_division_on_goldens(name, field):
     P = load_golden(name)
     I, S, _, nu = _hull(P, field)
     seen = _sweep_and_lattice_agree(P, I, S, nu, random.Random(name))
-    assert {swept for swept, _ in seen} == {True, False}
-    assert {lattice for _, lattice in seen} == {True, False}
+    assert {swept for swept, _, _ in seen} == {True, False}
+    assert {lattice for _, lattice, _ in seen} == {True, False}
+    # both paths of the lattice check run on the elements around the
+    # basis: u - v in L read off a holding sweep, and the Smith form solve
+    assert seen[True, True, False] and {solved for _, _, solved in seen} == {True, False}
 
 
 @pytest.mark.parametrize("n,count", [(3, 8), (4, 4), (5, 3), (6, 2)])
@@ -1660,13 +1676,16 @@ def test_full_verification_runs_one_saturation_and_no_colon(name, p, monkeypatch
     # rewrites exponent vectors: no normal form is taken modulo J's
     # generators and no Groebner run is made on them. decomp builds one
     # order, WeightedRevLex(nu, 0), and no WeightedRevLex(nu, n - 1).
-    # S = I is decided once: one Ideal comparison, of S with I
+    # S = I is decided once: one Ideal comparison, of S with I. The
+    # lattice check reads u - v in L off the sweep: no Smith form solve
     P = load_golden(name)
     field, q = (QQ, 1) if p is None else decomp.prime_field_for(P, p)
     J = pcb_ideal(P, field).gens[:-1]
     j_order = WeightedRevLex(associated_vector(P)[2], P.n - 1)
-    calls = {"colon": [], "saturate": [], "groebner_basis": [], "normal_form": [], "WeightedRevLex": [], "__eq__": []}
+    calls = {"colon": [], "saturate": [], "groebner_basis": [], "normal_form": [], "WeightedRevLex": [], "__eq__": [], "lattice_contains": []}
     for module, attr in [
+        (decomp, "lattice_contains"),
+        (intmat, "lattice_contains"),
         (oracle_ideal, "colon"),
         (decomp, "saturate"),
         (decomp, "normal_form"),
@@ -1679,6 +1698,7 @@ def test_full_verification_runs_one_saturation_and_no_colon(name, p, monkeypatch
     compared = list(calls["__eq__"])
     assert all(ok for _, ok in report.checks)
     assert calls["colon"] == []
+    assert calls["lattice_contains"] == []
     assert not hasattr(decomp, "colon")
     ((I, x1, nu),) = calls["saturate"]
     assert calls["WeightedRevLex"] == [(nu, 0)]

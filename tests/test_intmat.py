@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -233,6 +234,28 @@ class TestSmithNormalForm:
         a = smith_normal_form(M)
         b = smith_normal_form(M)
         assert a.P == b.P and a.Q == b.Q and a.D == b.D
+
+
+class TestIntegerOperands:
+    # operator.index refuses a float or a Fraction, where int() truncated it
+    @pytest.mark.parametrize("bad", [2.7, Fraction(5, 2), 2.0])
+    def test_matrix_entries(self, bad):
+        with pytest.raises(TypeError):
+            IntMatrix([[bad, 1], [1, 3]])
+
+    @pytest.mark.parametrize("bad", [(2.9, 2.2), (Fraction(2), 1)])
+    def test_matrix_vector_product(self, bad):
+        with pytest.raises(TypeError):
+            IntMatrix([[2, 0], [0, 2]]) @ bad
+
+    @pytest.mark.parametrize("bad", [(2.9, 2.2), (Fraction(4, 2), 2)])
+    def test_lattice_contains(self, bad):
+        with pytest.raises(TypeError):
+            lattice_contains(IntMatrix([[2, 0], [0, 2]]), bad)
+
+    def test_integers_and_bools_still_pass(self):
+        assert IntMatrix([[True, 0], [0, 1]]).data == ((1, 0), (0, 1))
+        assert lattice_contains(IntMatrix([[2, 0], [0, 2]]), (2, 4)) == (True, (1, 2))
 
 
 class TestLatticeContains:

@@ -109,6 +109,12 @@ class TestOrders:
         with pytest.raises(ValueError):
             WeightedRevLex((1, 1), 2)
 
+    @pytest.mark.parametrize("bad", [(2.5, 1, 3), (Fraction(2), 1, 3)])
+    def test_weighted_revlex_refuses_non_integer_weights(self, bad):
+        # int() would have truncated 2.5 to 2
+        with pytest.raises(TypeError):
+            WeightedRevLex(bad, 0)
+
     def test_block(self):
         order = BlockElimination(1)
         # any positive power of the head variable beats none
@@ -133,6 +139,16 @@ class TestPolynomial:
     def test_monomial_rejects_negative(self):
         with pytest.raises(ValueError):
             Polynomial.monomial(QQ, 2, (1, -1))
+
+    @pytest.mark.parametrize("bad", [(1.5, 0), (Fraction(1), 2), (2.0, 0)])
+    def test_monomial_refuses_non_integer_exponents(self, bad):
+        with pytest.raises(TypeError):
+            Polynomial.monomial(QQ, 2, bad)
+
+    @pytest.mark.parametrize("bad", [(1.5, 0), (Fraction(1), 2), (2.0, 0)])
+    def test_from_terms_refuses_non_integer_exponents(self, bad):
+        with pytest.raises(TypeError):
+            Polynomial.from_terms(QQ, 2, [(1, (0, 1)), (1, bad)])
 
     def test_substitute_powers(self):
         # x^2 y - y^3 under weights (3, 1): t^7 - t^3
