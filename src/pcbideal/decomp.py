@@ -26,17 +26,18 @@ term with the same coefficient (see _hull_swept and _hull_checks). S
 and E meet in the ideal, and S is stable under the colon by x^{b(n)},
 because S is saturated by x_1 (see embedded_checks); the one sweep
 decides both, and the meet the chain takes. Whether S differs from I,
-the unmixedness dichotomy, is decided once too. Over F_p verify realizes no
-component and lists no character: the hull's basis is lattice
-binomials, and that S is the meet of the d isolated components, each
-once, follows from one Hilbert series and integer checks on the n - 1
-generators of the character group, read off the normalized SNF (see
-_chain_checks). When r is a power of p the same checks, and n - 1
-normal forms of Frobenius powers, prove S primary to the one toric
-prime instead; every accepted p runs that one path. Only decompose
-lists the d characters and realizes their components, once each: one
-elimination gives the trivial-character component and one loop of torus
-twists gives all d (see realize_over_prime_field).
+the unmixedness dichotomy, is decided once too. verify accepts F_p
+exactly when p = 1 (mod r′), r′ the part of r prime to p (see
+prime_field_for), and over F_p it realizes no component and lists no
+character: the hull's basis is lattice binomials, and that S is the meet
+of d′ primary components, d′ the part of d prime to p, each prime when p
+does not divide r, follows from one Hilbert series, integer checks on
+the n - 1 generators of the character group, read off the normalized
+SNF, and, when p divides r, n - 1 normal forms of Frobenius powers (see
+_chain_checks); every accepted p runs that one path. Only decompose
+lists the d characters and realizes their components, once each, for
+p = 1 (mod r): one elimination gives the trivial-character component
+and one loop of torus twists gives all d (see realize_over_prime_field).
 """
 
 from __future__ import annotations
@@ -303,30 +304,34 @@ def prime_field(p: int) -> PrimeField:
         raise BadPrime(p, None, str(err)) from None
 
 
-def prime_field_for(P: PcbMatrix, p: int) -> Tuple[PrimeField, int]:
-    """GF(p) for a `--field fp:<p>` request, and the Frobenius exponent q.
+def _prime_to(m: int, p: int) -> int:
+    """m with every factor p removed: the part of m prime to p."""
+    return _prime_to(m // p, p) if m % p == 0 else m
 
-    The rule is decided here and nowhere else; r is the last invariant
-    factor, the exponent of the torsion group. With p = 1 (mod r), F_p
-    holds the r-th roots of unity and the d isolated components are apart:
-    q = 1. With r a power of p the torsion group is a p-group, and over
-    F_p the hull is primary to the one toric prime (Eisenbud-Sturmfels,
-    "Binomial ideals", Cor. 2.2): q = r, the power whose Frobenius maps
-    that prime into the hull (see _chain_checks). Anything else, a p that
-    is not prime included, is BadPrime; when p divides r together with
-    another prime, the reason names that prime.
+
+def prime_field_for(P: PcbMatrix, p: int) -> Tuple[PrimeField, int]:
+    """GF(p) for a `--field fp:<p>` request, and the Frobenius exponent:
+    1 when p does not divide r, and r when it does.
+
+    The rule is decided here and nowhere else. r is the last invariant
+    factor, the exponent of the torsion group G = Λ / L, Λ = ker nu ∩ Z^n.
+    Write r = q r′, with q the p-part of r and r′ the part prime to p.
+    How the hull splits over F_p depends only on G_p′, the part of G prime
+    to p, whose exponent divides r′ (Eisenbud-Sturmfels, "Binomial
+    ideals", Cor. 2.2). So p is accepted exactly when p = 1 (mod r′), that
+    is when F_p holds the r′-th roots of unity, the values of the
+    characters of G_p′ (see _chain_checks). q = 1 (p = 1 (mod r)) and
+    r′ = 1 (r a power of p) are the two corners of the one rule. Every
+    other p, a p that is not prime included, is BadPrime; when p divides r
+    the reason names r′ and its least prime factor.
     """
     field = prime_field(p)
     r = normalized_snf(P).invariant_factors[-1]
-    if (p - 1) % r == 0:
-        return field, 1
-    if r % p:
-        raise BadPrime(p, r)
-    others = [f for f in _prime_factors(r) if f != p]
-    if others:
-        reason = f"r = {r} has the prime factor {others[0]} besides p; need p = 1 (mod r) or r a power of p"
-        raise BadPrime(p, r, reason)
-    return field, r
+    rest = _prime_to(r, p)
+    if (p - 1) % rest:
+        reason = f"r = {r} has the prime factor {_prime_factors(rest)[0]} besides p; need p = 1 (mod r' = {rest})"
+        raise BadPrime(p, r, "" if rest == r else reason)
+    return field, 1 if r % p else r
 
 
 class PrimeFieldRealization(NamedTuple):
@@ -343,7 +348,10 @@ class PrimeFieldRealization(NamedTuple):
 
 
 def realize_over_prime_field(P: PcbMatrix, p: int) -> PrimeFieldRealization:
-    """Instantiate every isolated component over F_p, p = 1 (mod r).
+    """Instantiate every isolated component over F_p, p = 1 (mod r). When
+    p divides r, prime_field_for accepts p for verify, but the isolated
+    components over F_p are then primary and not prime, and none is
+    realized: BadPrime says so.
 
     zeta is g^((p-1)/r) for the least primitive root g, so the realization
     is reproducible. One elimination computes P_0, the kernel of the
@@ -361,7 +369,8 @@ def realize_over_prime_field(P: PcbMatrix, p: int) -> PrimeFieldRealization:
     """
     field, q = prime_field_for(P, p)
     if q > 1:
-        raise BadPrime(p, q)  # q = r: the components collapse into the hull; none is realized apart
+        reason = "over F_p the isolated components are primary and not prime, and decompose realizes prime components only"
+        raise BadPrime(p, q, f"p divides r, so {reason}")
     specs = enumerate_components(P)
     r = specs[0].root_order
     zeta = pow(least_primitive_root(p), (p - 1) // r, p) if r > 1 else 1
@@ -580,8 +589,8 @@ def _kernel_vectors(P: PcbMatrix) -> List[Tuple[int, ...]]:
 
 def _intersection_witness(P: PcbMatrix, H: _HullRecord, q: int) -> Optional[str]:
     """None when the certificate proves S = P_1 ∩ ... ∩ P_d, or for
-    q > 1 S primary to P_0 (see _chain_checks), else the first fact that
-    fails. H is the hull record (_hull_record)."""
+    q > 1 S the meet of d′ primary components (see _chain_checks), else
+    the first fact that fails. H is the hull record (_hull_record)."""
     if not H.swept:
         return "hull not saturated by x_1"
     if not H.lattice:
@@ -613,140 +622,132 @@ def _intersection_witness(P: PcbMatrix, H: _HullRecord, q: int) -> Optional[str]
     return None
 
 
-def _chain_checks(P: PcbMatrix, H: _HullRecord, q: int) -> Tuple[List[Tuple[str, bool]], int]:
-    """Prove I = P_1 ∩ ... ∩ P_d (∩ E), or for q > 1 I = S (∩ E) with S
-    primary to P_0, and that no component is redundant; returns the
-    checks and the number of components. q is the Frobenius exponent of
-    prime_field_for: 1 when p = 1 (mod r), r when r is a power of p.
+def _chain_checks(P: PcbMatrix, H: _HullRecord, frobenius: int) -> Tuple[List[Tuple[str, bool]], int]:
+    """Prove I = S (∩ E), S the meet of one primary component for each
+    character of G_p′, and that no component is redundant; returns the
+    checks and the number of components, d′ plus 1 for E when n >= 4.
+    frobenius is the exponent of prime_field_for: 1 when p does not
+    divide r, and r when it does.
 
-    Write P L Q = D for the normalized SNF, d_1 | ... | d_{n-1} = r its
+    Notation. P L Q = D is the normalized SNF, d_1 | ... | d_{n-1} = r its
     invariant factors, d their product, and nu its left transform's last
-    row (see associated_vector). The character group of the torsion group
-    of Z^n / L is generated by e^(j) = (r / d_j) row_j(P), j < n, and its
-    d elements are e_k = Σ_j k_j e^(j) mod r for 0 <= k_j < d_j, the
-    characters that enumerate_components lists for decompose. P_k is the
-    kernel of x_i -> zeta^{(e_k)_i} t^{nu_i}, zeta a primitive r-th root
-    of unity, which F_p holds when q = 1, because p = 1 (mod r).
-    No P_k is realized and no character is listed: every fact about them
-    below is a fact about the n - 1 generators, in integers
-    (Eisenbud-Sturmfels, "Binomial ideals", 1996). S = H.S is the hull
-    I : x^{b(n)}, and H its record (_hull_record): H.swept is the hull
-    sweep (S : x_1 = S, see _hull_checks), which for n >= 4 also proves
-    S ∩ E = I (Lemma B of embedded_checks), H.lattice is the hull check
-    "hull basis is lattice binomials killed by the weights": every
-    element of S's reduced basis is x^u - x^v with u - v in the column
-    lattice L, and H.distinct is S != I.
+    row (see associated_vector); Λ = ker nu ∩ Z^n and G = Λ / L, the
+    torsion group of Z^n / L. p is the characteristic, r = q r′ with q the
+    p-part of r, and d′, d′_j are d, d_j with every factor p removed.
+    prime_field_for accepted p, so p = 1 (mod r′), and F_p holds a
+    primitive r′-th root of unity zeta. One argument covers every accepted
+    p; its two corners are q = 1 (p does not divide r: r′ = r, d′ = d,
+    frobenius = 1) and r′ = 1 (G is a p-group: d′ = 1, frobenius = r = q).
+    Grade by deg x_i = nu_i: I is homogeneous because nu L = 0, and so is
+    S = H.S, the hull I : x^{b(n)}; H is its record (_hull_record):
+    H.swept is the hull sweep (S : x_1 = S, see _hull_checks), which for
+    n >= 4 also proves S ∩ E = I (Lemma B of embedded_checks); H.lattice is
+    the lattice check, every element of S's reduced basis x^u - x^v with
+    u - v in the column lattice L, so S lies in the lattice ideal I_L;
+    H.distinct is S != I. No P_k below is realized and no character is
+    listed: every fact about them is a fact about n - 1 generators, in
+    integers (Eisenbud-Sturmfels, "Binomial ideals", 1996).
 
     Facts from integers, each checked here on one matrix product; none
-    needs Q or the unimodularity of P:
+    needs Q or the unimodularity of P or Q:
     a. Kill. d_j divides r, and row_j(P) L = 0 (mod d_j) for every
-       j < n, read off the rows of P L. Then e^(j) is an integer vector
-       and e^(j) L = (r / d_j) row_j(P) L = 0 (mod r), so every e_k kills
-       every column of L modulo r, and S ⊆ P_k: a basis element x^u - x^v
-       of S maps to (zeta^{e.u} - zeta^{e.v}) t^{nu.u} = 0, because
-       nu.u = nu.v by nu L = 0 and e.(u - v) = 0 (mod r) for u - v in L.
+       j < n, read off the rows of P L. d′_j divides r′ and d_j, so
+       e^(j) = (r′ / d′_j) row_j(P) is an integer vector with
+       e^(j) L = 0 (mod r′), and every character
+       e_k = Σ_j k_j e^(j) mod r′, 0 <= k_j < d′_j, kills every column of
+       L modulo r′. Let P_k be the kernel of x_i -> zeta^{(e_k)_i} t^{nu_i},
+       a homogeneous prime of dimension one that holds no monomial. A basis
+       element x^u - x^v of S maps to (zeta^{e.u} - zeta^{e.v}) t^{nu.u} = 0,
+       because nu.u = nu.v by nu L = 0 and e.(u - v) = 0 (mod r′): S ⊆ P_k.
     b. Distinct. P W = ε[I_{n-1}; 0] with ε = ±1, for W the columns
        w_1, ..., w_{n-1} of _kernel_vectors. The last row, nu, gives
-       nu.w_l = 0, and the others give e_k.w_l = ε (r / d_l) k_l, so the
-       residue vector (e_k.w_l mod r)_l of e_k is ε((r / d_l) k_l mod r)_l,
-       which differs for distinct k, because 0 <= (r / d_l) k_l < r. And
-       P_k != P_k' when (e_k - e_k').w != 0 (mod r) for some w in
-       ker nu ∩ Z^n: x^{w+} - zeta^{e_k.w} x^{w-} lies in P_k and not in
-       P_k'. So the d components are pairwise distinct.
-    c. Count. deg P_k = 1, because gcd(nu) = 1 (checked): F_p[x]/P_k is
-       isomorphic to F_p[t^{nu_1}, ..., t^{nu_n}], which is
-       one-dimensional in every large degree. So d distinct components of
-       degree one hold S.
+       nu.w_l = 0, and the others give e_k.w_l = ε (r′ / d′_l) k_l, so the
+       residue vectors (e_k.w_l mod r′)_l differ for distinct k, because
+       0 <= (r′ / d′_l) k_l < r′. P_k != P_k' when (e_k - e_k').w != 0
+       (mod r′) for some w in Λ: x^{w+} - zeta^{e_k.w} x^{w-} lies in P_k
+       and not in P_k'. So the d′ primes P_k are pairwise distinct. And W
+       is a Z-basis of Λ: P W = ε[I; 0] with nu != 0 makes its columns
+       independent in ker nu, so they span it over Q; for v in Λ and P' the
+       first n - 1 rows of P, v - εW P'v is orthogonal to every row of P
+       (P εW P'v = [P'v; 0] = P v) and lies in the Q-span of W, so it is 0:
+       v = εW (P'v) has integer coordinates.
+    c. Degree. deg P_k = 1, because gcd(nu) = 1 (checked): F_p[x]/P_k is
+       isomorphic to F_p[t^{nu_1}, ..., t^{nu_n}], which is one-dimensional
+       in every large degree. dim S = 1 and deg S = d, from the nu-graded
+       Hilbert series of the leading ideal of S's reduced
+       WeightedRevLex(nu, 0) basis, the one the saturation left cached,
+       read off H.leads (oracle.dimension_one_degree, after
+       Bayer-Stillman), which for a homogeneous ideal equals the ideal's
+       own under any order.
 
-    Intersection. No ideal is intersected. Grade by deg x_i = nu_i: I is
-    homogeneous because nu L = 0, hence so is S, and each P_k is a
-    homogeneous prime of dimension one, the kernel of a graded map into
-    the domain F_p[t]. S = P_1 ∩ ... ∩ P_d follows from:
-    1. S : x_1 = S, because S is a saturation by x_1. So x_1 is a
-       nonzerodivisor modulo S, and the irrelevant ideal (x_1, ..., x_n)
-       is not associated to S.
-    2. S ⊆ P_k for every k (a).
-    3. dim S = 1, and deg S = d. deg S comes from the nu-graded Hilbert
-       series of the leading ideal of S's reduced WeightedRevLex(nu, 0)
-       basis, the one the saturation left cached, read off H.leads
-       (oracle.dimension_one_degree, after Bayer-Stillman), which for a
-       homogeneous ideal equals the ideal's own under any order.
-    By 2 each P_k, of dimension one like S, is a minimal prime of S, and
-    by b they are d distinct primes. The associativity formula gives
-    deg S = Σ_P length(S_P) deg P over all minimal primes P of S of
-    dimension one, every deg P > 0, so by c and 3 every length at a P_k
-    is one and S has no other minimal prime of dimension one. A
-    homogeneous ideal of dimension one has no further associated prime
-    but the irrelevant ideal, which 1 excludes. Hence S is unmixed and
-    its P_k-primary component is S_{P_k} ∩ R = P_k, so
-    S = P_1 ∩ ... ∩ P_d. Then for n >= 4, S ∩ E = I gives the whole
-    intersection; for n <= 3, S = I does. A failure raises
-    VerificationFailed with one witness after the message: S ∩ E != I
-    (a failed sweep, for n >= 4) or S != I (for n <= 3), an unsaturated
-    hull, a hull basis of other than lattice binomials, the first
-    generator that does not kill the lattice, a W with P W != ±[I; 0],
-    weights with a common factor, a hull of dimension other than one, the
-    two degrees that differ, or, for q > 1, the first w_l whose Frobenius
-    binomial below is not in S.
+    The torsion group. In the basis W a column of L has the coordinates
+    ε P'L (b), so by a, L lies in M = {Σ_l c_l w_l : d_l | c_l}, and
+    Λ / M ≅ ⊕_j Z/d_j has order d. Conversely S ⊆ I_L, so F_p[x]/I_L is a
+    quotient of F_p[x]/S and deg I_L <= deg S = d; and deg I_L = [Λ : L]
+    over every field: the monomials of one coset of L are one basis vector
+    of F_p[x]/I_L, and in every large nu-degree each coset of L of that
+    degree holds a monomial, because nu > 0. So L = M and
+    G ≅ ⊕_j Z/d_j. Let L~ = L + r′Λ. Then Λ / L~ = G / r′G ≅ G_p′
+    ≅ ⊕_j Z/d′_j has order d′, prime to p, and q L~ ⊆ L, since
+    q r′Λ = rΛ ⊆ L.
 
-    Irredundancy. Each P_k has dimension one and holds no monomial (a
-    monomial maps to a nonzero term). Suppose P_j is redundant: the meet
-    of the other components lies in P_j. A prime that holds a finite
-    intersection of ideals holds one of them, so some P_k lies in P_j with
-    k != j, or E does. P_k in P_j makes them equal, because both primes
-    have dimension one, which b excludes. E in P_j is impossible: E holds
-    the monomial x^{b(n)}. E itself is redundant exactly when the P_k
-    meet in I, that is when S = I, so S != I is checked, and a failure
-    raises VerificationFailed naming E, the last component.
+    The radical. The binomials of a set of generators of L~ lie in rad S:
+    the f_j, for the columns of L, lie in I ⊆ S. When q > 1, n - 1 normal
+    forms modulo S's cached basis, and no Groebner run, put
+    x^{r w_l+} - x^{r w_l-} in S; in characteristic p that is
+    (x^{r′w_l+} - x^{r′w_l-})^q, so the binomials of the r′w_l lie in
+    rad S. When q = 1, r′Λ = rΛ lies in L already. S : x_1 = S and Lemma A
+    of embedded_checks make every monomial a nonzerodivisor modulo S, so
+    no minimal prime of S holds a monomial, and every monomial is a
+    nonzerodivisor modulo rad S. So rad S holds the saturation of those
+    binomials by x_1 ... x_n, which is I_{L~} (Sturmfels, "Gröbner Bases
+    and Convex Polytopes", Lemma 12.2, whose proof needs only that the
+    vectors generate the lattice). Conversely S ⊆ I_L ⊆ I_{L~}, and I_{L~}
+    is radical, because p does not divide |Λ / L~| = d′ (Eisenbud-Sturmfels,
+    Cor. 2.2). So rad S = I_{L~}. F_p holds the r′-th roots of unity, so by
+    the same corollary I_{L~} is the meet of d′ distinct primes, one for
+    each character of Λ / L~. Each P_k holds I_{L~}, because e_k kills L
+    (a) and r′Λ modulo r′, and by b they are d′ distinct, so they are all
+    of them: rad S = P_1 ∩ ... ∩ P_{d′}.
 
-    p-groups, q > 1. r is a power q of p, and F_p holds no primitive
-    r-th root of unity. The torsion group Λ / L, Λ = ker nu ∩ Z^n, is a
-    p-group, and over F_p the d characters collapse into one isolated
-    component: the hull is primary, of length d, to the trivial-character
-    prime P_0, the kernel of x_i -> t^{nu_i} (Eisenbud-Sturmfels,
-    Cor. 2.2). Facts a, b and c are checked as above, and one more: for
-    each column w_l of W, x^{q w_l+} - x^{q w_l-} reduces to zero modulo
-    S's cached reduced WeightedRevLex(nu, 0) basis, n - 1 normal forms
-    and no Groebner run. Then:
-    - W is a Z-basis of Λ. P W = ε[I; 0] with nu != 0 makes the columns
-      of W independent in ker nu, so they span it over Q. For v in Λ and
-      P' the first n - 1 rows of P, the vector v - εW P'v is orthogonal
-      to every row of P (P εW P'v = [P'v; 0] = P v) and lies in the
-      Q-span of W, so it is 0: v = εW (P'v) has integer coordinates.
-      This needs neither Q nor det P = ±1.
-    - In characteristic p with q a power of p,
-      (x^{w+} - x^{w-})^q = x^{qw+} - x^{qw-}. So every basis binomial
-      x^{w_l+} - x^{w_l-} lies in rad S.
-    - S : x_1 = S and Lemma A of embedded_checks make every monomial a
-      nonzerodivisor modulo S, so no minimal prime of S holds a monomial,
-      and every monomial is a nonzerodivisor modulo rad S. So rad S
-      contains (basis binomials) : (x_1 ... x_n)^∞, which is the lattice
-      ideal I_Λ = P_0 (Sturmfels, "Gröbner Bases and Convex Polytopes",
-      Lemma 12.2). The lattice check, or a for k = 0, gives S ⊆ P_0, so
-      rad S = P_0.
-    - Every associated prime of S holds P_0 and is homogeneous, and the
-      only homogeneous prime above P_0 besides P_0 is the irrelevant
-      ideal, which holds x_1. No associated prime of S holds x_1, so S
-      is P_0-primary. gcd(nu) = 1 and deg S = d give its length d.
-    - E is redundant only if S = I, which is checked as above. S is
-      never redundant: dropping it leaves E, which holds x^{b(n)}, while
-      I ⊆ P_0 holds no monomial.
-    So I = S for n <= 3 and I = S ∩ E for n >= 4, with 1 isolated
-    component in place of d.
+    Intersection. No ideal is intersected. The minimal primes of S are the
+    P_k, and the only homogeneous prime above a P_k besides P_k itself is
+    the irrelevant ideal (x_1, ..., x_n), which holds x_1 and so is not
+    associated to S. Hence S is the meet of d′ primary components, the
+    P_k-primary one S_{P_k} ∩ R. When q = 1, d′ = d, and the associativity
+    formula deg S = Σ_k length(S_{P_k}) deg P_k, with c, makes every length
+    one: S = P_1 ∩ ... ∩ P_d, each component prime. Then for n >= 4,
+    S ∩ E = I gives the whole intersection; for n <= 3, S = I does. A
+    failure raises VerificationFailed with one witness after the message:
+    S ∩ E != I (a failed sweep, for n >= 4) or S != I (for n <= 3), an
+    unsaturated hull, a hull basis of other than lattice binomials, the
+    first generator that does not kill the lattice, a W with
+    P W != ±[I; 0], weights with a common factor, a hull of dimension
+    other than one, the two degrees that differ, or, when q > 1, the first
+    w_l whose Frobenius binomial is not in S.
+
+    Irredundancy. Suppose the P_j-primary component is redundant: the
+    meet of the other components lies in it, hence in P_j. A prime that
+    holds a finite intersection of ideals holds one of them, so P_j holds
+    the component of some P_k with k != j, hence P_k, or E. P_k in P_j
+    makes them equal, because both primes have dimension one, which b
+    excludes. E in P_j is impossible: E holds the monomial x^{b(n)}. E
+    itself is redundant exactly when the P_k-primary components meet in I,
+    that is when S = I, so S != I is checked, and a failure raises
+    VerificationFailed naming E, the last component. So there are d′
+    isolated components, plus E for n >= 4.
     """
     if P.n <= 3:
         witness = "hull differs from the ideal" if H.distinct else None
     else:
         witness = None if H.swept else "hull meets the embedded component outside the ideal"
-    witness = witness or _intersection_witness(P, H, q)
+    witness = witness or _intersection_witness(P, H, frobenius)
     if witness:
         raise VerificationFailed(f"intersection of all components is not the ideal: {witness}")
     checks = [("intersection of all components equals the ideal", True)]
-    k = 1 if q > 1 else associated_vector(P)[1]
-    if P.n >= 4:
-        k += 1
-        if not H.distinct:
-            raise VerificationFailed(f"component {k} is redundant", index=k - 1)
+    k = _prime_to(associated_vector(P)[1], H.S.field.p) + (P.n >= 4)
+    if P.n >= 4 and not H.distinct:
+        raise VerificationFailed(f"component {k} is redundant", index=k - 1)
     checks.append(("every component is irredundant", True))
     return checks, k
 
@@ -770,13 +771,13 @@ def verify_full_decomposition(P: PcbMatrix, p: Optional[int] = None) -> Decompos
     the embedded-component checks and the meet S ∩ E = I that the chain
     takes, and S != I decides the unmixedness dichotomy, the redundancy
     of E and, for n <= 3, the meet. The hull checks run over Q and over
-    every F_p that prime_field_for accepts; over F_p the isolated
-    components are then certified, without realizing or listing any of
-    them, to meet in S by a degree count and to be irredundant, from the
-    n - 1 generators of the character group (see _chain_checks). When r
-    is a power of p, the same chain also proves S primary to the one
-    toric prime, from n - 1 normal forms of Frobenius powers. The
-    saturation's is the only Groebner run. A failed chain check raises
+    every F_p that prime_field_for accepts, p = 1 (mod r′) for r′ the
+    part of r prime to p; over F_p the isolated components are then
+    certified, without realizing or listing any of them, to meet in S
+    and to be irredundant, from the n - 1 generators of the character
+    group, one Hilbert series and, when p divides r, n - 1 normal forms
+    of Frobenius powers (see _chain_checks). They number d′, the part of
+    d prime to p. The saturation's is the only Groebner run. A failed chain check raises
     VerificationFailed; the others report False.
     """
     field, q = (QQ, 1) if p is None else prime_field_for(P, p)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -106,7 +107,9 @@ class PrimeField:
         return 1
 
     def of(self, n) -> int:
-        return int(n) % self.p
+        """n modulo p; n must be an integer, so a float or a Fraction
+        raises TypeError instead of being truncated."""
+        return index(n) % self.p
 
     def add(self, a, b):
         return (a + b) % self.p

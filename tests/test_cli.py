@@ -26,6 +26,18 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+_PRIMARY_REASON = (
+    "p divides r, so over F_p the isolated components are primary and not prime, "
+    "and decompose realizes prime components only"
+)
+
+
+def _k6_path(tmp_path) -> str:
+    path = tmp_path / "k6.json"
+    path.write_text(json.dumps({"L": [[5 if i == j else -1 for j in range(6)] for i in range(6)]}))
+    return str(path)
+
+
 class TestAnalyze:
     def test_simplest_payload(self, capsys):
         doc = run_json(capsys, "analyze", golden_path("simplest_n4.json"))
@@ -167,6 +179,17 @@ class TestVerify:
         assert all(c["ok"] for c in doc["result"]["checks"])
         assert f"component count is {count}" in {c["name"] for c in doc["result"]["checks"]}
 
+    @pytest.mark.parametrize("name, count", [("n3_doubled.json", 4), ("K_6", 17)])
+    def test_mixed_characteristic_is_verified(self, capsys, tmp_path, name, count):
+        # r = 6 over F_3: 3 = 1 (mod r′ = 2), so verify accepts p, and the
+        # count is the part of d prime to 3 (4 of 12, 16 of 6^4), plus E
+        # for K_6
+        path = _k6_path(tmp_path) if name == "K_6" else golden_path(name)
+        doc = run_json(capsys, "verify", path, "--level", "full", "--field", "fp:3")
+        assert doc["result"]["ok"] is True
+        assert all(c["ok"] for c in doc["result"]["checks"])
+        assert f"component count is {count}" in {c["name"] for c in doc["result"]["checks"]}
+
     def test_full_large_weights(self, capsys, tmp_path):
         path = tmp_path / "large_weights.json"
         path.write_text(json.dumps({"L": LARGE_WEIGHTS}))
@@ -262,32 +285,33 @@ class TestErrors:
         assert doc["result"]["field"] == "fp:7"
         assert doc["result"]["ok"]
 
-    @pytest.mark.parametrize(
-        "name, field, other", [("n3_doubled.json", "fp:2", 3), ("n3_doubled.json", "fp:3", 2), ("K_6", "fp:2", 3)]
-    )
+    @pytest.mark.parametrize("name, field, other", [("n3_doubled.json", "fp:2", 3), ("K_6", "fp:2", 3)])
     def test_mixed_characteristic_is_refused(self, capsys, tmp_path, name, field, other):
-        # r = 6 has a prime factor besides p: neither the roots of unity
-        # nor the p-group certificate is available, nothing prints ok, and
-        # the message names the other prime; the identity checks run over Z
-        # and accept p
-        if name == "K_6":
-            path = tmp_path / "k6.json"
-            path.write_text(json.dumps({"L": [[5 if i == j else -1 for j in range(6)] for i in range(6)]}))
-            path = str(path)
-        else:
-            path = golden_path(name)
+        # r = 6 = 2 * 3 and p = 2 is not 1 (mod r′ = 3), the part of r
+        # prime to p: F_2 holds no cube root of unity, nothing prints ok,
+        # and the message names the other prime and r′; the identity
+        # checks run over Z and accept p
+        path = _k6_path(tmp_path) if name == "K_6" else golden_path(name)
         for argv in (("verify", path, "--level", "full"), ("decompose", path)):
             code, out, err = run(capsys, *argv, "--field", field)
             assert (code, out) == (4, ""), argv
-            assert "BadPrime" in err and f"prime factor {other} besides p" in err
+            assert "BadPrime" in err and f"prime factor {other} besides p" in err and f"r' = {other}" in err
         assert run_json(capsys, "verify", path, "--field", field)["result"]["ok"]
 
     def test_p_group_is_not_decomposed(self, capsys):
         # over F_2 the components of simplest_n4 collapse; decompose lists
-        # none apart
+        # none apart, and says why
         code, out, err = run(capsys, "decompose", golden_path("simplest_n4.json"), "--field", "fp:2")
         assert (code, out) == (4, "")
         assert "BadPrime" in err
+        assert _PRIMARY_REASON in err
+
+    def test_mixed_characteristic_is_not_decomposed(self, capsys):
+        # verify accepts n3_doubled over F_3, but its four isolated
+        # components are primary and not prime, and decompose realizes none
+        code, out, err = run(capsys, "decompose", golden_path("n3_doubled.json"), "--field", "fp:3")
+        assert (code, out) == (4, "")
+        assert "BadPrime(p=3, r=6)" in err and _PRIMARY_REASON in err
 
     def test_bad_field_spec(self, capsys):
         # only ASCII digits, after an optional minus sign, name a field:

@@ -41,12 +41,14 @@ weighted reverse-lex basis by powers of one variable; the saturation by
 a power of one variable does so once, and reads its steps off the
 variable's orders in that basis. hull is that saturation by x_1; the
 colon I : x^{b(n)}, and the colon and the saturation with an auxiliary
-variable, are its references. When r is a power of p, _chain_checks
-proves the hull primary to the trivial-character prime P_0 from n - 1
-normal forms of Frobenius powers x^{r w+} - x^{r w-};
-_reference_p_group_hull realizes P_0 by one elimination and checks that
-it holds S and that the image of its basis under x_i -> x_i^r lies in S.
-The two sides must agree, on real inputs and on altered component lists.
+variable, are its references. When p divides r = q r′, q the p-part of
+r, _chain_checks proves the hull the meet of d′ primary components, one
+for each character of the part of the torsion group prime to p, from
+n - 1 normal forms of Frobenius powers x^{r w+} - x^{r w-};
+_reference_primary_hull realizes those d′ primes, one elimination each,
+and checks that they are distinct, that each holds S and that the image
+of their meet's basis under x_i -> x_i^q lies in S. The two sides must
+agree, on real inputs and on altered component lists.
 """
 
 import dataclasses
@@ -54,6 +56,7 @@ import functools
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
@@ -65,6 +68,7 @@ from hypothesis import strategies as st
 from pcbideal import decomp, intmat, validate
 from pcbideal.core import PcbMatrix, associated_vector, normalized_snf
 from pcbideal.decomp import (
+    ComponentSpec,
     PrimeFieldRealization,
     VerificationFailed,
     _chain_checks,
@@ -623,17 +627,42 @@ def test_certificate_matches_the_character_chain_on_random_inputs(n, count):
         _certificate_matches_the_character_chain(P, _least_good_prime(P))
 
 
-def _reference_p_group_hull(P, p: int, q: int) -> bool:
-    """Whether the hull over F_p is P_0-primary up to the exponent q, from
-    the realized trivial-character prime P_0 = ker(x_i -> t^{nu_i}): P_0
-    holds S, and the image g^[q] of every element g of P_0's reduced
-    basis, x_i -> x_i^q, lies in S. For q a power of p, g^[q] = g^q, so
-    then P_0^[q] ⊆ S ⊆ P_0 and rad S = P_0."""
+def _p_prime_kernels(P, p: int) -> List[Ideal]:
+    """The d′ primes of the characters of the part of the torsion group
+    prime to p, over F_p, one elimination each: for r = q r′, q the
+    p-part of r, the kernels of x_i -> zeta^{e_i} t^{nu_i}, zeta a
+    primitive r′-th root of unity and e = Σ_j k_j (r′ / d′_j) row_j(P)
+    mod r′, 0 <= k_j < d′_j, d′_j the part of d_j prime to p. For r a
+    power of p this is the one trivial-character prime P_0."""
+    snf = normalized_snf(P)
+    rest = decomp._prime_to(snf.invariant_factors[-1], p)
+    zeta = pow(least_primitive_root(p), (p - 1) // rest, p)
+    parts = [decomp._prime_to(dj, p) for dj in snf.invariant_factors]
+    columns = list(zip(*([(rest // dj) * v for v in row] for dj, row in zip(parts, snf.P.data))))
+    nu = associated_vector(P)[2]
+    return [
+        _eliminated(p, zeta, ComponentSpec(k, tuple(sum(map(mul, k, col)) % rest for col in columns), nu, rest))
+        for k in itertools.product(*(range(dj) for dj in parts))
+    ]
+
+
+def _reference_primary_hull(P, p: int, q: int) -> bool:
+    """Whether the hull over F_p is the meet of primary components of the
+    realized primes of _p_prime_kernels, up to the exponent q: the primes
+    are pairwise distinct, each holds S, and the image g^[q] of every
+    element g of their meet's reduced basis, x_i -> x_i^q, lies in S. For
+    q a power of p, g^[q] = g^q, so then (P_1 ∩ ... ∩ P_{d′})^[q] ⊆ S and
+    rad S = P_1 ∩ ... ∩ P_{d′}."""
     field = GF(p)
     S = hull(P, field)
-    P0 = ring_map_kernel([Polynomial.monomial(field, 1, (w,)) for w in associated_vector(P)[2]])
-    images = [Polynomial(field, P.n, {tuple(q * e for e in a): c for a, c in g.terms.items()}) for g in P0.groebner()]
-    return P0.includes(S) and all(S.contains(g) for g in images)
+    primes = _p_prime_kernels(P, p)
+    meet = functools.reduce(intersect, primes)
+    images = [Polynomial(field, P.n, {tuple(q * e for e in a): c for a, c in g.terms.items()}) for g in meet.groebner()]
+    return (
+        all(a != b for a, b in itertools.combinations(primes, 2))
+        and all(k.includes(S) for k in primes)
+        and all(S.contains(g) for g in images)
+    )
 
 
 def _p_group_certificate_agrees(P, p: int) -> None:
@@ -645,12 +674,12 @@ def _p_group_certificate_agrees(P, p: int) -> None:
     report = verify_full_decomposition(P, p)
     assert report.component_count == 1 + (P.n >= 4)
     assert all(ok for _, ok in report.checks)
-    assert _reference_p_group_hull(P, p, r)
+    assert _reference_primary_hull(P, p, r)
     if r > p:
         _, H = _verify_inputs(P, p)
         with pytest.raises(VerificationFailed, match=f"to the power {r // p} is not in the hull$"):
             _chain_checks(P, H, r // p)
-        assert not _reference_p_group_hull(P, p, r // p)
+        assert not _reference_primary_hull(P, p, r // p)
 
 
 P_GROUP_GOLDENS = [("simplest_n4.json", 2), ("diag_n3.json", 3), ("n2_64.json", 2), ("diag_n5.json", 5)]
@@ -691,6 +720,73 @@ def test_frobenius_exponent_r_over_p_fails_the_certificate(monkeypatch):
         verify_full_decomposition(P, 2)
     assert str(err.value) == (
         "intersection of all components is not the ideal: kernel binomial 2 to the power 2 is not in the hull"
+    )
+
+
+def _mixed_certificate_agrees(P, p: int) -> int:
+    """verify over F_p, p | r = q r′ with q the p-part of r and r′ > 1,
+    accepts with d′ isolated components, d′ the part of d prime to p; the
+    reference holds with the exponent q and fails with q / p; and the
+    chain raises the Frobenius witness with the exponent r / p and with q
+    alone in place of r: r is sharp. Returns d′."""
+    r = normalized_snf(P).invariant_factors[-1]
+    q = r // decomp._prime_to(r, p)
+    assert q > 1 and r > q
+    report = verify_full_decomposition(P, p)
+    count = decomp._prime_to(associated_vector(P)[1], p)
+    assert report.component_count == count + (P.n >= 4)
+    assert all(ok for _, ok in report.checks)
+    assert _reference_primary_hull(P, p, q)
+    assert not _reference_primary_hull(P, p, q // p)
+    _, H = _verify_inputs(P, p)
+    for exponent in (r // p, q):
+        with pytest.raises(VerificationFailed, match=f"to the power {exponent} is not in the hull$"):
+            _chain_checks(P, H, exponent)
+    return count
+
+
+def test_mixed_certificate_agrees_with_the_realized_primes_on_n3_doubled():
+    # r = 6 over F_3: q = 3, r′ = 2, d = 12 and d′ = 4
+    assert _mixed_certificate_agrees(load_golden("n3_doubled.json"), 3) == 4
+
+
+def test_mixed_certificate_counts_the_p_prime_part_on_k6():
+    # K_6 over F_3: d = 6^4, d′ = 2^4, and 17 components with E
+    report = verify_full_decomposition(_complete_graph(6), 3)
+    assert all(ok for _, ok in report.checks)
+    assert report.component_count == 17
+
+
+def test_mixed_certificate_agrees_with_the_realized_primes_on_random_inputs():
+    # 60 seeded n = 3, 4 inputs whose r has two prime factors and d <= 400,
+    # each at every p | r with p = 1 (mod r′)
+    rng = random.Random(161)
+    seen, draws = Counter(), 0
+    while sum(seen.values()) < 60:
+        n = 3 + draws % 2
+        draws += 1
+        P = random_pcb(rng, n, max_entry=3)
+        r = normalized_snf(P).invariant_factors[-1]
+        primes = decomp._prime_factors(r)
+        accepted = [p for p in primes if (p - 1) % decomp._prime_to(r, p) == 0]
+        if len(primes) == 2 and accepted and associated_vector(P)[1] <= 400:
+            for p in accepted:
+                _mixed_certificate_agrees(P, p)
+            seen[n] += 1
+    assert set(seen) == {3, 4}
+
+
+@pytest.mark.parametrize("exponent", [2, 3])
+def test_frobenius_exponent_below_r_fails_the_mixed_certificate(monkeypatch, exponent):
+    # n3_doubled over F_3 has r = 6: neither r / p = 2 nor the p-part 3
+    # puts x^{e w_l+} - x^{e w_l-} in the hull
+    P = load_golden("n3_doubled.json")
+    monkeypatch.setattr(decomp, "prime_field_for", lambda P, p: (GF(3), exponent))
+    with pytest.raises(VerificationFailed) as err:
+        verify_full_decomposition(P, 3)
+    assert re.fullmatch(
+        f"intersection of all components is not the ideal: kernel binomial [12] to the power {exponent} is not in the hull",
+        str(err.value),
     )
 
 

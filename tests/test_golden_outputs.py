@@ -38,6 +38,9 @@ FIELD_PRIME = {
 }
 # r a power of p: the hull is the one isolated component over F_p
 P_GROUP_PRIME = {"diag_n3": 3, "diag_n5": 5, "n2_64": 2, "simplest_n4": 2}
+# p divides r together with another prime, and p = 1 (mod r′), r′ the part
+# of r prime to p: the hull is the meet of d′ primary components over F_p
+MIXED_PRIME = {"n3_doubled": 3}
 
 
 def _jobs():
@@ -50,7 +53,7 @@ def _jobs():
         jobs.append(("decompose", path, "--field", f"fp:{p}"))
         jobs.append(("verify", path, "--level", "full", "--field", f"fp:{p}"))
         jobs.append(("verify", path, "--level", "full"))
-    for name, p in P_GROUP_PRIME.items():
+    for name, p in {**P_GROUP_PRIME, **MIXED_PRIME}.items():
         jobs.append(("verify", f"golden/{name}.json", "--field", f"fp:{p}", "--level", "full"))
     jobs.append(("decompose", "golden/diag_n5.json", "--field", "fp:11"))
     jobs.append(("verify", "golden/diag_n5.json", "--level", "full", "--field", "fp:11"))
@@ -71,6 +74,12 @@ def test_every_golden_input_has_a_field_prime():
     for name, p in P_GROUP_PRIME.items():
         r = normalized_snf(load_golden(f"{name}.json")).invariant_factors[-1]
         assert r in {p**k for k in range(1, r.bit_length() + 1)}, name
+    for name, p in MIXED_PRIME.items():
+        r = normalized_snf(load_golden(f"{name}.json")).invariant_factors[-1]
+        rest = r
+        while rest % p == 0:
+            rest //= p
+        assert r % p == 0 and rest > 1 and (p - 1) % rest == 0, name
 
 
 @pytest.mark.parametrize("argv", _jobs(), ids=" ".join)

@@ -68,6 +68,16 @@ class TestFields:
         assert F.neg(0) == 0
         assert F.of(-1) == 12
 
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), 2.9, 2.0, Fraction(4, 2)])
+    def test_gf_of_refuses_non_integers(self, bad):
+        # int() would truncate: 1/2 to 0 and 2.9 to 2
+        with pytest.raises(TypeError):
+            GF(7).of(bad)
+
+    def test_gf_of_takes_integers(self):
+        assert GF(7).of(9) == 2
+        assert GF(7).of(True) == 1
+
     def test_gf_rejects(self):
         with pytest.raises(ValueError):
             GF(6)
@@ -149,6 +159,21 @@ class TestPolynomial:
     def test_from_terms_refuses_non_integer_exponents(self, bad):
         with pytest.raises(TypeError):
             Polynomial.from_terms(QQ, 2, [(1, (0, 1)), (1, bad)])
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), 2.9, Fraction(2)])
+    def test_prime_field_coefficients_refuse_non_integers(self, bad):
+        # F_7 coefficients are integers modulo 7; QQ still takes fractions
+        F = GF(7)
+        x = Polynomial.variable(F, 1, 0)
+        with pytest.raises(TypeError):
+            Polynomial.constant(F, 1, bad)
+        with pytest.raises(TypeError):
+            Polynomial.monomial(F, 1, (1,), bad)
+        with pytest.raises(TypeError):
+            Polynomial.from_terms(F, 1, [(1, (0,)), (bad, (1,))])
+        with pytest.raises(TypeError):
+            x.scale(bad)
+        assert Polynomial.monomial(QQ, 1, (1,), bad).terms == {(1,): Fraction(bad)}
 
     def test_substitute_powers(self):
         # x^2 y - y^3 under weights (3, 1): t^7 - t^3
