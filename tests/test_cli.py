@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pcbideal
 from pcbideal import cli, decomp
@@ -30,6 +34,10 @@ _PRIMARY_REASON = (
     "p divides r, so over F_p the isolated components are primary and not prime, "
     "and decompose realizes prime components only"
 )
+
+
+def _env(**extra):
+    return dict(os.environ, PYTHONPATH=str(Path(pcbideal.__file__).parent.parent), **extra)
 
 
 def _k6_path(tmp_path) -> str:
@@ -75,6 +83,34 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", golden_path("simplest_n4.json"), "--pretty")
         assert code == 0
         assert "invariant factors: [1, 4, 4]" in out
+
+    def test_results_past_the_digit_limit(self, capsys, tmp_path):
+        # 2500-digit entries fit Python's int/str limit (4300 digits by
+        # default), but m and d have ~5000 digits: main prints them exact,
+        # as JSON and --pretty, and puts the limit back
+        a, b = int("7" * 2500), int("3" * 2500)
+        rows = [[a + b, -a, -b], [-b, a + b, -a], [-a, -b, a + b]]
+        want = pcbideal.analyze(pcbideal.validate(rows))
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "big.json"
+        sys.set_int_max_str_digits(0)
+        try:
+            path.write_text(json.dumps({"L": rows}))
+            shown = f"d = {want.d}"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(shown) > limit
+        code, out, err = run(capsys, "analyze", str(path))
+        assert (code, err) == (0, "") and sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            result = json.loads(out)["result"]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (result["m"], result["d"]) == (list(want.m), want.d)
+        code, out, err = run(capsys, "analyze", str(path), "--pretty")
+        assert (code, err) == (0, "") and sys.get_int_max_str_digits() == limit
+        assert shown in out
 
 
 class TestSnf:
@@ -233,6 +269,21 @@ class TestErrors:
         assert code == 2
         assert err.startswith("parse error: ") and "nested too deeply" in err
 
+    def test_integer_past_the_digit_limit(self, capsys, tmp_path):
+        # json.loads refuses an integer literal past Python's int/str limit;
+        # the input is refused as unreadable, naming the limit
+        limit = sys.get_int_max_str_digits()
+        bad = tmp_path / "long.json"
+        big = "1" * (limit + 100)
+        bad.write_text('{"L": [[%s, -%s], [-1, 1]]}' % (big, big))
+        code, out, err = run(capsys, "analyze", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"parse error: an integer in the input has more than {limit} digits, Python's limit for reading an integer from text\n"
+        code, out, err = run(capsys, "verify", golden_path("diag_n3.json"), "--field", "fp:" + big)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"parse error: bad field spec: p has more than {limit} digits")
+        assert sys.get_int_max_str_digits() == limit
+
     def test_n_mismatch(self, capsys, tmp_path):
         bad = tmp_path / "mismatch.json"
         bad.write_text('{"n": 3, "L": [[1, -1], [-1, 1]]}')
@@ -349,7 +400,7 @@ class TestInputDigest:
     def test_hashlib_fallback(self):
         # a build without CPython's built-in SHA-256 module falls back to
         # hashlib, with the same envelope
-        env = dict(os.environ, PYTHONPATH=str(Path(pcbideal.__file__).parent.parent))
+        env = _env()
         script = (
             "import sys\n"
             "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
@@ -377,7 +428,7 @@ class TestOneProcess:
             ["verify", golden_path("simplest_n4.json"), "--level", "bogus"],
             ["verify", golden_path("diag_n3.json"), "--field", "fp:7", "--level", "full"],
         ]
-        env = dict(os.environ, PYTHONPATH=str(Path(pcbideal.__file__).parent.parent))
+        env = _env()
         for argv in jobs:
             try:
                 code = main(argv)
@@ -396,6 +447,131 @@ class TestOneProcess:
             else:
                 assert code == 2 and out.out == alone.stdout == ""
 
+    # argv that the plain path leaves to argparse: help, --version, the
+    # forms argparse accepts besides the plain one, and usage errors
+    FALLBACK = [
+        [],
+        ["--version"],
+        ["-h"],
+        ["analyze", "--help"],
+        ["verify", "-h"],
+        ["analyze"],
+        ["analyze", "--", golden_path("diag_n3.json")],
+        ["analyze", golden_path("diag_n3.json"), golden_path("n2_64.json")],
+        ["analyze", golden_path("diag_n3.json"), "--field", "fp:7"],
+        ["snf", "--pre", golden_path("diag_n3.json")],
+        ["decompose", golden_path("diag_n3.json"), "--field=fp:7"],
+        ["decompose", golden_path("diag_n3.json"), "--field"],
+        ["verify", golden_path("diag_n3.json"), "--lev", "full"],
+        ["verify", golden_path("diag_n3.json"), "--level", "bogus"],
+        ["verify", golden_path("diag_n3.json"), "--field", "-1"],
+        ["verify", "", "--level", "full"],
+        ["verify", "-"],
+        ["bogus", golden_path("diag_n3.json")],
+    ]
+
+    @pytest.mark.parametrize("argv", FALLBACK, ids=lambda argv: " ".join(Path(a).name or repr(a) for a in argv) or "(none)")
+    def test_fallback_matches_a_separate_run(self, capsys, monkeypatch, argv):
+        # argparse sizes its help to the terminal: pin the width on both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli._plain_args(argv) is None
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        alone = subprocess.run(
+            [sys.executable, "-m", "pcbideal.cli", *argv], capture_output=True, text=True, env=_env(COLUMNS="80")
+        )
+        assert (code, out.err) == (alone.returncode, alone.stderr)
+        if code == 0 and out.out.startswith("{"):
+            got, want = json.loads(out.out), json.loads(alone.stdout)
+            assert got.pop("elapsed_ms") >= 0 and want.pop("elapsed_ms") >= 0
+            assert got == want
+        else:
+            assert out.out == alone.stdout
+
+
+def _parse_reference(argv):
+    """vars() of argparse's namespace, or ("exit", code) where it exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(cli.build_parser().parse_args(argv))
+    except SystemExit as exc:
+        return ("exit", exc.code)
+
+
+_TOKENS = [
+    *cli._COMMANDS,
+    "--pretty", "--field", "--level", "full", "identities", "bogus", "fp:7", "q", "symbolic",
+    "--", "-h", "--lev", "--pre", "--field=fp:7", "--version",
+    "", "-", "-1", "a b", golden_path("diag_n3.json"), "m.json",
+]
+
+
+class TestPlainArgs:
+    """`_plain_args` reads the plain form without argparse, and argparse
+    stays the reference: wherever the plain path accepts an argv, its
+    namespace is argparse's."""
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.one_of(st.sampled_from(list(cli._COMMANDS)), st.sampled_from(_TOKENS)),
+           st.lists(st.sampled_from(_TOKENS), max_size=6))
+    def test_agrees_with_argparse(self, first, rest):
+        argv = [first, *rest]
+        plain = cli._plain_args(argv)
+        if plain is not None:
+            assert vars(plain) == _parse_reference(argv), argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "m.json"],
+            ["snf", "--pretty", "m.json"],
+            ["decompose", "m.json", "--field", "fp:7", "--pretty"],
+            ["decompose", "--field", "symbolic", "m.json"],
+            ["verify", "--level", "full", "--field", "fp:7", "m.json"],
+            ["verify", "m.json", "--field", "fp:3", "--field", "q", "--level", "full", "--level", "identities"],
+            ["verify", "a b", "--field", ""],
+            ["verify", "verify"],
+        ],
+    )
+    def test_plain_form_is_read_directly(self, argv):
+        plain = cli._plain_args(argv)
+        assert plain is not None
+        assert vars(plain) == _parse_reference(argv)
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        # the `pcb` console script calls main() with no argv
+        def refuse():
+            raise AssertionError("a plain argv reached argparse")
+
+        monkeypatch.setattr(sys, "argv", ["pcb", "analyze", golden_path("diag_n3.json")])
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert main() == 0
+        assert json.loads(capsys.readouterr().out)["result"] == run_json(capsys, "analyze", golden_path("diag_n3.json"))["result"]
+
+    def test_plain_run_imports_no_argparse(self):
+        # a fresh interpreter runs a plain command without importing argparse
+        # or its gettext, and help still comes from argparse
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import pcbideal.cli\n"
+            "code = pcbideal.cli.main(['analyze', sys.argv[1]])\n"
+            "print(sorted({'argparse', 'gettext'} & (set(sys.modules) - before)), code)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", script, golden_path("diag_n3.json")],
+            capture_output=True, text=True, env=_env(), check=True,
+        )
+        assert done.stdout.splitlines()[-1] == "[] 0"
+        helped = subprocess.run(
+            [sys.executable, "-m", "pcbideal.cli", "analyze", "--help"], capture_output=True, text=True, env=_env()
+        )
+        assert helped.returncode == 0 and helped.stderr == ""
+        assert helped.stdout.startswith("usage: pcb analyze [-h] [--pretty] matrix\n")
+
 
 def test_cli_imports_only_the_standard_library():
     # the package stays stdlib-only: every module that importing the CLI
@@ -409,8 +585,7 @@ def test_cli_imports_only_the_standard_library():
         "import pcbideal.cli\n"
         "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(pcbideal.__file__).parent.parent))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_env(), check=True)
     added = done.stdout.split()
     assert "pcbideal.cli" in added
     foreign = [

@@ -41,11 +41,15 @@ PROTOCOL = (
 
 
 def parse_seeds(text: str) -> list:
-    """"301-310" or "301,305,309" (or a mix) as a list of ints."""
+    """"301-310" or "301,305,309" (or a mix) as a list of ints; anything
+    else, "301-" or "310-301" say, is a usage error."""
     seeds = []
     for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds += range(int(lo), int(hi or lo) + 1)
+        lo, dash, hi = part.partition("-")
+        bounds = [lo, hi] if dash else [lo]
+        if not all(b.isascii() and b.isdigit() for b in bounds) or int(lo) > int(bounds[-1]):
+            raise argparse.ArgumentTypeError(f"{part!r} in {text!r} is not a seed or a range LO-HI with LO <= HI")
+        seeds += range(int(lo), int(bounds[-1]) + 1)
     return seeds
 
 
@@ -105,6 +109,23 @@ def decide(workload: str, metric: str, pairs: list, summary: dict, better: str) 
     }
 
 
+def record(args, metrics: dict, pairs: list, summary: dict) -> dict:
+    """The BENCH_*.json document with this workload's pairs so far, on top
+    of what --out already holds."""
+    doc = json.loads(args.out.read_text()) if args.out and args.out.exists() else {}
+    doc.setdefault("change", args.note)
+    doc.setdefault("parent_commit", args.parent_commit)
+    doc["machine"] = doc.get("machine") or f"{platform.machine()} {platform.processor() or ''}, Python {platform.python_version()}".replace(" ,", ",")
+    doc["protocol"] = PROTOCOL.format(n=len(pairs))
+    doc.setdefault("commands", {})[args.workload] = [
+        f"python3 bench/run.py --workload {args.workload} --seed {p['seed']} --seconds {args.seconds:g}" for p in pairs
+    ]
+    if args.claim:
+        doc["claimed"] = decide(args.workload, args.claim, pairs, summary[args.claim], metrics[args.claim])
+    doc.setdefault("workloads", {})[args.workload] = {"pairs": pairs, "summary": summary}
+    return doc
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -122,7 +143,6 @@ def main(argv=None) -> int:
     metrics = {m["name"]: m["better"] for m in declared["end_to_end"]}
     if args.claim and args.claim not in metrics:
         parser.error(f"--claim must be one of {', '.join(metrics)}")
-    seconds = f"{args.seconds:g}"
     pairs = []
     for k, seed in enumerate(args.seeds, start=1):
         first = "parent" if k % 2 else "change"
@@ -131,23 +151,12 @@ def main(argv=None) -> int:
             pair[side] = run_side(getattr(args, side), args.workload, seed, args.seconds)
         pairs.append({key: pair[key] for key in ("pair", "seed", "first", "parent", "change")})
         print(f"pair {k} seed {seed}: " + json.dumps({s: pair[s] for s in ("parent", "change")}), file=sys.stderr)
-    summary = summarize(pairs, metrics)
-
-    doc = json.loads(args.out.read_text()) if args.out and args.out.exists() else {}
-    doc.setdefault("change", args.note)
-    doc.setdefault("parent_commit", args.parent_commit)
-    doc["machine"] = doc.get("machine") or f"{platform.machine()} {platform.processor() or ''}, Python {platform.python_version()}".replace(" ,", ",")
-    doc["protocol"] = PROTOCOL.format(n=len(pairs))
-    doc.setdefault("commands", {})[args.workload] = [
-        f"python3 bench/run.py --workload {args.workload} --seed {seed} --seconds {seconds}" for seed in args.seeds
-    ]
-    if args.claim:
-        doc["claimed"] = decide(args.workload, args.claim, pairs, summary[args.claim], metrics[args.claim])
-    doc.setdefault("workloads", {})[args.workload] = {"pairs": pairs, "summary": summary}
-    text = json.dumps(doc, indent=1) + "\n"
-    if args.out:
-        args.out.write_text(text)
-    else:
+        # written after every pair, so a series stopped midway keeps the pairs it ran
+        summary = summarize(pairs, metrics)
+        text = json.dumps(record(args, metrics, pairs, summary), indent=1) + "\n"
+        if args.out:
+            args.out.write_text(text)
+    if not args.out:
         sys.stdout.write(text)
     print(json.dumps({args.workload: summary}, indent=1), file=sys.stderr)
     return 0 if all(p[s]["correct"] for p in pairs for s in ("parent", "change")) else 1
