@@ -66,7 +66,7 @@ from .oracle import (
     Polynomial,
     PrimeField,
     WeightedRevLex,
-    dimension_one_degree,
+    dimension_one_residue,
     normal_form,
     ring_map_kernel,
     saturate,
@@ -610,11 +610,14 @@ def _intersection_witness(P: PcbMatrix, H: _HullRecord, q: int) -> Optional[str]
     _, d, nu = associated_vector(P)
     if math.gcd(*nu) != 1:
         return "the weights have a common factor"
-    hull_degree = dimension_one_degree(H.leads, nu)
-    if hull_degree is None:
+    residue = dimension_one_residue(H.leads, nu)
+    if residue is None:
         return "hull is not of dimension one"
-    if hull_degree != d:
-        return f"deg S = {hull_degree}, sum of component degrees = {d}"
+    value, product = residue
+    if value != d * product:
+        g = math.gcd(value, product)
+        degree = value // g if g == product else f"{value // g}/{product // g}"
+        return f"deg S = {degree}, sum of component degrees = {d}"
     for l, w in enumerate(kernel if q > 1 else [], start=1):
         frobenius = Binomial(tuple(q * max(v, 0) for v in w), tuple(q * max(-v, 0) for v in w))
         if normal_form(binomial_to_polynomial(frobenius, H.S.field, P.n), H.basis, H.order):
@@ -676,9 +679,10 @@ def _chain_checks(P: PcbMatrix, H: _HullRecord, frobenius: int) -> Tuple[List[Tu
        in every large degree. dim S = 1 and deg S = d, from the nu-graded
        Hilbert series of the leading ideal of S's reduced
        WeightedRevLex(nu, 0) basis, the one the saturation left cached,
-       read off H.leads (oracle.dimension_one_degree, after
+       read off H.leads (oracle.dimension_one_residue, after
        Bayer-Stillman), which for a homogeneous ideal equals the ideal's
-       own under any order.
+       own under any order. That residue is value / product, so
+       deg S = d is checked in integers as value = d product.
 
     The torsion group. In the basis W a column of L has the coordinates
     ε P'L (b), so by a, L lies in M = {Σ_l c_l w_l : d_l | c_l}, and

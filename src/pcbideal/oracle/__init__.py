@@ -3,7 +3,7 @@ Hilbert series."""
 
 from .field import GF, QQ, PrimeField, RationalField, is_prime
 from .groebner import groebner_basis, normal_form, spolynomial
-from .hilbert import dimension_one_degree, hilbert_numerator
+from .hilbert import dimension_one_degree, dimension_one_residue, hilbert_numerator
 from .ideal import (
     Ideal,
     NonTermImage,
@@ -27,6 +27,7 @@ __all__ = [
     "normal_form",
     "spolynomial",
     "dimension_one_degree",
+    "dimension_one_residue",
     "hilbert_numerator",
     "Ideal",
     "NonTermImage",

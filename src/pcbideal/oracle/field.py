@@ -3,11 +3,17 @@
 Two fields are supported: the exact rationals and prime fields F_p with
 p < 2**31. Field objects are stateless arithmetic providers; coefficients
 are plain Fraction or int values, which keeps the inner loops cheap.
+
+Only Q needs fractions, and importing it loads decimal and numbers too, so
+this module does not import it. RationalField's zero, one, of and inv are
+bound once, on their first use, as class attributes (_bind_rationals);
+from then on they are ordinary attribute lookups, and Q's arithmetic makes
+no import per call. A process that works only over F_p or over the
+integers never loads fractions.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from operator import index
 
@@ -42,15 +48,18 @@ def is_prime(n: int) -> bool:
 
 
 class RationalField:
-    """Arbitrary-precision exact rationals."""
+    """Arbitrary-precision exact rationals, as fractions.Fraction values.
+
+    zero, one, of and inv are missing until the first lookup of any of
+    them, which reaches __getattr__ and binds all four (_bind_rationals)."""
 
     tag = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
 
-    @staticmethod
-    def of(n) -> Fraction:
-        return Fraction(n)
+    def __getattr__(self, name):
+        if name not in ("zero", "one", "of", "inv"):
+            raise AttributeError(name)
+        _bind_rationals()
+        return getattr(self, name)
 
     @staticmethod
     def add(a, b):
@@ -68,10 +77,6 @@ class RationalField:
     def neg(a):
         return -a
 
-    @staticmethod
-    def inv(a):
-        return 1 / Fraction(a)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalField)
 
@@ -80,6 +85,24 @@ class RationalField:
 
     def __repr__(self) -> str:
         return "QQ"
+
+
+def _bind_rationals() -> None:
+    from fractions import Fraction
+
+    def of(n) -> Fraction:
+        """n as a Fraction; n must be an int or a Fraction, so a float or a
+        string raises TypeError instead of being read as a binary fraction
+        or parsed."""
+        return n if isinstance(n, Fraction) else Fraction(index(n))
+
+    def inv(a) -> Fraction:
+        return 1 / of(a)
+
+    RationalField.zero = Fraction(0)
+    RationalField.one = Fraction(1)
+    RationalField.of = staticmethod(of)
+    RationalField.inv = staticmethod(inv)
 
 
 QQ = RationalField()

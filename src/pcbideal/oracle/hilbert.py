@@ -10,15 +10,18 @@ tensor product: N = prod(1 - t^{deg m}).
 
 For an ideal homogeneous in that grading, the standard monomials of any
 Groebner basis span each graded piece of the quotient, so the leading
-ideal has the same Hilbert series; dimension_one_degree reads the
-dimension and the degree off it.
+ideal has the same Hilbert series; dimension_one_residue reads the
+dimension and the degree off it in integers, and dimension_one_degree
+gives that degree as a Fraction.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import le
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Monomial = Tuple[int, ...]
 Series = Dict[int, int]  # t-exponent -> nonzero integer coefficient
@@ -78,8 +81,9 @@ def hilbert_numerator(monomials: Sequence[Monomial], weights: Sequence[int]) -> 
     return _numerator(_minimal([tuple(m) for m in monomials]), weights)
 
 
-def dimension_one_degree(monomials: Sequence[Monomial], weights: Sequence[int]) -> Optional[Fraction]:
-    """The degree e of R/J when it has dimension one, else None.
+def dimension_one_residue(monomials: Sequence[Monomial], weights: Sequence[int]) -> Optional[Tuple[int, int]]:
+    """The degree e of R/J as (value, product) with e = value / product,
+    when R/J has dimension one, else None; integers only.
 
     With n variables, R/J has dimension one exactly when N(t) =
     (1 - t)^{n-1} M(t) with M(1) != 0: the product prod(1 - t^{w_i}) is
@@ -87,8 +91,9 @@ def dimension_one_degree(monomials: Sequence[Monomial], weights: Sequence[int]) 
     then has a pole of order one at t = 1. N is divided by (1 - t) exactly,
     n - 1 times; a nonzero remainder means dimension two or more, and
     M(1) = 0 dimension zero or the zero ring. The degree is the residue
-    e = M(1) / prod w_i, which is additive over graded exact sequences
-    of modules of dimension at most one and is positive for dimension one.
+    e = M(1) / prod w_i, returned as value = M(1) and product = prod w_i,
+    not reduced; it is additive over graded exact sequences of modules of
+    dimension at most one and is positive for dimension one.
     """
     num = hilbert_numerator(monomials, weights)
     top = max(num, default=-1)
@@ -108,4 +113,16 @@ def dimension_one_degree(monomials: Sequence[Monomial], weights: Sequence[int]) 
     product = 1
     for w in weights:
         product *= w
-    return Fraction(value, product)
+    return value, product
+
+
+def dimension_one_degree(monomials: Sequence[Monomial], weights: Sequence[int]) -> Optional[Fraction]:
+    """The degree e of R/J when it has dimension one, else None: the
+    residue of dimension_one_residue as a Fraction. fractions is imported
+    on the call, so that loading this module does not load it."""
+    residue = dimension_one_residue(monomials, weights)
+    if residue is None:
+        return None
+    from fractions import Fraction
+
+    return Fraction(*residue)

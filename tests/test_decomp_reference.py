@@ -58,6 +58,7 @@ import math
 import random
 import re
 from collections import Counter
+from fractions import Fraction
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
@@ -75,6 +76,7 @@ from pcbideal.decomp import (
     _hull_checks,
     _hull_record,
     _hull_swept,
+    _intersection_witness,
     _kernel_vectors,
     _lattice_binomials,
     _leading_monomials,
@@ -1694,6 +1696,33 @@ def test_failed_sweep_reports_false(name, field):
         assert checks[LATTICE] == _reference_lattice(P, S)
         if P.n >= 4:
             assert [ok for _, ok in embedded_checks(P, H)] == [False, False]
+
+
+@pytest.mark.parametrize("name,field", WRONG_HULL_CASES, ids=lambda v: getattr(v, "tag", v))
+def test_wrong_hull_degree_reports_deg_s_as_a_fraction(name, field):
+    # the hull plus one binomial from outside it, taken past the sweep and
+    # the lattice check: the integer degree test fails it with deg S
+    # written as dimension_one_degree's Fraction prints
+    P = load_golden(name)
+    I, _, nu, (S, *_) = _wrong_hulls(P, field)
+    H = _hull_record(P, I, S)._replace(swept=True, lattice=True)
+    d = associated_vector(P)[1]
+    degree = dimension_one_degree(H.leads, nu)
+    assert degree is not None and degree != d
+    assert _intersection_witness(P, H, 1) == f"deg S = {degree}, sum of component degrees = {d}"
+
+
+@pytest.mark.parametrize("value,product", [(5, 15), (7, 2), (32, 2), (48, 3), (-3, 6), (16, 1), (160, 10), (17, 16), (33, 2), (51, 3)])
+def test_degree_text_matches_the_fraction(value, product, monkeypatch):
+    # every residue (value, product) is refused unless value = d product,
+    # and the refusal prints the reduced Fraction value / product
+    P = load_golden("simplest_n4.json")
+    H = _hull_record(P, *_hull(P, GF(5))[:2])
+    d = associated_vector(P)[1]
+    monkeypatch.setattr(decomp, "dimension_one_residue", lambda leads, nu: (value, product))
+    degree = Fraction(value, product)
+    expected = None if degree == d else f"deg S = {degree}, sum of component degrees = {d}"
+    assert _intersection_witness(P, H, 1) == expected
 
 
 @pytest.mark.parametrize("name,p", [("simplest_n4.json", 5), ("diag_n5.json", 11)])

@@ -24,6 +24,7 @@ from pcbideal.oracle import (
     Polynomial,
     colon,
     dimension_one_degree,
+    dimension_one_residue,
     hilbert_numerator,
     ring_map_kernel,
 )
@@ -145,6 +146,62 @@ def test_dimension_other_than_one_is_rejected():
     assert dimension_one_degree([(0, 0, 0)], weights) is None
     # (x, y) leaves k[z], with z of weight 3: one monomial in every third degree
     assert dimension_one_degree([(1, 0, 0), (0, 1, 0)], weights) == Fraction(1, 3)
+
+
+def _reference_degree(lms, weights):
+    """The degree of R/J from its Hilbert function, with no division by
+    (1 - t): from t^{deg N} on, the coefficients of N(t) / prod(1 - t^w)
+    are a quasi-polynomial of period L = lcm(w), so their sum over the j-th
+    period is a polynomial in j of degree dim R/J - 1 <= 3. R/J has
+    dimension one when five consecutive period sums are one nonzero value
+    s, and then its degree is s / L; else None."""
+    num = hilbert_numerator(lms, weights)
+    start, period = max(num, default=0), math.lcm(*weights)
+    coeffs = _series(num, weights, start + 5 * period)
+    sums = {sum(coeffs[start + k * period + 1 : start + (k + 1) * period + 1]) for k in range(5)}
+    if len(sums) != 1 or sums == {0}:
+        return None
+    return Fraction(sums.pop(), period)
+
+
+def _residue_agrees(lms, weights):
+    """dimension_one_residue against the Hilbert function, and the integer
+    test value = d product that verify makes against the Fraction's
+    deg = d, for every d from 0 to two past the degree."""
+    reference = _reference_degree(lms, weights)
+    residue = dimension_one_residue(lms, weights)
+    assert dimension_one_degree(lms, weights) == reference
+    if reference is None:
+        assert residue is None
+        return
+    value, product = residue
+    assert product == math.prod(weights) and Fraction(value, product) == reference
+    for d in range(int(reference) + 3):
+        assert (value == d * product) == (reference == d)
+
+
+@given(monomial_ideals)
+@settings(max_examples=80, deadline=None)
+def test_integer_residue_agrees_with_the_degree_of_drawn_ideals(case):
+    _residue_agrees(*case)
+
+
+@pytest.mark.parametrize(
+    "lms",
+    [
+        [],  # dimension three
+        [(1, 0, 0)],  # dimension two
+        [(1, 0, 0), (0, 1, 0), (0, 0, 2)],  # dimension zero
+        [(0, 0, 0)],  # the zero ring
+        [(1, 0, 0), (0, 1, 0)],  # k[z], deg z = 3: degree 1/3
+        [(1, 0, 0), (0, 2, 0)],  # k[z] twice: degree 2/3
+        [(1, 0, 0), (0, 1, 1)],  # the y and z axes: degree 1/2 + 1/3 = 5/6
+        [(1, 1, 0), (0, 1, 1), (1, 0, 1)],  # the three axes: degree 11/6
+        [(2, 0, 0), (0, 1, 1)],  # the y and z axes twice: degree 5/3
+    ],
+)
+def test_integer_residue_agrees_with_the_degree(lms):
+    _residue_agrees(lms, (1, 2, 3))
 
 
 def test_numerator_rejects_bad_input():

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import pcbideal
 from pcbideal.oracle import (
     DEGREVLEX,
     LEX,
@@ -90,6 +95,36 @@ class TestFields:
     def test_qq(self):
         assert QQ.inv(Fraction(3, 2)) == Fraction(2, 3)
         assert QQ.of(7) == Fraction(7)
+        assert QQ.of(True) == QQ.one and QQ.inv(-2) == Fraction(-1, 2)
+        with pytest.raises(ZeroDivisionError):
+            QQ.inv(0)
+
+    @pytest.mark.parametrize("bad", [0.1, 2.0, "3/4", "1", 1j, None])
+    def test_qq_of_refuses_non_rationals(self, bad):
+        # Fraction() would read 0.1 as 3602879701896397/36028797018963968
+        # and parse "3/4"
+        with pytest.raises(TypeError):
+            QQ.of(bad)
+        with pytest.raises(TypeError):
+            QQ.inv(bad)
+        with pytest.raises(TypeError):
+            Polynomial.constant(QQ, 1, bad)
+
+    def test_qq_binds_the_rationals_once_on_first_use(self):
+        # importing the oracle loads no fractions; the first use of QQ binds
+        # zero, one, of and inv as class attributes, so later calls import
+        # nothing and never reach __getattr__ again
+        probe = (
+            "import sys\n"
+            "from pcbideal.oracle import QQ, RationalField\n"
+            "before = 'fractions' in sys.modules\n"
+            "QQ.of(3)\n"
+            "bound = sorted(set(vars(RationalField)) & {'zero', 'one', 'of', 'inv'})\n"
+            "print(before, 'fractions' in sys.modules, *bound, hasattr(QQ, 'p'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(pcbideal.__file__).parent.parent))
+        done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.split() == ["False", "True", "inv", "of", "one", "zero", "False"]
 
 
 class TestOrders:
@@ -162,7 +197,7 @@ class TestPolynomial:
 
     @pytest.mark.parametrize("bad", [Fraction(1, 2), 2.9, Fraction(2)])
     def test_prime_field_coefficients_refuse_non_integers(self, bad):
-        # F_7 coefficients are integers modulo 7; QQ still takes fractions
+        # F_7 coefficients are integers modulo 7; QQ takes fractions, not floats
         F = GF(7)
         x = Polynomial.variable(F, 1, 0)
         with pytest.raises(TypeError):
@@ -173,7 +208,11 @@ class TestPolynomial:
             Polynomial.from_terms(F, 1, [(1, (0,)), (bad, (1,))])
         with pytest.raises(TypeError):
             x.scale(bad)
-        assert Polynomial.monomial(QQ, 1, (1,), bad).terms == {(1,): Fraction(bad)}
+        if isinstance(bad, Fraction):
+            assert Polynomial.monomial(QQ, 1, (1,), bad).terms == {(1,): bad}
+        else:
+            with pytest.raises(TypeError):
+                Polynomial.monomial(QQ, 1, (1,), bad)
 
     def test_substitute_powers(self):
         # x^2 y - y^3 under weights (3, 1): t^7 - t^3
