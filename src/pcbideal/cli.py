@@ -10,11 +10,13 @@ Four subcommands over a tiny JSON input format:
 Input files look like {"n": 4, "L": [[3,-1,-1,-1], ...]}. Output is a JSON
 envelope on stdout; --pretty switches to human-readable tables. Exit codes:
 0 success, 2 parse or usage error, 3 validation error, 4 bad prime, 5
-verification failure. This module parses, dispatches and renders; the checks
-behind `verify` live in core.identity_checks and
+verification failure. This module parses, dispatches and renders JSON; the
+checks behind `verify` live in core.identity_checks and
 decomp.verify_full_decomposition. A plain command line is read from the
 _COMMANDS table; argparse is imported only for help, --version and the other
-forms, which it parses as the reference.
+forms, which it parses as the reference. Each command loads only what it
+runs: the decompose module (with the oracle's elimination engine) in the
+decompose branch, and the pretty module under --pretty.
 """
 
 from __future__ import annotations
@@ -42,24 +44,14 @@ from .core import (
     PcbValidationError,
     analyze,
     associated_vector,
+    component_count,
     identity_checks,
     normalized_snf,
     small_dim_decomposition,
-    syzygy_vectors,
     torsion_profile,
     validate,
 )
-from .decomp import (
-    BadPrime,
-    VerificationFailed,
-    component_count,
-    embedded_component,
-    enumerate_components,
-    prime_field,
-    realize_over_prime_field,
-    verify_full_decomposition,
-)
-from .oracle import DEGREVLEX, GF, render
+from .decomp import BadPrime, VerificationFailed, prime_field, verify_full_decomposition
 
 
 class SchemaError(ValueError):
@@ -166,43 +158,6 @@ def _cmd_snf(P: PcbMatrix) -> Dict:
     return payload
 
 
-def _cmd_decompose(P: PcbMatrix, p: Optional[int]) -> Dict:
-    realization = None if p is None else realize_over_prime_field(P, p)
-    specs = enumerate_components(P) if realization is None else realization.specs
-    counts = component_count(P)
-    payload: Dict = {
-        "field": "symbolic" if p is None else f"fp:{p}",
-        "root_order": specs[0].root_order,
-        "counts": {
-            "isolated": counts.isolated,
-            "embedded": counts.embedded,
-            "at_most": counts.at_most,
-        },
-    }
-    if realization is not None:
-        payload["p"] = realization.p
-        payload["zeta"] = realization.zeta
-    components: List[Dict] = []
-    for i, s in enumerate(specs):
-        comp = {
-            "lambda_index": list(s.lambda_index),
-            "coeff_exponents": list(s.coeff_exponents),
-            "weights": list(s.weights),
-            "map": list(s.map_strings()),
-        }
-        if realization is not None:
-            comp["kernel"] = [render(g, DEGREVLEX) for g in realization.kernels[i].groebner()]
-        components.append(comp)
-    payload["components"] = components
-    payload["embedded"] = None
-    if P.n >= 4:
-        payload["embedded"] = {"monomial": list(syzygy_vectors(P)[P.n - 1])}
-        if realization is not None:
-            gens = embedded_component(P, GF(p)).groebner()
-            payload["embedded"]["generators"] = [render(g, DEGREVLEX) for g in gens]
-    return payload
-
-
 def _cmd_verify(P: PcbMatrix, p: Optional[int], level: str) -> Dict:
     checks = identity_checks(P)
     if level == "full":
@@ -213,42 +168,6 @@ def _cmd_verify(P: PcbMatrix, p: Optional[int], level: str) -> Dict:
         "checks": [{"name": name, "ok": ok} for name, ok in checks],
         "ok": all(ok for _, ok in checks),
     }
-
-
-def _print_pretty(command: str, payload: Dict, digest: str, ms: int) -> None:
-    print(f"pcb {command}  (input sha256 {digest[:12]}, {ms} ms)")
-    if command == "analyze":
-        print(f"  n = {payload['n']}")
-        print(f"  m = {payload['m']}   d = {payload['d']}   nu = {payload['nu']}")
-        print(f"  invariant factors: {payload['invariant_factors']}")
-        print(f"  syzygy exponents: {payload['syzygy_exponents']}")
-        print(f"  hull prime: {payload['hull_prime']}")
-        c = payload["counts"]
-        print(f"  components: {c['isolated']} isolated + {c['embedded']} embedded (at most {c['at_most']} over any field)")
-        t = payload["torsion"]
-        print(f"  torsion: order {t['order']}, cyclic factors {t['cyclic_factors']}, free rank {t['free_rank']}")
-    elif command == "snf":
-        for name in ("P", "D", "Q"):
-            print(f"  {name}:")
-            for row in payload[name]:
-                print(f"    {row}")
-        print(f"  invariant factors: {payload['invariant_factors']}")
-        print(f"  nu: {payload['nu']}")
-    elif command == "decompose":
-        print(f"  field: {payload['field']}   isolated: {payload['counts']['isolated']}")
-        for i, comp in enumerate(payload["components"], start=1):
-            line = f"  [{i:>2}] x -> ({', '.join(comp['map'])})"
-            print(line)
-            if "kernel" in comp:
-                for g in comp["kernel"]:
-                    print(f"        {g}")
-        if payload.get("embedded"):
-            print(f"  embedded monomial exponents: {payload['embedded']['monomial']}")
-    elif command == "verify":
-        for check in payload["checks"]:
-            mark = "ok " if check["ok"] else "FAIL"
-            print(f"  [{mark}] {check['name']}")
-        print(f"  overall: {'ok' if payload['ok'] else 'FAILED'}")
 
 
 # Each subcommand's options besides the matrix path and --pretty: option ->
@@ -335,7 +254,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         elif args.command == "snf":
             payload = _cmd_snf(P)
         elif args.command == "decompose":
-            payload = _cmd_decompose(P, _parse_field(args.field, allow_symbolic=True))
+            from . import decompose
+
+            payload = decompose.result(P, _parse_field(args.field, allow_symbolic=True))
         else:
             payload = _cmd_verify(P, _parse_field(args.field, allow_symbolic=False), args.level)
     except json.JSONDecodeError as err:
@@ -360,7 +281,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         if args.pretty:
-            _print_pretty(args.command, payload, digest, ms)
+            from .pretty import print_pretty
+
+            print_pretty(args.command, payload, digest, ms)
         else:
             envelope = {
                 "version": __version__,

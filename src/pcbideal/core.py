@@ -398,6 +398,32 @@ def torsion_profile(P: PcbMatrix) -> TorsionProfile:
     )
 
 
+class ComponentCount(NamedTuple):
+    isolated: int
+    embedded: int
+    assumption: str
+    at_most: int
+
+
+def component_count(P: PcbMatrix) -> ComponentCount:
+    """Component counts under the good-characteristic assumption.
+
+    Over an arbitrary field the same numbers are only an upper bound, which
+    at_most records.
+    """
+    _, d, _ = associated_vector(P)
+    embedded = 1 if P.n >= 4 else 0
+    return ComponentCount(
+        isolated=d,
+        embedded=embedded,
+        assumption=(
+            "the coefficient field contains a primitive root of unity for every "
+            "invariant factor and its characteristic does not divide their product"
+        ),
+        at_most=d + embedded,
+    )
+
+
 class PcbAnalysis(NamedTuple):
     """One-stop summary of the discrete invariants of a PCB matrix."""
 
@@ -413,8 +439,12 @@ class PcbAnalysis(NamedTuple):
 
 
 def analyze(P: PcbMatrix) -> PcbAnalysis:
+    """The invariants, and the component counts as component_count gives
+    them: the hull is prime exactly when the torsion order d is 1, that
+    is when there is one isolated component."""
     m, d, nu = associated_vector(P)
     snf = normalized_snf(P)
+    counts = component_count(P)
     return PcbAnalysis(
         n=P.n,
         m=m,
@@ -422,7 +452,7 @@ def analyze(P: PcbMatrix) -> PcbAnalysis:
         nu=nu,
         invariant_factors=snf.invariant_factors,
         syzygy_exponents=syzygy_vectors(P),
-        hull_prime=(d == 1),
-        isolated_components=d,
-        embedded_components=1 if P.n >= 4 else 0,
+        hull_prime=(counts.isolated == 1),
+        isolated_components=counts.isolated,
+        embedded_components=counts.embedded,
     )

@@ -37,21 +37,24 @@ SNF, and, when p divides r, n - 1 normal forms of Frobenius powers (see
 _chain_checks); every accepted p runs that one path. Only decompose
 lists the d characters and realizes their components, once each, for
 p = 1 (mod r): one elimination gives the trivial-character component
-and one loop of torus twists gives all d (see realize_over_prime_field).
+and one loop of torus twists gives all d, in the decompose module (see
+decompose.realize_over_prime_field), which no other command loads.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from operator import add, mul, sub
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
+# ComponentCount and component_count are core's, kept here under their old names
 from .core import (
     Binomial,
-    DimensionTooSmall,
+    ComponentCount,
     PcbMatrix,
+    analyze,
     associated_vector,
+    component_count,
     generators,
     mixedness_witness,
     normalized_snf,
@@ -68,7 +71,6 @@ from .oracle import (
     WeightedRevLex,
     dimension_one_residue,
     normal_form,
-    ring_map_kernel,
     saturate,
 )
 
@@ -100,86 +102,10 @@ def pcb_ideal(P: PcbMatrix, field) -> Ideal:
     return Ideal(field, P.n, [binomial_to_polynomial(g, field, P.n) for g in generators(P)])
 
 
-class ComponentSpec(NamedTuple):
-    """One isolated component, described before any field is chosen.
-
-    lambda_index enumerates the character group factor by factor; the map
-    sends x_i to zeta^{coeff_exponents[i]} * t^{weights[i]} where zeta is a
-    fixed primitive root of unity of order root_order.
-    """
-
-    lambda_index: Tuple[int, ...]
-    coeff_exponents: Tuple[int, ...]
-    weights: Tuple[int, ...]
-    root_order: int
-
-    def map_strings(self) -> Tuple[str, ...]:
-        out = []
-        for e, w in zip(self.coeff_exponents, self.weights):
-            t = "t" if w == 1 else f"t^{w}"
-            if e == 0:
-                out.append(t)
-            elif e == 1:
-                out.append(f"zeta*{t}")
-            else:
-                out.append(f"zeta^{e}*{t}")
-        return tuple(out)
-
-
-def enumerate_components(P: PcbMatrix) -> Tuple[ComponentSpec, ...]:
-    """All d isolated component specs, lambda_index in lexicographic order.
-
-    The character of lambda_index k is e = sum_j k_j (r / d_j) row_j of the
-    normalized SNF's left transform, modulo r. decompose lists them;
-    verify lists none: it proves that every one kills L and that their
-    components are distinct from the n - 1 generators (r / d_j) row_j
-    alone (see _chain_checks)."""
-    snf = normalized_snf(P)
-    _, _, nu = associated_vector(P)
-    factors = snf.invariant_factors
-    r = factors[-1]
-    columns = list(zip(*([(r // dj) * v for v in row] for dj, row in zip(factors, snf.P.data))))
-    return tuple(
-        ComponentSpec(k, tuple(sum(map(mul, k, col)) % r for col in columns), nu, r)
-        for k in itertools.product(*(range(dj) for dj in factors))
-    )
-
-
 def hull_is_prime(P: PcbMatrix) -> bool:
-    """The hull is prime exactly when the torsion order is 1."""
-    _, d, _ = associated_vector(P)
-    return d == 1
-
-
-class ComponentCount(NamedTuple):
-    isolated: int
-    embedded: int
-    assumption: str
-    at_most: int
-
-
-def component_count(P: PcbMatrix) -> ComponentCount:
-    """Component counts under the good-characteristic assumption.
-
-    Over an arbitrary field the same numbers are only an upper bound, which
-    at_most records.
-    """
-    _, d, _ = associated_vector(P)
-    embedded = 1 if P.n >= 4 else 0
-    return ComponentCount(
-        isolated=d,
-        embedded=embedded,
-        assumption=(
-            "the coefficient field contains a primitive root of unity for every "
-            "invariant factor and its characteristic does not divide their product"
-        ),
-        at_most=d + embedded,
-    )
-
-
-def socle_monomial(P: PcbMatrix, field) -> Polynomial:
-    """x^{b(n)}, the monomial that both cuts the hull and completes the ideal."""
-    return Polynomial.monomial(field, P.n, syzygy_vectors(P)[P.n - 1])
+    """The hull is prime exactly when the torsion order is 1, as analyze
+    reads it off component_count."""
+    return analyze(P).hull_prime
 
 
 def _saturation(P: PcbMatrix, I: Ideal) -> Ideal:
@@ -199,18 +125,6 @@ def hull(P: PcbMatrix, field) -> Ideal:
     return _saturation(P, pcb_ideal(P, field))
 
 
-def embedded_component(P: PcbMatrix, field) -> Ideal:
-    """The component primary to (x_1, ..., x_n): the ideal plus x^{b(n)}.
-
-    decompose prints its basis. embedded_checks proves the claim from P,
-    I and S, and verify_full_decomposition builds no E.
-    """
-    n = P.n
-    if n < 4:
-        raise DimensionTooSmall(f"embedded component needs n >= 4, got n = {n}")
-    return Ideal(field, n, pcb_ideal(P, field).gens + (socle_monomial(P, field),))
-
-
 def _primary_to_origin(P: PcbMatrix) -> bool:
     """Whether the premises hold that make E = I + (x^{b(n)}) primary to
     (x_1, ..., x_n) with no Groebner basis of E: every a_ij > 0 and
@@ -220,8 +134,8 @@ def _primary_to_origin(P: PcbMatrix) -> bool:
 
 def embedded_checks(P: PcbMatrix, H: _HullRecord) -> List[Tuple[str, bool]]:
     """Prove E = I + (x^{b(n)}) the embedded component of I, with hull
-    S = I : x^{b(n)}. E is that sum by definition (embedded_component
-    builds it for decompose), so no ideal E is built or taken here: its
+    S = I : x^{b(n)}. E is that sum by definition (it is
+    decompose.embedded_component), so no ideal E is built or taken here: its
     facts are facts about P, I and S, read off the hull record H
     (_hull_record). H.swept, when True, proves S = I : x^{b(n)} and
     S : x_1 = S for S the saturation I : x_1^∞ (see _hull_checks), in
@@ -270,31 +184,6 @@ def unmixedness_test(P: PcbMatrix, field) -> bool:
     return _saturation(P, I) == I
 
 
-def _prime_factors(n: int) -> Tuple[int, ...]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
-
-
-def least_primitive_root(p: int) -> int:
-    if p == 2:
-        return 1
-    qs = _prime_factors(p - 1)
-    g = 2
-    while True:
-        if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
-            return g
-        g += 1
-
-
 def prime_field(p: int) -> PrimeField:
     """GF(p) for any `--field fp:<p>` request; BadPrime unless p is a prime
     below 2**31. Every command asks this first, whatever it does with F_p."""
@@ -305,8 +194,12 @@ def prime_field(p: int) -> PrimeField:
 
 
 def _prime_to(m: int, p: int) -> int:
-    """m with every factor p removed: the part of m prime to p."""
-    return _prime_to(m // p, p) if m % p == 0 else m
+    """m with every factor p removed: the part of m prime to p. A loop and
+    not a recursion, so that no exponent of p, 2**5000 in m say, can
+    exhaust the stack."""
+    while m % p == 0:
+        m //= p
+    return m
 
 
 def prime_field_for(P: PcbMatrix, p: int) -> Tuple[PrimeField, int]:
@@ -323,72 +216,16 @@ def prime_field_for(P: PcbMatrix, p: int) -> Tuple[PrimeField, int]:
     characters of G_p′ (see _chain_checks). q = 1 (p = 1 (mod r)) and
     r′ = 1 (r a power of p) are the two corners of the one rule. Every
     other p, a p that is not prime included, is BadPrime; when p divides r
-    the reason names r′ and its least prime factor.
+    the reason names r′. Nothing is factored: r′ is r with its factors p
+    divided out, so refusing p costs no more than accepting it, whatever
+    the size of r.
     """
     field = prime_field(p)
     r = normalized_snf(P).invariant_factors[-1]
     rest = _prime_to(r, p)
     if (p - 1) % rest:
-        reason = f"r = {r} has the prime factor {_prime_factors(rest)[0]} besides p; need p = 1 (mod r' = {rest})"
-        raise BadPrime(p, r, "" if rest == r else reason)
+        raise BadPrime(p, r, f"p divides r; need p = 1 (mod r' = {rest}), r' the part of r prime to p" if rest != r else "")
     return field, 1 if r % p else r
-
-
-class PrimeFieldRealization(NamedTuple):
-    """The d isolated components over F_p: kernels[i] is the component of
-    the character of specs[i], as an ideal with its reduced degrevlex
-    basis, and zeta the primitive r-th root of unity the maps use, for
-    r = specs[0].root_order. kernels[0] is the trivial-character
-    component P_0."""
-
-    p: int
-    zeta: int
-    specs: Tuple[ComponentSpec, ...]
-    kernels: Tuple[Ideal, ...]
-
-
-def realize_over_prime_field(P: PcbMatrix, p: int) -> PrimeFieldRealization:
-    """Instantiate every isolated component over F_p, p = 1 (mod r). When
-    p divides r, prime_field_for accepts p for verify, but the isolated
-    components over F_p are then primary and not prime, and none is
-    realized: BadPrime says so.
-
-    zeta is g^((p-1)/r) for the least primitive root g, so the realization
-    is reproducible. One elimination computes P_0, the kernel of the
-    trivial-character map psi_0: x_i -> t^{nu_i}, and one loop twists its
-    reduced basis into every component, P_0 itself first: the character
-    of lambda_index (0, ..., 0) is 0, and its twist changes no term.
-
-    Write psi_e for x_i -> zeta^{e_i} t^{nu_i} and D_e for the substitution
-    x_i -> zeta^{e_i} x_i (Eisenbud-Sturmfels, "Binomial ideals"). Then
-    psi_e = psi_0 o D_e, so ker psi_e = D_e^{-1}(ker psi_0) = D_{-e}(P_0).
-    D_{-e} multiplies each term c x^a by the unit zeta^{-e.a}, so it keeps
-    every leading and every standard monomial: applied to the reduced basis
-    of P_0 and made monic again, it gives the reduced basis of ker psi_e
-    exactly.
-    """
-    field, q = prime_field_for(P, p)
-    if q > 1:
-        reason = "over F_p the isolated components are primary and not prime, and decompose realizes prime components only"
-        raise BadPrime(p, q, f"p divides r, so {reason}")
-    specs = enumerate_components(P)
-    r = specs[0].root_order
-    zeta = pow(least_primitive_root(p), (p - 1) // r, p) if r > 1 else 1
-    powers = [pow(zeta, k, p) for k in range(r)]
-    basis = ring_map_kernel([Polynomial.monomial(field, 1, (w,)) for w in specs[0].weights]).groebner()
-    leads = _leading_monomials(basis)
-    kernels = []
-    for s in specs:
-        e = s.coeff_exponents
-        twisted = []
-        for g, lm in zip(basis, leads):
-            lead = sum(map(mul, e, lm))
-            # c x^a -> c zeta^{-e.a} x^a, divided by the new leading coefficient
-            twisted.append(Polynomial(field, P.n, {
-                a: field.mul(c, powers[(lead - sum(map(mul, e, a))) % r]) for a, c in g.terms.items()
-            }))
-        kernels.append(Ideal._with_basis(field, P.n, twisted, DEGREVLEX))
-    return PrimeFieldRealization(p, zeta, specs, tuple(kernels))
 
 
 class DecompositionReport(NamedTuple):

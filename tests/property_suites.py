@@ -8,7 +8,7 @@ actually verified so the caller can assert the volume.
 import random
 
 from pcbideal.core import associated_vector, normalized_snf, syzygy_identity_residual
-from pcbideal.decomp import enumerate_components
+from pcbideal.decompose import enumerate_components
 from pcbideal.intmat import IntMatrix, adjugate, determinant, lattice_contains, smith_normal_form
 
 from conftest import random_pcb

@@ -30,16 +30,15 @@ from pcbideal.core import (
 from pcbideal.decomp import (
     _hull_record,
     embedded_checks,
-    embedded_component,
     hull,
     hull_is_prime,
     pcb_ideal,
-    realize_over_prime_field,
-    socle_monomial,
     unmixedness_test,
     verify_full_decomposition,
 )
-from pcbideal.oracle import GF, QQ, Ideal, Polynomial, colon, intersect, saturate
+from pcbideal.decompose import embedded_component, realize_over_prime_field, socle_monomial
+from pcbideal.oracle import GF, QQ, Ideal, Polynomial, colon, saturate
+from pcbideal.oracle.elimination import intersect
 
 import property_suites
 from conftest import diagonal_prime_gens, golden_path, load_golden, prime_power_in_hull

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pcbideal
-from pcbideal import cli, decomp
+from pcbideal import cli, decompose
 from pcbideal.cli import main
 
 from conftest import GOLDEN, LARGE_WEIGHTS, golden_path
@@ -153,14 +153,13 @@ class TestDecompose:
     def test_characters_listed_once(self, capsys, monkeypatch, field):
         # over F_p the realization's specs are the ones printed
         calls = []
-        enumerate_components = decomp.enumerate_components
+        enumerate_components = decompose.enumerate_components
 
         def counted(P):
             calls.append(P)
             return enumerate_components(P)
 
-        monkeypatch.setattr(decomp, "enumerate_components", counted)
-        monkeypatch.setattr(cli, "enumerate_components", counted)
+        monkeypatch.setattr(decompose, "enumerate_components", counted)
         r = run_json(capsys, "decompose", golden_path("simplest_n4.json"), "--field", field)["result"]
         assert len(r["components"]) == 16
         assert len(calls) == 1
@@ -346,7 +345,7 @@ class TestErrors:
         for argv in (("verify", path, "--level", "full"), ("decompose", path)):
             code, out, err = run(capsys, *argv, "--field", field)
             assert (code, out) == (4, ""), argv
-            assert "BadPrime" in err and f"prime factor {other} besides p" in err and f"r' = {other}" in err
+            assert "BadPrime" in err and "the part of r prime to p" in err and f"r' = {other}" in err
         assert run_json(capsys, "verify", path, "--field", field)["result"]["ok"]
 
     def test_p_group_is_not_decomposed(self, capsys):
@@ -363,6 +362,35 @@ class TestErrors:
         code, out, err = run(capsys, "decompose", golden_path("n3_doubled.json"), "--field", "fp:3")
         assert (code, out) == (4, "")
         assert "BadPrime(p=3, r=6)" in err and _PRIMARY_REASON in err
+
+    @pytest.mark.parametrize("field", ["fp:3", "fp:2"])
+    @pytest.mark.parametrize("command", [("verify", "--level", "full"), ("decompose",)], ids=" ".join)
+    def test_refusal_factors_nothing(self, tmp_path, command, field):
+        # r = 2q with q = 10^20 + 39 prime: p = 3 does not divide r, and for
+        # p = 2 r′ = q is prime; trial division of r′ ran for minutes, and
+        # the refusal must need no factor of r′
+        q = 10**20 + 39
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"L": [[2 * q, -2 * q], [-2 * q, 2 * q]]}))
+        argv = [sys.executable, "-m", "pcbideal.cli", command[0], str(path), *command[1:], "--field", field]
+        done = subprocess.run(argv, capture_output=True, text=True, env=_env(), timeout=10)
+        assert (done.returncode, done.stdout) == (4, "")
+        assert f"BadPrime(p={field[3:]}, r={2 * q})" in done.stderr
+        if field == "fp:2":
+            assert f"r' = {q}" in done.stderr
+
+    @pytest.mark.parametrize("field", ["fp:2", "fp:3", "fp:7"])
+    @pytest.mark.parametrize("command", [("verify", "--level", "full"), ("decompose",)], ids=" ".join)
+    def test_refusal_divides_out_any_power_of_p(self, tmp_path, command, field):
+        # a = 3 * 2^1500, so r = 3a holds 2^1500: dividing the factors 2
+        # out one recursive call each overflowed the stack over F_2
+        a = 3 * 2**1500
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"L": [[2 * a if i == j else -a for j in range(3)] for i in range(3)]}))
+        argv = [sys.executable, "-m", "pcbideal.cli", command[0], str(path), *command[1:], "--field", field]
+        done = subprocess.run(argv, capture_output=True, text=True, env=_env(), timeout=30)
+        assert (done.returncode, done.stdout) == (4, "")
+        assert done.stderr.startswith("bad prime: ") and "Traceback" not in done.stderr
 
     def test_bad_field_spec(self, capsys):
         # only ASCII digits, after an optional minus sign, name a field:

@@ -3,23 +3,21 @@ import random
 
 import pytest
 
-from pcbideal import validate
-from pcbideal.core import DimensionTooSmall, associated_vector, normalized_snf, syzygy_vectors
+import pcbideal
+from pcbideal import core, decomp, validate
+from pcbideal.core import DimensionTooSmall, analyze, associated_vector, normalized_snf, syzygy_vectors
 from pcbideal.decomp import (
     BadPrime,
     _hull_record,
     component_count,
     embedded_checks,
-    embedded_component,
-    enumerate_components,
     hull,
     hull_is_prime,
     pcb_ideal,
-    realize_over_prime_field,
-    socle_monomial,
     unmixedness_test,
     verify_full_decomposition,
 )
+from pcbideal.decompose import embedded_component, enumerate_components, realize_over_prime_field, socle_monomial
 from pcbideal.intmat import lattice_contains
 from pcbideal.oracle import (
     DEGREVLEX,
@@ -28,11 +26,10 @@ from pcbideal.oracle import (
     Ideal,
     Polynomial,
     colon,
-    intersect,
-    ring_map_kernel,
 )
+from pcbideal.oracle.elimination import intersect, ring_map_kernel
 
-from conftest import LARGE_WEIGHTS, load_golden, prime_power_in_hull, random_pcb
+from conftest import GOLDEN, LARGE_WEIGHTS, load_golden, prime_power_in_hull, random_pcb
 
 # the sixteen coefficient tuples for the all-ones n=4 matrix, written as
 # powers of a primitive fourth root: t -> 0, i*t -> 1, -t -> 2, -i*t -> 3
@@ -103,6 +100,23 @@ class TestCounts:
     def test_hull_prime_iff_d_one(self, simplest, onecomp):
         assert not hull_is_prime(simplest)
         assert hull_is_prime(onecomp)
+
+    def test_counts_are_computed_once_in_core(self):
+        # decomp and the package root re-export core's count, and analyze
+        # and hull_is_prime read it
+        assert decomp.component_count is core.component_count is pcbideal.component_count
+        assert decomp.ComponentCount is core.ComponentCount is pcbideal.ComponentCount
+        for path in sorted(GOLDEN.glob("*.json")):
+            P = load_golden(path.name)
+            c, a = component_count(P), analyze(P)
+            assert (a.isolated_components, a.embedded_components) == (c.isolated, c.embedded)
+            assert hull_is_prime(P) == a.hull_prime == (c.isolated == 1)
+
+    def test_part_prime_to_p(self):
+        # a loop: a power of p past the recursion limit comes down to 1
+        assert decomp._prime_to(2**5000, 2) == 1
+        assert decomp._prime_to(3 * 2**1500, 2) == 3
+        assert [decomp._prime_to(m, 3) for m in (1, 2, 6, 9, 18, 7 * 3**40)] == [1, 2, 2, 1, 2, 7]
 
 
 class TestHull:

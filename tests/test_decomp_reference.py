@@ -66,11 +66,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcbideal import decomp, intmat, validate
+from pcbideal import decomp, decompose, intmat, validate
 from pcbideal.core import PcbMatrix, associated_vector, normalized_snf
 from pcbideal.decomp import (
-    ComponentSpec,
-    PrimeFieldRealization,
     VerificationFailed,
     _chain_checks,
     _hull_checks,
@@ -82,15 +80,19 @@ from pcbideal.decomp import (
     _leading_monomials,
     _primary_to_origin,
     embedded_checks,
-    embedded_component,
-    enumerate_components,
     hull,
-    least_primitive_root,
     pcb_ideal,
-    realize_over_prime_field,
-    socle_monomial,
     unmixedness_test,
     verify_full_decomposition,
+)
+from pcbideal.decompose import (
+    ComponentSpec,
+    PrimeFieldRealization,
+    embedded_component,
+    enumerate_components,
+    least_primitive_root,
+    realize_over_prime_field,
+    socle_monomial,
 )
 from pcbideal.intmat import IntMatrix, lattice_contains
 from pcbideal.oracle import (
@@ -103,12 +105,12 @@ from pcbideal.oracle import (
     colon,
     dimension_one_degree,
     groebner_basis,
-    intersect,
     normal_form,
-    ring_map_kernel,
     saturate,
 )
+from pcbideal.oracle import elimination
 from pcbideal.oracle import ideal as oracle_ideal
+from pcbideal.oracle.elimination import intersect, ring_map_kernel
 
 from conftest import load_golden, random_pcb
 
@@ -705,7 +707,7 @@ def test_p_group_certificate_agrees_with_the_realized_prime_on_random_inputs(n):
     while seen < 60:
         P = random_pcb(rng, n, max_entry=3)
         r = normalized_snf(P).invariant_factors[-1]
-        primes = decomp._prime_factors(r)
+        primes = decompose._prime_factors(r)
         if len(primes) == 1 and associated_vector(P)[1] <= 400:
             _p_group_certificate_agrees(P, primes[0])
             seen += 1
@@ -769,7 +771,7 @@ def test_mixed_certificate_agrees_with_the_realized_primes_on_random_inputs():
         draws += 1
         P = random_pcb(rng, n, max_entry=3)
         r = normalized_snf(P).invariant_factors[-1]
-        primes = decomp._prime_factors(r)
+        primes = decompose._prime_factors(r)
         accepted = [p for p in primes if (p - 1) % decomp._prime_to(r, p) == 0]
         if len(primes) == 2 and accepted and associated_vector(P)[1] <= 400:
             for p in accepted:
@@ -1028,6 +1030,7 @@ def test_generator_that_does_not_kill_the_lattice_fails_the_certificate(case, re
     wrong = _with_left_row(snf, j, row)
     assert any(v % snf.invariant_factors[j] for v in (wrong.P @ c.P.signed).row(j))
     monkeypatch.setattr(decomp, "normalized_snf", lambda P: wrong)
+    monkeypatch.setattr(decompose, "normalized_snf", lambda P: wrong)
     message = (
         "intersection of all components is not the ideal: "
         f"generator {j + 1} of the character group does not kill the lattice"
@@ -1067,7 +1070,7 @@ def test_full_verification_lists_no_character(monkeypatch):
     def forbidden(P):
         raise AssertionError("verify_full_decomposition listed the characters")
 
-    monkeypatch.setattr(decomp, "enumerate_components", forbidden)
+    monkeypatch.setattr(decompose, "enumerate_components", forbidden)
     report = verify_full_decomposition(P, 5)
     assert report.component_count == 17
     assert all(ok for _, ok in report.checks)
@@ -1406,7 +1409,7 @@ def test_full_verification_checks_one_containment_and_intersects_nothing(monkeyp
     calls = []
     contains = Ideal.contains
     eliminations = []
-    eliminate = oracle_ideal.eliminate
+    eliminate = elimination.eliminate
 
     def counted(self, f):
         calls.append(f)
@@ -1421,9 +1424,11 @@ def test_full_verification_checks_one_containment_and_intersects_nothing(monkeyp
 
     imported = hasattr(decomp, "intersect")
     monkeypatch.setattr(Ideal, "contains", counted)
-    monkeypatch.setattr(oracle_ideal, "intersect", forbidden)
-    monkeypatch.setattr(oracle_ideal, "eliminate", counted_eliminate)
+    # the oracle's name first: it is looked up in elimination, and patched
+    # after it would be restored to the patched function
     monkeypatch.setattr("pcbideal.oracle.intersect", forbidden)
+    monkeypatch.setattr(elimination, "intersect", forbidden)
+    monkeypatch.setattr(elimination, "eliminate", counted_eliminate)
     report = verify_full_decomposition(P, 11)
     assert report.component_count == 126
     assert all(ok for _, ok in report.checks)
@@ -1439,9 +1444,9 @@ def test_full_verification_realizes_nothing_and_runs_one_groebner_basis(name, p,
     P = load_golden(name)
     calls = {"realize_over_prime_field": [], "ring_map_kernel": [], "groebner_basis": []}
     for module, attr in [
-        (decomp, "realize_over_prime_field"),
-        (decomp, "ring_map_kernel"),
-        (oracle_ideal, "ring_map_kernel"),
+        (decompose, "realize_over_prime_field"),
+        (decompose, "ring_map_kernel"),
+        (elimination, "ring_map_kernel"),
         (oracle_ideal, "groebner_basis"),
     ]:
         monkeypatch.setattr(module, attr, _counted(calls[attr], getattr(module, attr)))
@@ -1464,7 +1469,7 @@ def test_full_verification_builds_the_ideal_once_and_no_embedded_component(name,
         raise AssertionError("verify_full_decomposition built the embedded component")
 
     monkeypatch.setattr(decomp, "pcb_ideal", _counted(built, decomp.pcb_ideal))
-    monkeypatch.setattr(decomp, "embedded_component", forbidden)
+    monkeypatch.setattr(decompose, "embedded_component", forbidden)
     report = verify_full_decomposition(P, p)
     assert all(ok for _, ok in report.checks)
     assert len(built) == 1

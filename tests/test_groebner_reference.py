@@ -28,7 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcbideal.core import associated_vector
-from pcbideal.decomp import embedded_component, enumerate_components, pcb_ideal, socle_monomial
+from pcbideal.decomp import pcb_ideal
+from pcbideal.decompose import embedded_component, enumerate_components, socle_monomial
 from pcbideal.oracle import (
     DEGREVLEX,
     GF,
@@ -38,10 +39,10 @@ from pcbideal.oracle import (
     colon,
     groebner_basis,
     normal_form,
-    ring_map_kernel,
     saturate,
 )
 from pcbideal.oracle import groebner as gb
+from pcbideal.oracle.elimination import ring_map_kernel
 
 from conftest import load_golden
 

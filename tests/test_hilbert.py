@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcbideal.core import associated_vector
-from pcbideal.decomp import embedded_component, pcb_ideal, realize_over_prime_field, socle_monomial
+from pcbideal.decomp import pcb_ideal
+from pcbideal.decompose import embedded_component, realize_over_prime_field, socle_monomial
 from pcbideal.oracle import (
     DEGREVLEX,
     GF,
@@ -26,8 +27,8 @@ from pcbideal.oracle import (
     dimension_one_degree,
     dimension_one_residue,
     hilbert_numerator,
-    ring_map_kernel,
 )
+from pcbideal.oracle.elimination import ring_map_kernel
 
 from conftest import load_golden
 

@@ -7,7 +7,9 @@ Importing the CLI must load neither `dataclasses` nor `inspect`, whose
 import and per-class code generation cost every `pcb` process ~17 ms, nor
 `fractions` with the `decimal` and `numbers` it imports: rational
 arithmetic loads on the first use of Q, and a run over F_p or over the
-integers never makes one.
+integers never makes one. Nor does a command load the package modules it
+does not run: decompose (with the oracle's elimination engine) loads only
+for `pcb decompose`, and pretty only under --pretty.
 """
 
 import hashlib
@@ -49,17 +51,21 @@ def test_cli_import_skips_dataclasses_and_inspect():
     assert out.stdout.strip() == "[]"
 
 
-def _fresh_run(*argv):
+def _fresh_run(*argv, package=False):
     """`pcb argv` in a fresh `python -S` process: its exit code, its result
-    and which of RATIONALS it loaded."""
+    (the printed text under --pretty) and which of RATIONALS it loaded, or
+    with package=True the set of `pcbideal` modules it loaded."""
     probe = (
-        "import sys, pcbideal.cli\n"
+        "import json, sys, pcbideal.cli\n"
         "code = pcbideal.cli.main(sys.argv[1:])\n"
         f"print(sorted({set(RATIONALS)!r} & set(sys.modules)), file=sys.stderr)\n"
+        "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'pcbideal']), file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
     done = subprocess.run([sys.executable, "-S", "-c", probe, *argv], env=ENV, capture_output=True, text=True)
-    return done.returncode, json.loads(done.stdout)["result"], done.stderr.strip()
+    rationals, modules = done.stderr.strip().splitlines()
+    result = done.stdout if "--pretty" in argv else json.loads(done.stdout)["result"]
+    return done.returncode, result, set(json.loads(modules)) if package else rationals
 
 
 @pytest.mark.parametrize(
@@ -83,6 +89,72 @@ def test_full_verify_over_q_loads_the_rationals_and_keeps_its_result():
     digests = json.loads((Path(__file__).parent / "golden_digests.json").read_text())
     digest = hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
     assert digest == digests["verify golden/simplest_n4.json --level full"]
+
+
+COMMAND_MODULES = {"pcbideal.decompose", "pcbideal.oracle.elimination", "pcbideal.pretty"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "simplest_n4.json"),
+        ("snf", "simplest_n4.json"),
+        ("verify", "simplest_n4.json"),
+        ("verify", "simplest_n4.json", "--level", "full", "--field", "fp:5"),
+        ("verify", "simplest_n4.json", "--level", "full"),
+    ],
+    ids=" ".join,
+)
+def test_runs_load_no_command_module_they_do_not_run(argv):
+    code, _, loaded = _fresh_run(argv[0], golden_path(argv[1]), *argv[2:], package=True)
+    assert code == 0
+    assert {"pcbideal.cli", "pcbideal.decomp", "pcbideal.oracle.ideal"} <= loaded
+    assert not loaded & COMMAND_MODULES
+
+
+def test_decompose_loads_its_module_and_the_elimination_engine():
+    code, result, loaded = _fresh_run("decompose", golden_path("simplest_n4.json"), "--field", "fp:5", package=True)
+    assert code == 0
+    assert loaded & COMMAND_MODULES == {"pcbideal.decompose", "pcbideal.oracle.elimination"}
+    digests = json.loads((Path(__file__).parent / "golden_digests.json").read_text())
+    digest = hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
+    assert digest == digests["decompose golden/simplest_n4.json --field fp:5"]
+
+
+def test_pretty_loads_its_module():
+    code, text, loaded = _fresh_run("analyze", golden_path("simplest_n4.json"), "--pretty", package=True)
+    assert code == 0 and text.startswith("pcb analyze  (input sha256 ")
+    assert loaded & COMMAND_MODULES == {"pcbideal.pretty"}
+
+
+def test_deferred_names_are_the_moved_objects():
+    # the package root and the oracle keep every public name; a lookup
+    # imports the module that defines it and returns its object
+    probe = (
+        "import json, sys\n"
+        "import pcbideal, pcbideal.oracle\n"
+        "before = sorted(m for m in sys.modules if m.split('.')[0] == 'pcbideal')\n"
+        "from pcbideal import realize_over_prime_field\n"
+        "from pcbideal.oracle import intersect, ring_map_kernel\n"
+        "from pcbideal import decompose\n"
+        "from pcbideal.oracle import elimination\n"
+        "same = [realize_over_prime_field is decompose.realize_over_prime_field,\n"
+        "        intersect is elimination.intersect, ring_map_kernel is elimination.ring_map_kernel]\n"
+        "print(json.dumps([before, same]))\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=ENV, capture_output=True, text=True, check=True)
+    before, same = json.loads(done.stdout)
+    assert not set(before) & COMMAND_MODULES
+    assert same == [True, True, True]
+    from pcbideal import decompose, oracle
+    from pcbideal.oracle import elimination
+
+    for name in pcbideal._DECOMPOSE:
+        assert getattr(pcbideal, name) is getattr(decompose, name)
+    for name in oracle._ELIMINATION:
+        assert name in oracle.__all__ and getattr(oracle, name) is getattr(elimination, name)
+    for module in (pcbideal, oracle):
+        assert not hasattr(module, "no_such_name")
 
 
 def _records():
