@@ -29,12 +29,12 @@ decides both, and the meet the chain takes. Whether S differs from I,
 the unmixedness dichotomy, is decided once too. verify accepts F_p
 exactly when p = 1 (mod r′), r′ the part of r prime to p (see
 prime_field_for), and over F_p it realizes no component and lists no
-character: the hull's basis is lattice binomials, and that S is the meet
-of d′ primary components, d′ the part of d prime to p, each prime when p
-does not divide r, follows from one Hilbert series, integer checks on
-the n - 1 generators of the character group, read off the normalized
-SNF, and, when p divides r, n - 1 normal forms of Frobenius powers (see
-_chain_checks); every accepted p runs that one path. Only decompose
+character: the hull's basis is lattice binomials, so S is the lattice
+ideal I_L, and that S is the meet of d′ primary components, d′ the part
+of d prime to p, each prime when p does not divide r, follows from one
+Hilbert series and integer checks on the n - 1 generators of the
+character group, read off the normalized SNF, with no normal form (see
+_chain_checks); every accepted p runs that one certificate. Only decompose
 lists the d characters and realizes their components, once each, for
 p = 1 (mod r): one elimination gives the trivial-character component
 and one loop of torus twists gives all d, in the decompose module (see
@@ -202,9 +202,9 @@ def _prime_to(m: int, p: int) -> int:
     return m
 
 
-def prime_field_for(P: PcbMatrix, p: int) -> Tuple[PrimeField, int]:
-    """GF(p) for a `--field fp:<p>` request, and the Frobenius exponent:
-    1 when p does not divide r, and r when it does.
+def prime_field_for(P: PcbMatrix, p: int) -> PrimeField:
+    """GF(p) for a `--field fp:<p>` request to `verify --level full`, or
+    BadPrime: it accepts p or refuses it, and nothing else.
 
     The rule is decided here and nowhere else. r is the last invariant
     factor, the exponent of the torsion group G = Λ / L, Λ = ker nu ∩ Z^n.
@@ -214,18 +214,18 @@ def prime_field_for(P: PcbMatrix, p: int) -> Tuple[PrimeField, int]:
     ideals", Cor. 2.2). So p is accepted exactly when p = 1 (mod r′), that
     is when F_p holds the r′-th roots of unity, the values of the
     characters of G_p′ (see _chain_checks). q = 1 (p = 1 (mod r)) and
-    r′ = 1 (r a power of p) are the two corners of the one rule. Every
-    other p, a p that is not prime included, is BadPrime; when p divides r
-    the reason names r′. Nothing is factored: r′ is r with its factors p
-    divided out, so refusing p costs no more than accepting it, whatever
-    the size of r.
+    r′ = 1 (r a power of p) are the two corners of the one rule, and one
+    certificate covers both. Every other p, a p that is not prime
+    included, is BadPrime; when p divides r the reason names r′. Nothing
+    is factored: r′ is r with its factors p divided out, so refusing p
+    costs no more than accepting it, whatever the size of r.
     """
     field = prime_field(p)
     r = normalized_snf(P).invariant_factors[-1]
     rest = _prime_to(r, p)
     if (p - 1) % rest:
         raise BadPrime(p, r, f"p divides r; need p = 1 (mod r' = {rest}), r' the part of r prime to p" if rest != r else "")
-    return field, 1 if r % p else r
+    return field
 
 
 class DecompositionReport(NamedTuple):
@@ -235,19 +235,16 @@ class DecompositionReport(NamedTuple):
 
 class _HullRecord(NamedTuple):
     """Every fact verify decides about the hull S, each decided once, by
-    _hull_record: the hull S; the order WeightedRevLex(nu, 0); S's
-    reduced basis under it, which the saturation left cached; the
-    leading monomial of each element, read once and shared by the
-    lattice check and the degree; swept, the sweep of _hull_swept;
-    lattice, the check of _lattice_binomials, which reads swept;
-    distinct, whether S != I;
-    and inside, for n >= 4, whether the mixedness witness lies in S and
-    not in I (None for n <= 3). Every check reads this record, and none
-    takes I."""
+    _hull_record: the hull S, whose field the count reads; the leading
+    monomial of each element of S's reduced WeightedRevLex(nu, 0) basis,
+    which the saturation left cached, read once and shared by the lattice
+    check and the degree; swept, the sweep of _hull_swept; lattice, the
+    check of _lattice_binomials, which reads swept; distinct, whether
+    S != I; and inside, for n >= 4, whether the mixedness witness lies in
+    S and not in I (None for n <= 3). Every check reads this record, and
+    none takes I."""
 
     S: Ideal
-    order: WeightedRevLex
-    basis: Tuple[Polynomial, ...]
     leads: Tuple[Tuple[int, ...], ...]
     swept: bool
     lattice: bool
@@ -269,7 +266,7 @@ def _hull_record(P: PcbMatrix, I: Ideal, S: Ideal) -> _HullRecord:
     g = binomial_to_polynomial(mixedness_witness(P), S.field, P.n) if P.n >= 4 else None
     inside = None if g is None else not normal_form(g, basis, order) and bool(normal_form(g, I.groebner(order), order))
     swept = _hull_swept(P, basis)
-    return _HullRecord(S, order, basis, leads, swept, _lattice_binomials(P, basis, leads, swept), S != I, inside)
+    return _HullRecord(S, leads, swept, _lattice_binomials(P, basis, leads, swept), S != I, inside)
 
 
 def _hull_swept(P: PcbMatrix, basis: Sequence[Polynomial]) -> bool:
@@ -424,10 +421,10 @@ def _kernel_vectors(P: PcbMatrix) -> List[Tuple[int, ...]]:
     return [adj.column(j) for j in range(P.n - 1)]
 
 
-def _intersection_witness(P: PcbMatrix, H: _HullRecord, q: int) -> Optional[str]:
-    """None when the certificate proves S = P_1 ∩ ... ∩ P_d, or for
-    q > 1 S the meet of d′ primary components (see _chain_checks), else
-    the first fact that fails. H is the hull record (_hull_record)."""
+def _intersection_witness(P: PcbMatrix, H: _HullRecord) -> Optional[str]:
+    """None when the certificate proves S the meet of d′ primary
+    components, each prime when p does not divide r (see _chain_checks),
+    else the first fact that fails. H is the hull record (_hull_record)."""
     if not H.swept:
         return "hull not saturated by x_1"
     if not H.lattice:
@@ -455,19 +452,13 @@ def _intersection_witness(P: PcbMatrix, H: _HullRecord, q: int) -> Optional[str]
         g = math.gcd(value, product)
         degree = value // g if g == product else f"{value // g}/{product // g}"
         return f"deg S = {degree}, sum of component degrees = {d}"
-    for l, w in enumerate(kernel if q > 1 else [], start=1):
-        frobenius = Binomial(tuple(q * max(v, 0) for v in w), tuple(q * max(-v, 0) for v in w))
-        if normal_form(binomial_to_polynomial(frobenius, H.S.field, P.n), H.basis, H.order):
-            return f"kernel binomial {l} to the power {q} is not in the hull"
     return None
 
 
-def _chain_checks(P: PcbMatrix, H: _HullRecord, frobenius: int) -> Tuple[List[Tuple[str, bool]], int]:
+def _chain_checks(P: PcbMatrix, H: _HullRecord) -> Tuple[List[Tuple[str, bool]], int]:
     """Prove I = S (∩ E), S the meet of one primary component for each
     character of G_p′, and that no component is redundant; returns the
     checks and the number of components, d′ plus 1 for E when n >= 4.
-    frobenius is the exponent of prime_field_for: 1 when p does not
-    divide r, and r when it does.
 
     Notation. P L Q = D is the normalized SNF, d_1 | ... | d_{n-1} = r its
     invariant factors, d their product, and nu its left transform's last
@@ -476,8 +467,8 @@ def _chain_checks(P: PcbMatrix, H: _HullRecord, frobenius: int) -> Tuple[List[Tu
     p-part of r, and d′, d′_j are d, d_j with every factor p removed.
     prime_field_for accepted p, so p = 1 (mod r′), and F_p holds a
     primitive r′-th root of unity zeta. One argument covers every accepted
-    p; its two corners are q = 1 (p does not divide r: r′ = r, d′ = d,
-    frobenius = 1) and r′ = 1 (G is a p-group: d′ = 1, frobenius = r = q).
+    p; its two corners are q = 1 (p does not divide r: r′ = r, d′ = d)
+    and r′ = 1 (G is a p-group: d′ = 1, q = r).
     Grade by deg x_i = nu_i: I is homogeneous because nu L = 0, and so is
     S = H.S, the hull I : x^{b(n)}; H is its record (_hull_record):
     H.swept is the hull sweep (S : x_1 = S, see _hull_checks), which for
@@ -521,51 +512,53 @@ def _chain_checks(P: PcbMatrix, H: _HullRecord, frobenius: int) -> Tuple[List[Tu
        own under any order. That residue is value / product, so
        deg S = d is checked in integers as value = d product.
 
+    The hull is the lattice ideal: S = I_L. The lattice check gives
+    S ⊆ I_L. The sweep gives S : x_1 = S, so by Lemma A of embedded_checks
+    every monomial is a nonzerodivisor modulo S, and S ⊇ I gives
+    S ⊇ I : (x_1 ... x_n)^∞, which is I_L because the columns of L, whose
+    binomials are the f_j, generate L (Sturmfels, "Gröbner Bases and
+    Convex Polytopes", Lemma 12.2, whose proof needs only that the vectors
+    generate the lattice).
+
     The torsion group. In the basis W a column of L has the coordinates
     ε P'L (b), so by a, L lies in M = {Σ_l c_l w_l : d_l | c_l}, and
-    Λ / M ≅ ⊕_j Z/d_j has order d. Conversely S ⊆ I_L, so F_p[x]/I_L is a
-    quotient of F_p[x]/S and deg I_L <= deg S = d; and deg I_L = [Λ : L]
-    over every field: the monomials of one coset of L are one basis vector
-    of F_p[x]/I_L, and in every large nu-degree each coset of L of that
-    degree holds a monomial, because nu > 0. So L = M and
-    G ≅ ⊕_j Z/d_j. Let L~ = L + r′Λ. Then Λ / L~ = G / r′G ≅ G_p′
-    ≅ ⊕_j Z/d′_j has order d′, prime to p, and q L~ ⊆ L, since
-    q r′Λ = rΛ ⊆ L.
+    Λ / M ≅ ⊕_j Z/d_j has order d. And deg I_L = [Λ : L] over every
+    field: the monomials of one coset of L are one basis vector of
+    F_p[x]/I_L, and in every large nu-degree each coset of L of that
+    degree holds a monomial, because nu > 0. So [Λ : L] = deg S = d
+    (c), L = M, and G ≅ ⊕_j Z/d_j has exponent r: rΛ ⊆ L. Let
+    L~ = L + r′Λ. Then Λ / L~ = G / r′G ≅ G_p′ ≅ ⊕_j Z/d′_j has order d′,
+    prime to p.
 
-    The radical. The binomials of a set of generators of L~ lie in rad S:
-    the f_j, for the columns of L, lie in I ⊆ S. When q > 1, n - 1 normal
-    forms modulo S's cached basis, and no Groebner run, put
-    x^{r w_l+} - x^{r w_l-} in S; in characteristic p that is
-    (x^{r′w_l+} - x^{r′w_l-})^q, so the binomials of the r′w_l lie in
-    rad S. When q = 1, r′Λ = rΛ lies in L already. S : x_1 = S and Lemma A
-    of embedded_checks make every monomial a nonzerodivisor modulo S, so
-    no minimal prime of S holds a monomial, and every monomial is a
-    nonzerodivisor modulo rad S. So rad S holds the saturation of those
-    binomials by x_1 ... x_n, which is I_{L~} (Sturmfels, "Gröbner Bases
-    and Convex Polytopes", Lemma 12.2, whose proof needs only that the
-    vectors generate the lattice). Conversely S ⊆ I_L ⊆ I_{L~}, and I_{L~}
-    is radical, because p does not divide |Λ / L~| = d′ (Eisenbud-Sturmfels,
-    Cor. 2.2). So rad S = I_{L~}. F_p holds the r′-th roots of unity, so by
-    the same corollary I_{L~} is the meet of d′ distinct primes, one for
-    each character of Λ / L~. Each P_k holds I_{L~}, because e_k kills L
-    (a) and r′Λ modulo r′, and by b they are d′ distinct, so they are all
-    of them: rad S = P_1 ∩ ... ∩ P_{d′}.
+    The radical. For w in Λ, rw lies in L, so x^{rw+} - x^{rw-} lies in
+    I_L = S with no normal form taken; in characteristic p it is
+    (x^{r′w+} - x^{r′w-})^q, so the binomial of r′w lies in rad S. With
+    the f_j, for the columns of L, the binomials of a set of generators of
+    L~ lie in rad S. Every monomial is a nonzerodivisor modulo S, so no
+    minimal prime of S holds one, every monomial is a nonzerodivisor
+    modulo rad S, and rad S holds the saturation of those binomials by
+    x_1 ... x_n, which is I_{L~} (Lemma 12.2 again). Conversely
+    S = I_L ⊆ I_{L~}, and I_{L~} is radical, because p does not divide
+    |Λ / L~| = d′ (Eisenbud-Sturmfels, Cor. 2.2). So rad S = I_{L~}, and
+    when q = 1, r′Λ = rΛ lies in L, L~ = L and S = rad S. F_p holds the
+    r′-th roots of unity, so by the same corollary I_{L~} is the meet of
+    d′ distinct primes, one for each character of Λ / L~. Each P_k holds
+    I_{L~}, because e_k kills L (a) and r′Λ modulo r′, and by b they are
+    d′ distinct, so they are all of them: rad S = P_1 ∩ ... ∩ P_{d′}.
 
     Intersection. No ideal is intersected. The minimal primes of S are the
     P_k, and the only homogeneous prime above a P_k besides P_k itself is
     the irrelevant ideal (x_1, ..., x_n), which holds x_1 and so is not
     associated to S. Hence S is the meet of d′ primary components, the
-    P_k-primary one S_{P_k} ∩ R. When q = 1, d′ = d, and the associativity
-    formula deg S = Σ_k length(S_{P_k}) deg P_k, with c, makes every length
-    one: S = P_1 ∩ ... ∩ P_d, each component prime. Then for n >= 4,
+    P_k-primary one S_{P_k} ∩ R. When q = 1, S is radical and d′ = d:
+    S = P_1 ∩ ... ∩ P_d, each component prime. Then for n >= 4,
     S ∩ E = I gives the whole intersection; for n <= 3, S = I does. A
     failure raises VerificationFailed with one witness after the message:
     S ∩ E != I (a failed sweep, for n >= 4) or S != I (for n <= 3), an
     unsaturated hull, a hull basis of other than lattice binomials, the
     first generator that does not kill the lattice, a W with
     P W != ±[I; 0], weights with a common factor, a hull of dimension
-    other than one, the two degrees that differ, or, when q > 1, the first
-    w_l whose Frobenius binomial is not in S.
+    other than one, or the two degrees that differ.
 
     Irredundancy. Suppose the P_j-primary component is redundant: the
     meet of the other components lies in it, hence in P_j. A prime that
@@ -582,7 +575,7 @@ def _chain_checks(P: PcbMatrix, H: _HullRecord, frobenius: int) -> Tuple[List[Tu
         witness = "hull differs from the ideal" if H.distinct else None
     else:
         witness = None if H.swept else "hull meets the embedded component outside the ideal"
-    witness = witness or _intersection_witness(P, H, frobenius)
+    witness = witness or _intersection_witness(P, H)
     if witness:
         raise VerificationFailed(f"intersection of all components is not the ideal: {witness}")
     checks = [("intersection of all components equals the ideal", True)]
@@ -616,17 +609,18 @@ def verify_full_decomposition(P: PcbMatrix, p: Optional[int] = None) -> Decompos
     part of r prime to p; over F_p the isolated components are then
     certified, without realizing or listing any of them, to meet in S
     and to be irredundant, from the n - 1 generators of the character
-    group, one Hilbert series and, when p divides r, n - 1 normal forms
-    of Frobenius powers (see _chain_checks). They number d′, the part of
-    d prime to p. The saturation's is the only Groebner run. A failed chain check raises
-    VerificationFailed; the others report False.
+    group and one Hilbert series, one certificate for every accepted p,
+    whether it divides r or not: the lattice check and the sweep make S
+    the lattice ideal I_L (see _chain_checks). They number d′, the part
+    of d prime to p. The saturation's is the only Groebner run. A failed
+    chain check raises VerificationFailed; the others report False.
     """
-    field, q = (QQ, 1) if p is None else prime_field_for(P, p)
+    field = QQ if p is None else prime_field_for(P, p)
     I = pcb_ideal(P, field)
     H = _hull_record(P, I, _saturation(P, I))
     checks = _hull_checks(P, H) + (embedded_checks(P, H) if P.n >= 4 else [])
     count = None
     if p is not None:
-        chain, count = _chain_checks(P, H, q)
+        chain, count = _chain_checks(P, H)
         checks += chain + [(f"component count is {count}", True)]
     return DecompositionReport(component_count=count, checks=tuple(checks))

@@ -25,7 +25,7 @@ from .core import (
     normalized_snf,
     syzygy_vectors,
 )
-from .decomp import BadPrime, _leading_monomials, pcb_ideal, prime_field_for
+from .decomp import BadPrime, _leading_monomials, pcb_ideal, prime_field
 from .oracle import DEGREVLEX, GF, Ideal, Polynomial, render
 from .oracle.elimination import ring_map_kernel
 
@@ -131,10 +131,12 @@ class PrimeFieldRealization(NamedTuple):
 
 
 def realize_over_prime_field(P: PcbMatrix, p: int) -> PrimeFieldRealization:
-    """Instantiate every isolated component over F_p, p = 1 (mod r). When
-    p divides r, prime_field_for accepts p for verify, but the isolated
-    components over F_p are then primary and not prime, and none is
-    realized: BadPrime says so.
+    """Instantiate every isolated component over F_p, p = 1 (mod r), or
+    raise BadPrime. The rule is decompose's own, not verify's
+    (decomp.prime_field_for): F_p must hold the r-th roots of unity. When
+    p divides r, verify may accept p, but the isolated components over
+    F_p are then primary and not prime, and none is realized: BadPrime
+    says so.
 
     zeta is g^((p-1)/r) for the least primitive root g, so the realization
     is reproducible. One elimination computes P_0, the kernel of the
@@ -150,12 +152,12 @@ def realize_over_prime_field(P: PcbMatrix, p: int) -> PrimeFieldRealization:
     of P_0 and made monic again, it gives the reduced basis of ker psi_e
     exactly.
     """
-    field, q = prime_field_for(P, p)
-    if q > 1:
+    field = prime_field(p)
+    r = normalized_snf(P).invariant_factors[-1]
+    if (p - 1) % r:
         reason = "over F_p the isolated components are primary and not prime, and decompose realizes prime components only"
-        raise BadPrime(p, q, f"p divides r, so {reason}")
+        raise BadPrime(p, r, f"p divides r, so {reason}" if r % p == 0 else "")
     specs = enumerate_components(P)
-    r = specs[0].root_order
     zeta = pow(least_primitive_root(p), (p - 1) // r, p) if r > 1 else 1
     powers = [pow(zeta, k, p) for k in range(r)]
     basis = ring_map_kernel([Polynomial.monomial(field, 1, (w,)) for w in specs[0].weights]).groebner()

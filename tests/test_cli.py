@@ -339,13 +339,17 @@ class TestErrors:
     def test_mixed_characteristic_is_refused(self, capsys, tmp_path, name, field, other):
         # r = 6 = 2 * 3 and p = 2 is not 1 (mod r′ = 3), the part of r
         # prime to p: F_2 holds no cube root of unity, nothing prints ok,
-        # and the message names the other prime and r′; the identity
+        # and verify's message names the other prime and r′; decompose
+        # refuses every p that divides r, with its own reason; the identity
         # checks run over Z and accept p
         path = _k6_path(tmp_path) if name == "K_6" else golden_path(name)
         for argv in (("verify", path, "--level", "full"), ("decompose", path)):
             code, out, err = run(capsys, *argv, "--field", field)
             assert (code, out) == (4, ""), argv
-            assert "BadPrime" in err and "the part of r prime to p" in err and f"r' = {other}" in err
+            if argv[0] == "verify":
+                assert "BadPrime" in err and "the part of r prime to p" in err and f"r' = {other}" in err
+            else:
+                assert "BadPrime(p=2, r=6)" in err and _PRIMARY_REASON in err
         assert run_json(capsys, "verify", path, "--field", field)["result"]["ok"]
 
     def test_p_group_is_not_decomposed(self, capsys):
@@ -368,7 +372,8 @@ class TestErrors:
     def test_refusal_factors_nothing(self, tmp_path, command, field):
         # r = 2q with q = 10^20 + 39 prime: p = 3 does not divide r, and for
         # p = 2 r′ = q is prime; trial division of r′ ran for minutes, and
-        # the refusal must need no factor of r′
+        # the refusal must need no factor of r′; verify's message names r′,
+        # and decompose refuses p | r without it
         q = 10**20 + 39
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"L": [[2 * q, -2 * q], [-2 * q, 2 * q]]}))
@@ -376,7 +381,7 @@ class TestErrors:
         done = subprocess.run(argv, capture_output=True, text=True, env=_env(), timeout=10)
         assert (done.returncode, done.stdout) == (4, "")
         assert f"BadPrime(p={field[3:]}, r={2 * q})" in done.stderr
-        if field == "fp:2":
+        if field == "fp:2" and command[0] == "verify":
             assert f"r' = {q}" in done.stderr
 
     @pytest.mark.parametrize("field", ["fp:2", "fp:3", "fp:7"])

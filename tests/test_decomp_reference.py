@@ -43,11 +43,16 @@ variable's orders in that basis. hull is that saturation by x_1; the
 colon I : x^{b(n)}, and the colon and the saturation with an auxiliary
 variable, are its references. When p divides r = q r′, q the p-part of
 r, _chain_checks proves the hull the meet of d′ primary components, one
-for each character of the part of the torsion group prime to p, from
-n - 1 normal forms of Frobenius powers x^{r w+} - x^{r w-};
+for each character of the part of the torsion group prime to p, with no
+normal form: the lattice check and the sweep make the hull the lattice
+ideal I_L, which holds every x^{r w+} - x^{r w-}.
 _reference_primary_hull realizes those d′ primes, one elimination each,
 and checks that they are distinct, that each holds S and that the image
-of their meet's basis under x_i -> x_i^q lies in S. The two sides must
+of their meet's basis under x_i -> x_i^q lies in S;
+_hull_is_the_lattice_ideal computes I : (x_1 ... x_n)^∞ and compares it
+with the hull; and _reference_frobenius_forms takes the n - 1 normal
+forms of the Frobenius powers x^{e w+} - x^{e w-} that the certificate
+once took, zero at e = r and not all zero below it. The two sides must
 agree, on real inputs and on altered component lists.
 """
 
@@ -56,7 +61,6 @@ import functools
 import itertools
 import math
 import random
-import re
 from collections import Counter
 from fractions import Fraction
 from operator import mul
@@ -456,7 +460,7 @@ class Chain:
 
     def certify(self):
         """The generator certificate of decomp, which takes no specs."""
-        return _chain_checks(self.P, self.hull, 1)
+        return _chain_checks(self.P, self.hull)
 
     def with_specs(self, specs) -> "Chain":
         """The same input with other characters and their kernels."""
@@ -598,7 +602,7 @@ def _certificate_matches_the_character_chain(P, p: int) -> int:
     outcomes = []
     for swept, lattice in [(H.swept, H.lattice), (False, H.lattice), (H.swept, False)]:
         meets = swept if P.n >= 4 else None
-        new = _whole_outcome(lambda: _chain_checks(P, H._replace(swept=swept, lattice=lattice), 1))
+        new = _whole_outcome(lambda: _chain_checks(P, H._replace(swept=swept, lattice=lattice)))
         assert new == _whole_outcome(lambda: _reference_character_chain(P, specs, I, S, meets, swept, lattice))
         outcomes.append(new)
     assert outcomes[0] == (CHECKS, len(specs) + (P.n >= 4))
@@ -669,20 +673,45 @@ def _reference_primary_hull(P, p: int, q: int) -> bool:
     )
 
 
+def _reference_frobenius_forms(P, p: int, e: int) -> List[Polynomial]:
+    """The n - 1 normal forms of x^{e w_l+} - x^{e w_l-}, w_l the kernel
+    vectors (_kernel_vectors), modulo the hull's reduced
+    WeightedRevLex(nu, 0) basis over F_p, the one the saturation left
+    cached. With e = r these were the Frobenius check that _chain_checks
+    ran when p divides r; the hull is the lattice ideal I_L and rΛ ⊆ L,
+    so every one of them is zero, and the check lives on here alone."""
+    field = GF(p)
+    order = WeightedRevLex(associated_vector(P)[2], 0)
+    basis = hull(P, field).groebner(order)
+    return [
+        normal_form(Polynomial.from_terms(field, P.n, [(1, [e * max(v, 0) for v in w]), (-1, [e * max(-v, 0) for v in w])]), basis, order)
+        for w in _kernel_vectors(P)
+    ]
+
+
+def _hull_is_the_lattice_ideal(P, p: int) -> bool:
+    """Whether the hull over F_p equals I : (x_1 ... x_n)^∞, the lattice
+    ideal I_L of the columns of L (Sturmfels, "Gröbner Bases and Convex
+    Polytopes", Lemma 12.2), computed by the oracle's iterated colon."""
+    field = GF(p)
+    everything = Polynomial.monomial(field, P.n, (1,) * P.n)
+    return hull(P, field) == saturate(pcb_ideal(P, field), everything, associated_vector(P)[2])[0]
+
+
 def _p_group_certificate_agrees(P, p: int) -> None:
     """verify over F_p, r a power of p, accepts with one isolated component,
-    and the reference holds; with the exponent r / p in place of r (when
-    it is above 1) the chain raises the Frobenius witness and the
-    reference fails: the exponent is sharp."""
+    and the reference holds; the hull is I_L, and the Frobenius forms at
+    the exponent r are zero; at r / p (when it is above 1) a form is not,
+    and the reference fails: the exponent is sharp."""
     r = normalized_snf(P).invariant_factors[-1]
     report = verify_full_decomposition(P, p)
     assert report.component_count == 1 + (P.n >= 4)
     assert all(ok for _, ok in report.checks)
     assert _reference_primary_hull(P, p, r)
+    assert _hull_is_the_lattice_ideal(P, p)
+    assert not any(_reference_frobenius_forms(P, p, r))
     if r > p:
-        _, H = _verify_inputs(P, p)
-        with pytest.raises(VerificationFailed, match=f"to the power {r // p} is not in the hull$"):
-            _chain_checks(P, H, r // p)
+        assert any(_reference_frobenius_forms(P, p, r // p))
         assert not _reference_primary_hull(P, p, r // p)
 
 
@@ -715,24 +744,21 @@ def test_p_group_certificate_agrees_with_the_realized_prime_on_random_inputs(n):
     assert exponents == {False, True}
 
 
-def test_frobenius_exponent_r_over_p_fails_the_certificate(monkeypatch):
+def test_frobenius_forms_at_r_over_p_miss_the_hull_on_simplest_n4():
     # simplest_n4 over F_2 has r = 4; the exponent 2 leaves
-    # x^{2 w_2+} - x^{2 w_2-} outside the hull (w_1 lies in L, d_1 = 1)
+    # x^{2 w_2+} - x^{2 w_2-} and x^{2 w_3+} - x^{2 w_3-} outside the hull
+    # (w_1 lies in L, d_1 = 1), and the exponent 4 leaves none
     P = load_golden("simplest_n4.json")
-    monkeypatch.setattr(decomp, "prime_field_for", lambda P, p: (GF(2), 2))
-    with pytest.raises(VerificationFailed) as err:
-        verify_full_decomposition(P, 2)
-    assert str(err.value) == (
-        "intersection of all components is not the ideal: kernel binomial 2 to the power 2 is not in the hull"
-    )
+    assert [bool(f) for f in _reference_frobenius_forms(P, 2, 2)] == [False, True, True]
+    assert not any(_reference_frobenius_forms(P, 2, 4))
 
 
 def _mixed_certificate_agrees(P, p: int) -> int:
     """verify over F_p, p | r = q r′ with q the p-part of r and r′ > 1,
     accepts with d′ isolated components, d′ the part of d prime to p; the
-    reference holds with the exponent q and fails with q / p; and the
-    chain raises the Frobenius witness with the exponent r / p and with q
-    alone in place of r: r is sharp. Returns d′."""
+    reference holds with the exponent q and fails with q / p; the hull is
+    I_L, and the Frobenius forms at the exponent r are zero, while at r / p
+    and at q alone a form is not: r is sharp. Returns d′."""
     r = normalized_snf(P).invariant_factors[-1]
     q = r // decomp._prime_to(r, p)
     assert q > 1 and r > q
@@ -742,10 +768,10 @@ def _mixed_certificate_agrees(P, p: int) -> int:
     assert all(ok for _, ok in report.checks)
     assert _reference_primary_hull(P, p, q)
     assert not _reference_primary_hull(P, p, q // p)
-    _, H = _verify_inputs(P, p)
+    assert _hull_is_the_lattice_ideal(P, p)
+    assert not any(_reference_frobenius_forms(P, p, r))
     for exponent in (r // p, q):
-        with pytest.raises(VerificationFailed, match=f"to the power {exponent} is not in the hull$"):
-            _chain_checks(P, H, exponent)
+        assert any(_reference_frobenius_forms(P, p, exponent))
     return count
 
 
@@ -755,10 +781,14 @@ def test_mixed_certificate_agrees_with_the_realized_primes_on_n3_doubled():
 
 
 def test_mixed_certificate_counts_the_p_prime_part_on_k6():
-    # K_6 over F_3: d = 6^4, d′ = 2^4, and 17 components with E
-    report = verify_full_decomposition(_complete_graph(6), 3)
+    # K_6 over F_3: d = 6^4, d′ = 2^4, and 17 components with E; the hull
+    # is I_L, and the Frobenius forms at r = 6 are zero
+    P = _complete_graph(6)
+    report = verify_full_decomposition(P, 3)
     assert all(ok for _, ok in report.checks)
     assert report.component_count == 17
+    assert _hull_is_the_lattice_ideal(P, 3)
+    assert not any(_reference_frobenius_forms(P, 3, 6))
 
 
 def test_mixed_certificate_agrees_with_the_realized_primes_on_random_inputs():
@@ -781,17 +811,13 @@ def test_mixed_certificate_agrees_with_the_realized_primes_on_random_inputs():
 
 
 @pytest.mark.parametrize("exponent", [2, 3])
-def test_frobenius_exponent_below_r_fails_the_mixed_certificate(monkeypatch, exponent):
+def test_frobenius_forms_below_r_miss_the_hull_on_n3_doubled(exponent):
     # n3_doubled over F_3 has r = 6: neither r / p = 2 nor the p-part 3
-    # puts x^{e w_l+} - x^{e w_l-} in the hull
+    # puts every x^{e w_l+} - x^{e w_l-} in the hull, and r = 6 does
     P = load_golden("n3_doubled.json")
-    monkeypatch.setattr(decomp, "prime_field_for", lambda P, p: (GF(3), exponent))
-    with pytest.raises(VerificationFailed) as err:
-        verify_full_decomposition(P, 3)
-    assert re.fullmatch(
-        f"intersection of all components is not the ideal: kernel binomial [12] to the power {exponent} is not in the hull",
-        str(err.value),
-    )
+    nonzero = {2: [False, True], 3: [True, True]}[exponent]
+    assert [bool(f) for f in _reference_frobenius_forms(P, 3, exponent)] == nonzero
+    assert not any(_reference_frobenius_forms(P, 3, 6))
 
 
 @pytest.fixture(scope="module")
@@ -1632,20 +1658,22 @@ def _sweep_and_lattice_agree(P, I, S, nu, rng) -> Counter:
     Returns how often each (sweep, lattice, solved) outcome came up among
     the elements _around the basis, solved whether lattice_contains ran."""
     H = _hull_record(P, I, S)
+    order = WeightedRevLex(nu, 0)
+    basis = S.groebner(order)
     assert H.swept == _reference_hull_swept(P, I, S, nu)
-    assert H.lattice == _reference_lattice(P, S, H.order) == _reference_lattice(P, S)
-    around, seen, solves = _around(P, H.basis, rng), Counter(), []
+    assert H.lattice == _reference_lattice(P, S, order) == _reference_lattice(P, S)
+    around, seen, solves = _around(P, basis, rng), Counter(), []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(decomp, "lattice_contains", _counted(solves, lattice_contains))
-        for k, g in enumerate(list(H.basis) + around):
+        for k, g in enumerate(list(basis) + around):
             before = len(solves)
             swept = _hull_swept(P, (g,))
             assert swept == (min(e[0] for e in g.terms) == 0 and not _reference_sweep_remainder(P, I, g, nu))
-            lattice = _lattice_binomials(P, (g,), (g.leading_term(H.order)[0],), swept)
-            assert lattice == _reference_lattice_binomial(P, g, H.order)
+            lattice = _lattice_binomials(P, (g,), (g.leading_term(order)[0],), swept)
+            assert lattice == _reference_lattice_binomial(P, g, order)
             solved = len(solves) > before
             assert not (swept and solved)
-            if k >= len(H.basis):
+            if k >= len(basis):
                 seen[swept, lattice, solved] += 1
             elif H.swept:
                 assert swept and not solved
@@ -1714,7 +1742,7 @@ def test_wrong_hull_degree_reports_deg_s_as_a_fraction(name, field):
     d = associated_vector(P)[1]
     degree = dimension_one_degree(H.leads, nu)
     assert degree is not None and degree != d
-    assert _intersection_witness(P, H, 1) == f"deg S = {degree}, sum of component degrees = {d}"
+    assert _intersection_witness(P, H) == f"deg S = {degree}, sum of component degrees = {d}"
 
 
 @pytest.mark.parametrize("value,product", [(5, 15), (7, 2), (32, 2), (48, 3), (-3, 6), (16, 1), (160, 10), (17, 16), (33, 2), (51, 3)])
@@ -1727,7 +1755,7 @@ def test_degree_text_matches_the_fraction(value, product, monkeypatch):
     monkeypatch.setattr(decomp, "dimension_one_residue", lambda leads, nu: (value, product))
     degree = Fraction(value, product)
     expected = None if degree == d else f"deg S = {degree}, sum of component degrees = {d}"
-    assert _intersection_witness(P, H, 1) == expected
+    assert _intersection_witness(P, H) == expected
 
 
 @pytest.mark.parametrize("name,p", [("simplest_n4.json", 5), ("diag_n5.json", 11)])
@@ -1741,7 +1769,7 @@ def test_failed_sweep_fails_the_chain(name, p):
     for S in wrong:
         H = _hull_record(P, I, S)
         for run in (
-            lambda: _chain_checks(P, H, 1),
+            lambda: _chain_checks(P, H),
             lambda: _reference_character_chain(P, specs, I, S, H.swept, H.swept, H.lattice),
         ):
             with pytest.raises(VerificationFailed) as err:
@@ -1760,7 +1788,7 @@ def test_failed_sweep_fails_the_char2_collapse():
     wrong = Ideal(field, P.n, S.gens + (_outside_the_hull(S, field, nu),))
     message = "intersection of all components is not the ideal: hull meets the embedded component outside the ideal"
     with pytest.raises(VerificationFailed) as err:
-        _chain_checks(P, _hull_record(P, I, wrong), 4)
+        _chain_checks(P, _hull_record(P, I, wrong))
     assert str(err.value) == message
 
 
@@ -1809,7 +1837,7 @@ def test_full_verification_runs_one_saturation_and_no_colon(name, p, monkeypatch
     # S = I is decided once: one Ideal comparison, of S with I. The
     # lattice check reads u - v in L off the sweep: no Smith form solve
     P = load_golden(name)
-    field, q = (QQ, 1) if p is None else decomp.prime_field_for(P, p)
+    field = QQ if p is None else decomp.prime_field_for(P, p)
     J = pcb_ideal(P, field).gens[:-1]
     j_order = WeightedRevLex(associated_vector(P)[2], P.n - 1)
     calls = {"colon": [], "saturate": [], "groebner_basis": [], "normal_form": [], "WeightedRevLex": [], "__eq__": [], "lattice_contains": []}
@@ -1836,12 +1864,9 @@ def test_full_verification_runs_one_saturation_and_no_colon(name, p, monkeypatch
     S = saturate(I, x1, nu)[0]
     basis = S.groebner(order)
     # the mixedness witness, for n >= 4, by one normal form against each
-    # of the cached nu-graded bases of S and I; when r is a power of p
-    # (simplest_n4 over F_2, r = 4), the chain adds one normal form
-    # modulo S per kernel vector
+    # of the cached nu-graded bases of S and I, and no other: the chain
+    # takes none, also when r is a power of p (simplest_n4 over F_2, r = 4)
     expected = [(basis, order), (I.groebner(order), order)] if P.n >= 4 else []
-    if q > 1:
-        expected += [(basis, order)] * (P.n - 1)
     assert [(tuple(divisors), o) for _, divisors, o in calls["normal_form"]] == expected
     assert not any(frozenset(divisors) == frozenset(J) or o == j_order for _, divisors, o in calls["normal_form"])
     runs = calls["groebner_basis"]
