@@ -61,17 +61,27 @@ class SchemaError(ValueError):
 _LIMIT = ", Python's limit for reading an integer from text"
 
 
+def _unique_keys(pairs: List[Tuple[str, object]]) -> Dict:
+    # the digest names the file, so a repeated key must not pick one of its values
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise SchemaError(f"duplicate key {json.dumps(key)}")
+        doc[key] = value
+    return doc
+
+
 def _load_matrix(path: str) -> Tuple[PcbMatrix, str]:
     with open(path, "rb", buffering=0) as fh:
         raw = fh.read()
     digest = sha256(raw).hexdigest()
     try:
-        doc = json.loads(raw.decode("utf-8"))
+        doc = json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
     except UnicodeDecodeError as err:
         raise SchemaError(f"input is not UTF-8: {err.reason} at byte {err.start}") from None
     except RecursionError:
         raise SchemaError("JSON nested too deeply") from None
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, SchemaError):
         raise
     except ValueError:  # only int() raises any other ValueError here
         raise SchemaError(f"an integer in the input has more than {sys.get_int_max_str_digits()} digits{_LIMIT}") from None

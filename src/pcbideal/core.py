@@ -16,7 +16,7 @@ identity checks expand monomials termwise over the integers.
 from __future__ import annotations
 
 import math
-from operator import add, mul
+from operator import add, index, mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .intmat import (
@@ -114,9 +114,11 @@ class PcbMatrix:
 def validate(rows: Sequence[Sequence[int]]) -> PcbMatrix:
     """Check the PCB shape contract and return the magnitude form.
 
-    Positions in error messages are 1-based.
+    Positions in error messages are 1-based. Entries go through
+    operator.index, as in IntMatrix: a float or a Fraction raises
+    TypeError, and a bool passes as an int.
     """
-    data = [list(row) for row in rows]
+    data = [list(map(index, row)) for row in rows]
     n = len(data)
     width = next((len(row) for row in data if len(row) != n), None)
     if width is not None:

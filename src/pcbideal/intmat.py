@@ -219,44 +219,31 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     """Smith normal form over the integers.
 
     The pivot at each stage is the smallest-magnitude nonzero entry of the
-    working submatrix, ties broken by lowest (row, col). Elementary row and
-    column operations are mirrored into P and Q. Diagonalization alone does
-    not force d_i | d_{i+1}, so a gcd-absorption pass runs at the end, and
-    negative diagonal entries are cleared by negating the matching row of P.
+    working submatrix, ties broken by lowest (row, col). Diagonalization
+    alone does not force d_i | d_{i+1}, so a gcd-absorption pass runs at
+    the end, and negative diagonal entries are cleared by negating the
+    matching row of P.
+
+    The work is done on one list of rows B = [[A, I_r], [I_c, 0]] for A
+    with r rows and c columns. A row operation touches only the first r
+    rows, so one list comprehension updates A and P together; a column
+    operation touches only the first c columns, so one loop over B updates
+    A and Q together. No step reads or writes the zero block, and B holds
+    exactly the numbers that separate A, P and Q would: D, P and Q are its
+    top-left, top-right and bottom-left blocks.
     """
     nrows, ncols = m.rows, m.cols
-    a = [list(row) for row in m.data]
-    p = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    q = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        p[i], p[j] = p[j], p[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in q:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, c):
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        p[dst] = [x + c * y for x, y in zip(p[dst], p[src])]
-
-    def add_col(dst, src, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in q:
-            row[dst] += c * row[src]
+    b = [list(row) + [1 if i == k else 0 for k in range(nrows)] for i, row in enumerate(m.data)]
+    b += [[1 if j == k else 0 for k in range(ncols)] + [0] * nrows for j in range(ncols)]
 
     t = 0
     limit = min(nrows, ncols)
     while t < limit:
-        best = None
-        pivot = None
+        best = pivot = None
         for i in range(t, nrows):
+            row = b[i]
             for j in range(t, ncols):
-                v = abs(a[i][j])
+                v = abs(row[j])
                 if v and (best is None or v < best):
                     best = v
                     pivot = (i, j)
@@ -264,24 +251,27 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
             break
         pi, pj = pivot
         if pi != t:
-            swap_rows(t, pi)
+            b[t], b[pi] = b[pi], b[t]
         if pj != t:
-            swap_cols(t, pj)
+            for row in b:
+                row[t], row[pj] = row[pj], row[t]
         dirty = False
-        pv = a[t][t]
+        top = b[t]
+        pv = top[t]
         for i in range(t + 1, nrows):
-            if a[i][t]:
-                c = a[i][t] // pv
+            if b[i][t]:
+                c = b[i][t] // pv
                 if c:
-                    add_row(i, t, -c)
-                if a[i][t]:
+                    b[i] = [x - c * y for x, y in zip(b[i], top)]
+                if b[i][t]:
                     dirty = True
         for j in range(t + 1, ncols):
-            if a[t][j]:
-                c = a[t][j] // pv
+            if top[j]:
+                c = top[j] // pv
                 if c:
-                    add_col(j, t, -c)
-                if a[t][j]:
+                    for row in b:
+                        row[j] -= c * row[t]
+                if top[j]:
                     dirty = True
         if dirty:
             # leftover remainders are smaller than the pivot; rescan
@@ -290,41 +280,33 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     rank = t
 
     for i in range(rank):
-        if a[i][i] < 0:
-            a[i] = [-v for v in a[i]]
-            p[i] = [-v for v in p[i]]
-
-    def row_combo(i, j, m11, m12, m21, m22):
-        for target in (a, p):
-            ri, rj = target[i], target[j]
-            target[i] = [m11 * x + m12 * y for x, y in zip(ri, rj)]
-            target[j] = [m21 * x + m22 * y for x, y in zip(ri, rj)]
-
-    def col_combo(i, j, m11, m21, m12, m22):
-        # columns (ci, cj) <- (m11*ci + m21*cj, m12*ci + m22*cj)
-        for target in (a, q):
-            for row in target:
-                ci, cj = row[i], row[j]
-                row[i] = m11 * ci + m21 * cj
-                row[j] = m12 * ci + m22 * cj
+        if b[i][i] < 0:
+            b[i] = [-v for v in b[i]]
 
     changed = True
     while changed:
         changed = False
         for i in range(rank - 1):
-            x, y = a[i][i], a[i + 1][i + 1]
+            x, y = b[i][i], b[i + 1][i + 1]
             if y % x:
                 g, s, u = bezout(x, y)
                 # diag(x, y) -> diag(g, x*y/g) under a unimodular 2x2 pair
-                row_combo(i, i + 1, s, u, -(y // g), x // g)
-                col_combo(i, i + 1, 1, 1, -(u * y // g), s * x // g)
+                ri, rj = b[i], b[i + 1]
+                e, f = -(y // g), x // g
+                b[i] = [s * v + u * w for v, w in zip(ri, rj)]
+                b[i + 1] = [e * v + f * w for v, w in zip(ri, rj)]
+                e, f = -(u * y // g), s * x // g
+                for row in b:
+                    v, w = row[i], row[i + 1]
+                    row[i] = v + w
+                    row[i + 1] = e * v + f * w
                 changed = True
 
-    factors = tuple(a[i][i] for i in range(rank))
+    factors = tuple(b[i][i] for i in range(rank))
     return SnfResult(
-        P=IntMatrix._trusted(tuple(map(tuple, p))),
-        D=IntMatrix._trusted(tuple(map(tuple, a))),
-        Q=IntMatrix._trusted(tuple(map(tuple, q))),
+        P=IntMatrix._trusted(tuple(tuple(row[ncols:]) for row in b[:nrows])),
+        D=IntMatrix._trusted(tuple(tuple(row[:ncols]) for row in b[:nrows])),
+        Q=IntMatrix._trusted(tuple(tuple(row[:ncols]) for row in b[nrows:])),
         invariant_factors=factors,
     )
 

@@ -298,6 +298,21 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err == f'parse error: "n" is {shown}, not an integer\n'
 
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ('{"L": [[2, -2], [-2, 2]], "L": [[3, -3], [-3, 3]]}', "L"),
+            ('{"n": 2, "L": [[2, -2], [-2, 2]], "n": 2}', "n"),
+        ],
+    )
+    def test_repeated_key(self, capsys, tmp_path, text, key):
+        # a repeated key is refused, not read as its last value
+        bad = tmp_path / "repeated.json"
+        bad.write_text(text)
+        code, out, err = run(capsys, "analyze", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f'parse error: duplicate key "{key}"\n'
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "analyze", str(tmp_path / "nope.json"))
         assert code == 2

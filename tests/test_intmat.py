@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcbideal import core, intmat
 from pcbideal.core import normalized_snf, validate
 from pcbideal.intmat import (
     IntMatrix,
+    SnfResult,
     adjugate,
     bezout,
     determinant,
@@ -16,6 +19,7 @@ from pcbideal.intmat import (
 
 from conftest import GOLDEN, load_golden
 from test_core import minors_gcd
+from test_properties import pcb_matrices
 
 SIMPLEST = IntMatrix([[3, -1, -1, -1], [-1, 3, -1, -1], [-1, -1, 3, -1], [-1, -1, -1, 3]])
 
@@ -236,12 +240,140 @@ class TestSmithNormalForm:
         assert a.P == b.P and a.Q == b.Q and a.D == b.D
 
 
+def _reference_smith_normal_form(m: IntMatrix) -> SnfResult:
+    """The Smith normal form as intmat computed it with six closures and
+    separate P and Q lists, kept verbatim: the differential reference for
+    intmat.smith_normal_form, which must return the same P, D and Q."""
+    nrows, ncols = m.rows, m.cols
+    a = [list(row) for row in m.data]
+    p = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
+    q = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        p[i], p[j] = p[j], p[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in q:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, c):
+        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+        p[dst] = [x + c * y for x, y in zip(p[dst], p[src])]
+
+    def add_col(dst, src, c):
+        for row in a:
+            row[dst] += c * row[src]
+        for row in q:
+            row[dst] += c * row[src]
+
+    t = 0
+    limit = min(nrows, ncols)
+    while t < limit:
+        best = None
+        pivot = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                v = abs(a[i][j])
+                if v and (best is None or v < best):
+                    best = v
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != t:
+            swap_rows(t, pi)
+        if pj != t:
+            swap_cols(t, pj)
+        dirty = False
+        pv = a[t][t]
+        for i in range(t + 1, nrows):
+            if a[i][t]:
+                c = a[i][t] // pv
+                if c:
+                    add_row(i, t, -c)
+                if a[i][t]:
+                    dirty = True
+        for j in range(t + 1, ncols):
+            if a[t][j]:
+                c = a[t][j] // pv
+                if c:
+                    add_col(j, t, -c)
+                if a[t][j]:
+                    dirty = True
+        if dirty:
+            # leftover remainders are smaller than the pivot; rescan
+            continue
+        t += 1
+    rank = t
+
+    for i in range(rank):
+        if a[i][i] < 0:
+            a[i] = [-v for v in a[i]]
+            p[i] = [-v for v in p[i]]
+
+    def row_combo(i, j, m11, m12, m21, m22):
+        for target in (a, p):
+            ri, rj = target[i], target[j]
+            target[i] = [m11 * x + m12 * y for x, y in zip(ri, rj)]
+            target[j] = [m21 * x + m22 * y for x, y in zip(ri, rj)]
+
+    def col_combo(i, j, m11, m21, m12, m22):
+        # columns (ci, cj) <- (m11*ci + m21*cj, m12*ci + m22*cj)
+        for target in (a, q):
+            for row in target:
+                ci, cj = row[i], row[j]
+                row[i] = m11 * ci + m21 * cj
+                row[j] = m12 * ci + m22 * cj
+
+    changed = True
+    while changed:
+        changed = False
+        for i in range(rank - 1):
+            x, y = a[i][i], a[i + 1][i + 1]
+            if y % x:
+                g, s, u = bezout(x, y)
+                # diag(x, y) -> diag(g, x*y/g) under a unimodular 2x2 pair
+                row_combo(i, i + 1, s, u, -(y // g), x // g)
+                col_combo(i, i + 1, 1, 1, -(u * y // g), s * x // g)
+                changed = True
+
+    factors = tuple(a[i][i] for i in range(rank))
+    return SnfResult(
+        P=IntMatrix._trusted(tuple(map(tuple, p))),
+        D=IntMatrix._trusted(tuple(map(tuple, a))),
+        Q=IntMatrix._trusted(tuple(map(tuple, q))),
+        invariant_factors=factors,
+    )
+
+
+# entries from a small set, most of them zero, so that zero, rank-deficient
+# and non-square matrices come up often
+sparse_matrices = st.integers(min_value=1, max_value=7).flatmap(
+    lambda cols: st.lists(
+        st.lists(st.sampled_from((0, 0, 0, 0, 1, -1, 2, -2, 3, -6, 9)), min_size=cols, max_size=cols),
+        min_size=1,
+        max_size=7,
+    )
+).map(IntMatrix)
+
+
+@given(st.one_of(sparse_matrices, pcb_matrices(max_n=9, max_entry=6).map(lambda P: P.signed)))
+@settings(max_examples=300)
+def test_smith_normal_form_matches_the_reference(M):
+    assert smith_normal_form(M) == _reference_smith_normal_form(M)
+
+
 class TestIntegerOperands:
-    # operator.index refuses a float or a Fraction, where int() truncated it
+    # operator.index refuses a float or a Fraction, where int() truncated it;
+    # [[b, -b], [-b, b]] passes every other check of validate
+    @pytest.mark.parametrize("build", [IntMatrix, validate])
     @pytest.mark.parametrize("bad", [2.7, Fraction(5, 2), 2.0])
-    def test_matrix_entries(self, bad):
+    def test_matrix_entries(self, build, bad):
         with pytest.raises(TypeError):
-            IntMatrix([[bad, 1], [1, 3]])
+            build([[bad, -bad], [-bad, bad]])
 
     @pytest.mark.parametrize("bad", [(2.9, 2.2), (Fraction(2), 1)])
     def test_matrix_vector_product(self, bad):
@@ -255,6 +387,7 @@ class TestIntegerOperands:
 
     def test_integers_and_bools_still_pass(self):
         assert IntMatrix([[True, 0], [0, 1]]).data == ((1, 0), (0, 1))
+        assert validate([[True, -1], [-1, True]]).signed.data == ((1, -1), (-1, 1))
         assert lattice_contains(IntMatrix([[2, 0], [0, 2]]), (2, 4)) == (True, (1, 2))
 
 
